@@ -5,7 +5,7 @@ from .analysis import (CrossoverReport, SensitivityGrid, YearSummary,
                        sensitivity_grid, summarize)
 from .config import (ConfigError, ScenarioConfig, config_fingerprint,
                      config_to_json, load_config, resolve_registry)
-from .evolution import (ModeState, ResultSet, compute_shared_means,
+from .evolution import (RateModel, ResultSet, compute_shared_means,
                         evolve_mode_state, run_replicate, run_scenario)
 from .modes import (ModeRegistry, ModeSpec, adjust_reference_cost,
                     builtin_modes, derive_autonomous, validate_registry)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "CrossoverReport", "LogNormalParams", "ModeRegistry",
-    "ModeSpec", "ModeState", "PlotSpec", "ResultSet", "RngStream",
+    "ModeSpec", "PlotSpec", "RateModel", "ResultSet", "RngStream",
     "ScenarioConfig", "SensitivityGrid", "TripPlan", "TripRecord",
     "YearSummary", "adjust_reference_cost", "assign_modes", "builtin_modes",
     "compute_shared_means", "config_fingerprint", "config_to_json",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -16,6 +17,13 @@ class ConfigError(ValueError):
 
 
 _POLICIES = ("per-replicate", "shared")
+
+_INT_FIELDS = ("seed", "start_year", "end_year", "iterations")
+_FLOAT_FIELDS = (
+    "trip_distance_km", "freight_tonnes", "min_leg_km",
+    "handling_mean_usd_per_tonne", "handling_stdev_fraction",
+    "cost_stdev_fraction", "rate_stdev_fraction",
+)
 
 _MODE_OVERRIDE_FIELDS = {
     "id", "base_cost_mean", "base_year", "improvement_rate_mean",
@@ -44,6 +52,7 @@ class ScenarioConfig:
     modes: list[dict] = field(default_factory=list)
 
     def validate(self) -> None:
+        self._validate_types()
         if self.end_year < self.start_year:
             raise ConfigError("end_year must be >= start_year")
         if self.iterations < 1:
@@ -75,6 +84,33 @@ class ScenarioConfig:
             if unknown:
                 raise ConfigError(
                     f"modes[{entry.get('id')!r}]: unknown fields {sorted(unknown)}")
+
+    def _validate_types(self) -> None:
+        # Values are checked, never coerced, so the fingerprint of a valid
+        # config is unchanged.  bool is an int subclass and is rejected.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ConfigError(
+                    f"{name} must be a finite number, got {value!r}")
+        if (not isinstance(self.enabled_modes, list)
+                or not all(isinstance(m, str) for m in self.enabled_modes)):
+            raise ConfigError(
+                f"enabled_modes must be a list of mode ids, "
+                f"got {self.enabled_modes!r}")
+
+
+def _is_finite_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to be a float
+        return False
 
 
 def load_config(text: str) -> ScenarioConfig:

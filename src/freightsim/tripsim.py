@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .modes import ModeId
-from .stochastics import (LogNormalParams, RngStream, lognormal_from_moments,
-                          sample_lognormal)
+from .stochastics import LogNormalParams, RngStream, lognormal_from_moments
 
 
 @dataclass(frozen=True)
@@ -100,19 +101,37 @@ def simulate_trip(trip_distance: float,
     Each leg samples its own operational cost (mean = the mode's current
     mean, stdev = fraction * mean) and its own handling cost; the trip cost
     is the sum of the leg costs.  Handling is charged once per leg,
-    including the first.
+    including the first.  Once the legs and modes are drawn, every cost
+    normal of the trip comes from one draw and is used in (operational,
+    handling) order leg by leg; a cost with zero log-space spread draws
+    nothing and is exp(mu), as in ``sample_lognormal``.
     """
     distances = generate_leg_distances(trip_distance, min_leg, stream)
     leg_modes = assign_modes(len(distances), enabled, stream)
 
+    op_params: dict[ModeId, LogNormalParams] = {}
+    for mode in leg_modes:
+        if mode not in op_params:
+            mean = mode_cost_means[mode]
+            op_params[mode] = lognormal_from_moments(
+                mean, cost_stdev_fractions[mode] * mean)
+    n_draws = sum(op_params[m].sigma != 0.0 for m in leg_modes)
+    if handling_params.sigma != 0.0:
+        n_draws += len(leg_modes)
+    z = iter(stream.normal(size=n_draws).tolist() if n_draws else ())
+
+    # One scalar np.exp per value: the arithmetic of sample_lognormal, and
+    # cheaper than an array call over a trip's few values.
+    exp = np.exp
+    h = handling_params
     total = 0.0
-    per_mode_km: dict[ModeId, float] = {m: 0.0 for m in enabled}
+    per_mode_km = dict.fromkeys(enabled, 0.0)
     for d, mode in zip(distances, leg_modes):
-        mean = mode_cost_means[mode]
-        op_params = lognormal_from_moments(
-            mean, cost_stdev_fractions[mode] * mean)
-        op = sample_lognormal(op_params, stream)
-        handling = sample_lognormal(handling_params, stream)
+        p = op_params[mode]
+        op = (float(exp(p.mu + p.sigma * next(z))) if p.sigma != 0.0
+              else math.exp(p.mu))
+        handling = (float(exp(h.mu + h.sigma * next(z))) if h.sigma != 0.0
+                    else math.exp(h.mu))
         total += leg_cost(d, weight, op, handling)
         per_mode_km[mode] += d
 

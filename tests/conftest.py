@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 
@@ -21,8 +22,9 @@ class StubStream:
         return next(self._integers)
 
     def normal(self, size=None):
-        assert size is None
-        return next(self._normals)
+        if size is None:
+            return next(self._normals)
+        return np.array([next(self._normals) for _ in range(size)])
 
 
 class MidpointStream(StubStream):

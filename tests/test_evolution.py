@@ -1,52 +1,115 @@
-import dataclasses
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freightsim.config import ScenarioConfig, resolve_registry
-from freightsim.evolution import (ModeState, compute_shared_means,
+from freightsim.evolution import (RateModel, compute_shared_means,
                                   evolve_mode_state, run_replicate,
                                   run_scenario)
-from freightsim.modes import ModeSpec, builtin_modes
-from freightsim.stochastics import derive_stream
+from freightsim.modes import ModeRegistry, ModeSpec
+from freightsim.stochastics import (derive_stream, lognormal_from_moments,
+                                    sample_lognormal)
+
+from conftest import StubStream
 
 
-def make_state(cost, rate, rate_stdev_fraction=0.5, year=2018):
-    spec = ModeSpec(id="m", base_cost_mean=cost, base_year=year,
+def one_mode_rates(rate, rate_stdev_fraction=0.5):
+    spec = ModeSpec(id="m", base_cost_mean=1.0, base_year=2018,
                     improvement_rate_mean=rate,
                     rate_stdev_fraction=rate_stdev_fraction)
-    return ModeState(spec=spec, current_cost_mean=cost, year=year)
+    return RateModel.from_registry(ModeRegistry([spec]))
+
+
+def evolve_one(cost, rates, stream):
+    return evolve_mode_state(np.array([cost]), rates, stream)[0]
 
 
 class TestEvolveModeState:
     def test_air_worked_example(self):
         # stdev 0 pins the sampled rate to its mean of 5.5%
-        state = make_state(1.766, 0.055, rate_stdev_fraction=0.0)
-        evolved = evolve_mode_state(state, derive_stream(0, ["x"]))
-        assert evolved.current_cost_mean == pytest.approx(1.669, abs=0.0005)
-        assert evolved.year == 2019
+        rates = one_mode_rates(0.055, rate_stdev_fraction=0.0)
+        evolved = evolve_one(1.766, rates, derive_stream(0, ["x"]))
+        assert evolved == pytest.approx(1.669, abs=0.0005)
 
     def test_zero_rate_leaves_cost_unchanged(self):
-        state = make_state(0.5, 0.0)
-        evolved = evolve_mode_state(state, derive_stream(0, ["x"]))
-        assert evolved.current_cost_mean == 0.5
-        assert evolved.year == 2019
+        rates = one_mode_rates(0.0)
+        assert evolve_one(0.5, rates, derive_stream(0, ["x"])) == 0.5
 
     def test_mean_of_evolved_costs(self):
         # E[c(1-r)] = c(1-E[r]) since r is sampled around its mean
-        state = make_state(1.0, 0.05, rate_stdev_fraction=0.5)
+        rates = one_mode_rates(0.05, rate_stdev_fraction=0.5)
         stream = derive_stream(21, ["evolve-mean"])
-        costs = [evolve_mode_state(state, stream).current_cost_mean
-                 for _ in range(100_000)]
+        costs = [evolve_one(1.0, rates, stream) for _ in range(100_000)]
         assert np.mean(costs) == pytest.approx(0.95, rel=0.01)
 
     def test_costs_stay_positive_under_extreme_stdev(self):
-        state = make_state(1.0, 0.5, rate_stdev_fraction=3.0)
+        rates = one_mode_rates(0.5, rate_stdev_fraction=3.0)
         stream = derive_stream(8, ["extreme"])
         for _ in range(5000):
-            evolved = evolve_mode_state(state, stream)
-            assert 0 < evolved.current_cost_mean <= state.current_cost_mean
+            assert 0 < evolve_one(1.0, rates, stream) <= 1.0
+
+
+def scalar_evolve(cost, spec, stream):
+    """The per-mode scalar step the vector step replaced: the reference the
+    vector step must match bit for bit, draw for draw."""
+    if spec.improvement_rate_mean == 0.0:
+        return cost
+    params = lognormal_from_moments(
+        spec.improvement_rate_mean,
+        spec.rate_stdev_fraction * spec.improvement_rate_mean)
+    r = sample_lognormal(params, stream)
+    attempts = 0
+    while r >= 1.0 and attempts < 100:
+        r = sample_lognormal(params, stream)
+        attempts += 1
+    if r >= 1.0:
+        r = 0.99
+    return cost * (1.0 - r)
+
+
+mode_specs = st.lists(
+    st.builds(
+        ModeSpec,
+        id=st.just("m"),
+        base_cost_mean=st.floats(0.001, 10.0),
+        base_year=st.just(2018),
+        improvement_rate_mean=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
+        rate_stdev_fraction=st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+    min_size=1, max_size=6)
+
+
+class TestVectorStepMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(specs=mode_specs, seed=st.integers(0, 2**32 - 1))
+    def test_same_costs_and_same_stream_position(self, specs, seed):
+        rates = RateModel.from_registry(ModeRegistry(specs))
+        costs = np.array([s.base_cost_mean for s in specs])
+        expected = [s.base_cost_mean for s in specs]
+        for step in range(8):
+            vector_stream = derive_stream(seed, ["step", step])
+            scalar_stream = derive_stream(seed, ["step", step])
+            costs = evolve_mode_state(costs, rates, vector_stream)
+            expected = [scalar_evolve(c, s, scalar_stream)
+                        for c, s in zip(expected, specs)]
+            assert costs.tolist() == expected
+            assert vector_stream.normal() == scalar_stream.normal()
+
+    def test_redraw_takes_the_next_batched_normal(self):
+        # A rate >= 1 for the first mode is redrawn from the normal the
+        # batch drew for the second mode, as the scalar loop did.
+        specs = [ModeSpec(id=m, base_cost_mean=1.0, base_year=2018,
+                          improvement_rate_mean=0.5, rate_stdev_fraction=0.5)
+                 for m in ("a", "b")]
+        params = lognormal_from_moments(0.5, 0.25)
+        stream = StubStream(normals=[10.0, 0.0, 1.0])
+        costs = evolve_mode_state(np.ones(2),
+                                  RateModel.from_registry(ModeRegistry(specs)),
+                                  stream)
+        assert costs.tolist() == [1.0 - np.exp(params.mu),
+                                  1.0 - np.exp(params.mu + params.sigma)]
 
 
 def ocean_only_config(**kw):

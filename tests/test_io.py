@@ -249,3 +249,46 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--no-such-flag"])
         assert exc.value.code != 0
+
+
+MALFORMED_VALUES = [
+    ("iterations", "3"),
+    ("iterations", 2.5),
+    ("iterations", True),
+    ("seed", None),
+    ("trip_distance_km", float("nan")),
+    ("trip_distance_km", True),
+    ("min_leg_km", float("inf")),
+    ("trip_distance_km", 10**400),
+    ("cost_stdev_fraction", "0.25"),
+    ("enabled_modes", "ocean"),
+    ("enabled_modes", ["ocean", 3]),
+]
+
+
+class TestMalformedConfigValues:
+    @pytest.mark.parametrize("field,value", MALFORMED_VALUES)
+    def test_simulate_fails_with_one_error_line_and_no_output(
+            self, tmp_path, capsys, field, value):
+        doc = dict(enabled_modes=["ocean"], seed=1, iterations=2,
+                   end_year=2019)
+        doc[field] = value
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert field in lines[0] and "must be" in lines[0]
+        assert captured.out == ""
+        assert not csv_path.exists() and not svg_path.exists()
+
+    def test_integral_float_fields_still_accept_ints(self):
+        cfg = load_config(json.dumps({"enabled_modes": ["ocean"],
+                                      "trip_distance_km": 5000,
+                                      "min_leg_km": 50}))
+        assert cfg.trip_distance_km == 5000
+        assert isinstance(cfg.trip_distance_km, int)

@@ -146,3 +146,58 @@ class TestSimulateTrip:
                 {"ocean": 0.0392, "rail": 0.046}, handling, fractions,
                 2018, 0, derive_stream(seed, ["mono"]))
             assert bumped.trip_cost >= base.trip_cost
+
+
+class RecordingStream(StubStream):
+    """Records the size of every normal draw."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.normal_sizes = []
+
+    def normal(self, size=None):
+        self.normal_sizes.append(size)
+        return super().normal(size)
+
+
+class TestSimulateTripDrawOrder:
+    MEANS = {"ocean": 0.0196, "rail": 0.046}
+    FRACTIONS = {"ocean": 0.25, "rail": 0.5}
+
+    def test_normals_pair_with_operational_then_handling_per_leg(self):
+        handling = lognormal_from_moments(4.59, 0.25 * 4.59)
+        ocean = lognormal_from_moments(0.0196, 0.25 * 0.0196)
+        rail = lognormal_from_moments(0.046, 0.5 * 0.046)
+        stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[0, 1],
+                                 normals=[0.5, -1.0, 1.5, 0.25])
+        rec = simulate_trip(10_000.0, 50_000.0, ["ocean", "rail"], self.MEANS,
+                            handling, self.FRACTIONS, 2018, 0, stream)
+        expected = (
+            4000.0 * 50_000.0 * math.exp(ocean.mu + ocean.sigma * 0.5)
+            + 50_000.0 * math.exp(handling.mu + handling.sigma * -1.0)
+            + 6000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * 1.5)
+            + 50_000.0 * math.exp(handling.mu + handling.sigma * 0.25))
+        assert rec.trip_cost == pytest.approx(expected, rel=1e-12)
+        assert stream.normal_sizes == [4]
+
+    def test_zero_sigma_slots_draw_nothing(self):
+        # Fixed handling: only the two operational costs draw, in leg order.
+        rail = lognormal_from_moments(0.046, 0.5 * 0.046)
+        stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[1, 1],
+                                 normals=[-0.5, 2.0])
+        rec = simulate_trip(10_000.0, 50_000.0, ["ocean", "rail"], self.MEANS,
+                            TestSimulateTrip.HANDLING_EXACT, self.FRACTIONS,
+                            2018, 0, stream)
+        expected = (
+            4000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * -0.5)
+            + 6000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * 2.0)
+            + 2 * 50_000.0 * 4.59)
+        assert rec.trip_cost == pytest.approx(expected, rel=1e-12)
+        assert stream.normal_sizes == [2]
+
+    def test_all_zero_sigmas_make_no_normal_draw(self):
+        stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[0, 1])
+        simulate_trip(10_000.0, 50_000.0, ["ocean", "rail"], self.MEANS,
+                      TestSimulateTrip.HANDLING_EXACT,
+                      {"ocean": 0.0, "rail": 0.0}, 2018, 0, stream)
+        assert stream.normal_sizes == []
