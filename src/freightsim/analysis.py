@@ -9,6 +9,7 @@ from typing import Sequence
 
 from .evolution import ResultSet
 from .modes import ModeId, adjust_reference_cost
+from .tripsim import TripRecord
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,22 @@ def _nearest_rank(sorted_values: list[float], pct: float) -> float:
     return sorted_values[rank - 1]
 
 
+def _records_by_year(results: ResultSet) -> dict[int, list[TripRecord]]:
+    """The records grouped by year; records come in (year, replicate) order,
+    so the years come out ascending."""
+    by_year: dict[int, list[TripRecord]] = {}
+    for rec in results.records:
+        by_year.setdefault(rec.year, []).append(rec)
+    return by_year
+
+
 def summarize(results: ResultSet) -> list[YearSummary]:
     """One YearSummary per simulated year, percentiles by nearest rank."""
     if not results.records:
         raise ValueError("cannot summarize an empty result set")
-    by_year: dict[int, list] = {}
-    for rec in results.records:
-        by_year.setdefault(rec.year, []).append(rec)
 
     summaries = []
-    for year in sorted(by_year):
-        recs = by_year[year]
+    for year, recs in _records_by_year(results).items():
         costs = sorted(r.trip_cost for r in recs)
         mode_ids = recs[0].mode_distance_fraction.keys()
         frac_mean = {
@@ -151,23 +157,18 @@ def empirical_crossover(results: ResultSet, mode: ModeId,
     than the conventional one.  Medians are used for robustness against the
     log-normal tails.
     """
-    enabled = results.config.enabled_modes
     for m in (mode, auto_mode):
-        if m not in enabled:
+        if m not in results.registry:
             raise ValueError(f"mode {m!r} not present in results")
 
     denom = results.config.trip_distance_km * results.config.freight_tonnes
-    by_year: dict[int, list] = {}
-    for rec in results.records:
-        by_year.setdefault(rec.year, []).append(rec)
-
     basis: dict[int, tuple[float | None, float | None]] = {}
     empirical_year: int | None = None
-    for year in sorted(by_year):
+    for year, recs in _records_by_year(results).items():
         medians: list[float | None] = []
         for m in (mode, auto_mode):
             vals, wts = [], []
-            for rec in by_year[year]:
+            for rec in recs:
                 frac = rec.mode_distance_fraction[m]
                 if frac > 0.5:
                     vals.append(rec.trip_cost / denom)
@@ -179,8 +180,8 @@ def empirical_crossover(results: ResultSet, mode: ModeId,
                 and auto_med is not None and auto_med <= non_med):
             empirical_year = year
 
-    reg = _pair_registry(results, mode, auto_mode)
-    base, auto = reg
+    base = results.registry.get(mode)
+    auto = results.registry.get(auto_mode)
     start = results.config.start_year
     base_cost = adjust_reference_cost(
         base.base_cost_mean, base.improvement_rate_mean, base.base_year, start)
@@ -193,8 +194,3 @@ def empirical_crossover(results: ResultSet, mode: ModeId,
                            deterministic_year=det,
                            empirical_year=empirical_year, basis=basis)
 
-
-def _pair_registry(results: ResultSet, mode: ModeId, auto_mode: ModeId):
-    from .config import resolve_registry
-    reg = resolve_registry(results.config)
-    return reg.get(mode), reg.get(auto_mode)

@@ -25,10 +25,10 @@ _FLOAT_FIELDS = (
     "cost_stdev_fraction", "rate_stdev_fraction",
 )
 
-_MODE_OVERRIDE_FIELDS = {
-    "id", "base_cost_mean", "base_year", "improvement_rate_mean",
-    "cost_stdev_fraction", "rate_stdev_fraction", "autonomous", "provenance",
-}
+_MODE_FLOAT_FIELDS = ("base_cost_mean", "improvement_rate_mean",
+                      "cost_stdev_fraction", "rate_stdev_fraction")
+_MODE_OVERRIDE_FIELDS = {"id", "base_year", "autonomous", "provenance",
+                         *_MODE_FLOAT_FIELDS}
 
 
 @dataclass
@@ -84,13 +84,14 @@ class ScenarioConfig:
             if unknown:
                 raise ConfigError(
                     f"modes[{entry.get('id')!r}]: unknown fields {sorted(unknown)}")
+            _validate_mode_override_types(entry)
 
     def _validate_types(self) -> None:
         # Values are checked, never coerced, so the fingerprint of a valid
         # config is unchanged.  bool is an int subclass and is rejected.
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
@@ -102,6 +103,28 @@ class ScenarioConfig:
             raise ConfigError(
                 f"enabled_modes must be a list of mode ids, "
                 f"got {self.enabled_modes!r}")
+        if not isinstance(self.modes, list):
+            raise ConfigError(f"modes must be a list, got {self.modes!r}")
+
+
+def _validate_mode_override_types(entry: dict[str, Any]) -> None:
+    # Unknown fields are rejected first; the last branch is id and provenance.
+    for name, value in entry.items():
+        if name in _MODE_FLOAT_FIELDS:
+            ok, kind = _is_finite_number(value), "a finite number"
+        elif name == "base_year":
+            ok, kind = _is_int(value), "an integer"
+        elif name == "autonomous":
+            ok, kind = isinstance(value, bool), "a boolean"
+        else:
+            ok, kind = isinstance(value, str), "a string"
+        if not ok:
+            raise ConfigError(f"modes[{entry['id']!r}]: {name} must be "
+                              f"{kind}, got {value!r}")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite_number(value: Any) -> bool:
@@ -163,8 +186,7 @@ def resolve_registry(cfg: ScenarioConfig,
     for mode_id in cfg.enabled_modes:
         override = overrides.get(mode_id, {})
         if mode_id in base:
-            merged = dataclasses.asdict(base.get(mode_id))
-            merged.update(override)
+            builtin = dataclasses.asdict(base.get(mode_id))
         else:
             required = {"base_cost_mean", "base_year", "improvement_rate_mean"}
             missing = required - set(override)
@@ -173,14 +195,12 @@ def resolve_registry(cfg: ScenarioConfig,
             if missing:
                 raise ConfigError(
                     f"modes[{mode_id!r}]: missing fields {sorted(missing)}")
-            merged = dict(override)
-        merged.setdefault("cost_stdev_fraction", cfg.cost_stdev_fraction)
-        merged.setdefault("rate_stdev_fraction", cfg.rate_stdev_fraction)
-        if mode_id in base and "cost_stdev_fraction" not in override:
-            merged["cost_stdev_fraction"] = cfg.cost_stdev_fraction
-        if mode_id in base and "rate_stdev_fraction" not in override:
-            merged["rate_stdev_fraction"] = cfg.rate_stdev_fraction
-        specs.append(ModeSpec(**merged))
+            builtin = {}
+        specs.append(ModeSpec(**{
+            **builtin,
+            "cost_stdev_fraction": cfg.cost_stdev_fraction,
+            "rate_stdev_fraction": cfg.rate_stdev_fraction,
+            **override}))
 
     reg = ModeRegistry(specs)
     problems = validate_registry(reg)

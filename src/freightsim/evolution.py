@@ -1,10 +1,11 @@
 """Annual cost evolution and the Monte-Carlo scenario engine.
 
-Each replicate walks the horizon year by year: simulate one trip with the
-modes' current mean costs, then compound every mode's cost down by a sampled
-improvement rate.  All randomness flows through substreams derived from the
-scenario seed and (year, replicate) labels, so results are independent of
-scheduling order and worker count.
+Each replicate simulates one trip per year with the modes' mean costs from a
+cost trajectory: its own, or one shared by all replicates.  A trajectory
+compounds every mode's cost down by a sampled improvement rate each year.
+All randomness flows through substreams derived from the scenario seed and
+(year, replicate) labels, so results are independent of scheduling order and
+worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, config_fingerprint, resolve_registry
-from .modes import ModeId, ModeRegistry, adjust_reference_cost
+from .modes import ModeRegistry, adjust_reference_cost
 from .stochastics import (LogNormalParams, RngStream, derive_stream,
                           lognormal_from_moments, sample_lognormal)
 from .tripsim import TripRecord, simulate_trip
@@ -117,13 +118,15 @@ def evolve_mode_state(costs: np.ndarray, rates: RateModel,
 
 @dataclass
 class ResultSet:
-    """Year x replicate table of trip records plus the mode-mean trajectories
-    that produced them."""
+    """A run's registry, its trip records in (year, replicate) order, and
+    ``mode_means[replicate, year - start_year, mode]`` in registry mode order
+    (a read-only broadcast of the one trajectory under the shared policy)."""
 
     config: ScenarioConfig
     fingerprint: str
+    registry: ModeRegistry
     records: list[TripRecord]
-    mode_means: dict[tuple[int, int], dict[ModeId, float]]
+    mode_means: np.ndarray
 
 
 def _initial_costs(config: ScenarioConfig,
@@ -142,104 +145,92 @@ def _initial_costs(config: ScenarioConfig,
     return np.array(costs, dtype=np.float64)
 
 
-def compute_shared_means(config: ScenarioConfig,
-                         registry: ModeRegistry) -> dict[int, dict[ModeId, float]]:
-    """One sampled cost trajectory per mode, shared by all replicates."""
-    ids = registry.ids()
-    rates = RateModel.from_registry(registry)
-    costs = _initial_costs(config, registry)
-    means: dict[int, dict[ModeId, float]] = {}
-    for year in range(config.start_year, config.end_year + 1):
-        means[year] = dict(zip(ids, costs.tolist()))
-        stream = derive_stream(config.seed, ("scenario", year, "shared-rates"))
-        costs = evolve_mode_state(costs, rates, stream)
+def _cost_trajectory(config: ScenarioConfig, registry: ModeRegistry,
+                     rates: RateModel, replicate: int | None) -> np.ndarray:
+    """The ``(years, modes)`` mean costs of one replicate, or the shared ones
+    when ``replicate`` is None, stepped once per year in [start, end)."""
+    years = range(config.start_year, config.end_year)
+    means = np.empty((len(years) + 1, len(registry)))
+    means[0] = _initial_costs(config, registry)
+    for t, year in enumerate(years):
+        labels = (("scenario", year, "shared-rates") if replicate is None
+                  else ("scenario", year, replicate, "rates"))
+        means[t + 1] = evolve_mode_state(
+            means[t], rates, derive_stream(config.seed, labels))
     return means
+
+
+def compute_shared_means(config: ScenarioConfig,
+                         registry: ModeRegistry) -> np.ndarray:
+    """The one ``(years, modes)`` cost trajectory all replicates share."""
+    return _cost_trajectory(config, registry,
+                            RateModel.from_registry(registry), None)
+
+
+def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
+                replicates: range) -> np.ndarray:
+    """The ``[replicate, year, mode]`` trajectories of the evolution policy."""
+    if config.evolution_policy == "shared":
+        shared = compute_shared_means(config, registry)
+        return np.broadcast_to(shared, (len(replicates), *shared.shape))
+    rates = RateModel.from_registry(registry)
+    return np.stack([_cost_trajectory(config, registry, rates, rep)
+                     for rep in replicates])
 
 
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
                   replicate: int,
-                  shared_means: dict[int, dict[ModeId, float]] | None = None,
-                  rates: RateModel | None = None,
-                  ) -> tuple[list[TripRecord], dict[tuple[int, int], dict[ModeId, float]]]:
+                  means: np.ndarray | None = None) -> list[TripRecord]:
     """Simulate one replicate across the whole horizon, returning one trip
-    record per year and the mode means each trip saw.
-
-    Under the per-replicate policy each replicate evolves its own cost
-    trajectory with ``rates`` (built from ``registry`` when not given);
-    under the shared policy all replicates read the single trajectory in
-    ``shared_means``.
-    """
-    shared = config.evolution_policy == "shared"
-    if shared and shared_means is None:
-        shared_means = compute_shared_means(config, registry)
-    if not shared and rates is None:
-        rates = RateModel.from_registry(registry)
-
+    record per year, costed with the ``(years, modes)`` trajectory ``means``
+    (by default the one the evolution policy gives this replicate)."""
+    if means is None:
+        means = _mode_means(config, registry,
+                            range(replicate, replicate + 1))[0]
     enabled = registry.ids()
     stdev_fractions = {s.id: s.cost_stdev_fraction for s in registry}
     handling_params = lognormal_from_moments(
         config.handling_mean_usd_per_tonne,
         config.handling_stdev_fraction * config.handling_mean_usd_per_tonne)
 
-    costs = None if shared else _initial_costs(config, registry)
     records: list[TripRecord] = []
-    means_seen: dict[tuple[int, int], dict[ModeId, float]] = {}
-    for year in range(config.start_year, config.end_year + 1):
-        if shared:
-            current = shared_means[year]
-        else:
-            current = dict(zip(enabled, costs.tolist()))
-        means_seen[(year, replicate)] = dict(current)
-
+    years = range(config.start_year, config.end_year + 1)
+    for year, current in zip(years, means.tolist()):
         trip_stream = derive_stream(
             config.seed, ("scenario", year, replicate, "trip"))
         records.append(simulate_trip(
             config.trip_distance_km, config.freight_tonnes, enabled,
-            current, handling_params, stdev_fractions, year, replicate,
-            trip_stream, min_leg=config.min_leg_km))
-
-        if not shared:
-            rate_stream = derive_stream(
-                config.seed, ("scenario", year, replicate, "rates"))
-            costs = evolve_mode_state(costs, rates, rate_stream)
-    return records, means_seen
+            dict(zip(enabled, current)), handling_params, stdev_fractions,
+            year, replicate, trip_stream, min_leg=config.min_leg_km))
+    return records
 
 
 def run_scenario(config: ScenarioConfig,
                  registry: ModeRegistry | None = None,
                  workers: int = 1) -> ResultSet:
-    """Run every replicate and collect the sorted ResultSet.
+    """Run every replicate and collect the ResultSet.
 
     The output is byte-identical for any ``workers`` value: each replicate
-    draws only from its own derived streams and records are sorted
-    (year, replicate) afterwards.
+    draws only from its own derived streams, and the per-replicate record
+    lists are transposed into (year, replicate) order afterwards.
     """
     config.validate()
     if registry is None:
         registry = resolve_registry(config)
 
-    shared_means = rates = None
-    if config.evolution_policy == "shared":
-        shared_means = compute_shared_means(config, registry)
-    else:
-        rates = RateModel.from_registry(registry)
-
-    def one(rep: int):
-        return run_replicate(config, registry, rep, shared_means, rates)
-
     replicates = range(config.iterations)
+    mode_means = _mode_means(config, registry, replicates)
+
+    def one(rep: int) -> list[TripRecord]:
+        return run_replicate(config, registry, rep, mode_means[rep])
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, replicates))
     else:
         parts = [one(rep) for rep in replicates]
 
-    records: list[TripRecord] = []
-    mode_means: dict[tuple[int, int], dict[ModeId, float]] = {}
-    for recs, means in parts:
-        records.extend(recs)
-        mode_means.update(means)
-    records.sort(key=lambda r: (r.year, r.replicate))
+    records = [rec for year in zip(*parts) for rec in year]
     return ResultSet(config=config, fingerprint=config_fingerprint(config),
-                     records=records, mode_means=mode_means)
+                     registry=registry, records=records, mode_means=mode_means)

@@ -60,9 +60,6 @@ class ModeRegistry:
     def ids(self) -> list[ModeId]:
         return [s.id for s in self._specs]
 
-    def subset(self, mode_ids: Iterable[ModeId]) -> "ModeRegistry":
-        return ModeRegistry(self.get(m) for m in mode_ids)
-
 
 def builtin_modes() -> ModeRegistry:
     """The ten default modes (five conventional, five autonomous) with their

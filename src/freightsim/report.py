@@ -17,13 +17,14 @@ def _fmt(x: float) -> str:
 
 def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
     """Write the trip records as CSV, one fraction column per enabled mode
-    in config order, rows sorted (year, replicate), LF line endings."""
+    in config order, rows in the records' (year, replicate) order, LF line
+    endings."""
     mode_ids = results.config.enabled_modes
     header = ["scenario", "year", "replicate", "trip_cost_usd", "n_legs"]
     header += [f"frac_{m}" for m in mode_ids]
     sink.write(",".join(header) + "\n")
     name = results.config.name
-    for rec in sorted(results.records, key=lambda r: (r.year, r.replicate)):
+    for rec in results.records:
         row = [name, str(rec.year), str(rec.replicate),
                _fmt(rec.trip_cost), str(rec.n_legs)]
         row += [_fmt(rec.mode_distance_fraction[m]) for m in mode_ids]
@@ -79,13 +80,12 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
 
     The output is deterministic for a given input.
     """
-    records = sorted(results.records, key=lambda r: (r.year, r.replicate))
-    if not records:
+    if not results.records:
         raise ValueError("cannot plot an empty result set")
     if plot.focus_mode not in results.config.enabled_modes:
         raise ValueError(f"focus mode {plot.focus_mode!r} not in scenario")
 
-    y_vals = [cost_axis_value(r.trip_cost) for r in records]
+    y_vals = [cost_axis_value(r.trip_cost) for r in results.records]
     y_lo = math.floor(min(y_vals))
     y_hi = math.ceil(max(y_vals))
     if y_hi == y_lo:
@@ -145,7 +145,7 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
                f'text-anchor="middle" font-family="sans-serif" font-size="13">'
                f'Distance fraction on {plot.focus_mode}</text>')
 
-    for rec in records:
+    for rec in results.records:
         frac = rec.mode_distance_fraction[plot.focus_mode]
         out.append(
             f'<circle cx="{sx(rec.year):.2f}" '

@@ -35,6 +35,7 @@ def lognormal_from_moments(mean: float, stdev: float) -> LogNormalParams:
 
     mu = ln(m / sqrt(1 + v/m^2)), sigma^2 = ln(1 + v/m^2) with v = stdev^2.
     The round trip exp(mu + sigma^2/2) == mean holds to machine precision.
+    A mean whose square underflows to 0 with a non-zero stdev is rejected.
     """
     if not (math.isfinite(mean) and math.isfinite(stdev)):
         raise ValueError("mean and stdev must be finite")
@@ -44,7 +45,11 @@ def lognormal_from_moments(mean: float, stdev: float) -> LogNormalParams:
         raise ValueError(f"stdev must be >= 0, got {stdev}")
     if stdev == 0:
         return LogNormalParams(mu=math.log(mean), sigma=0.0)
-    sigma2 = math.log1p((stdev * stdev) / (mean * mean))
+    mean_sq = mean * mean
+    if mean_sq == 0.0:
+        raise ValueError(f"mean {mean!r} is too small: its square underflows "
+                         f"to 0")
+    sigma2 = math.log1p((stdev * stdev) / mean_sq)
     mu = math.log(mean) - 0.5 * sigma2
     return LogNormalParams(mu=mu, sigma=math.sqrt(sigma2))
 

@@ -19,17 +19,6 @@ from .stochastics import LogNormalParams, RngStream, lognormal_from_moments
 
 
 @dataclass(frozen=True)
-class TripPlan:
-    """Ordered (distance_km, mode) legs; distances sum to the trip distance."""
-
-    legs: tuple[tuple[float, ModeId], ...]
-
-    @property
-    def total_distance(self) -> float:
-        return math.fsum(d for d, _ in self.legs)
-
-
-@dataclass(frozen=True)
 class TripRecord:
     """Costed outcome of one simulated trip."""
 

@@ -161,9 +161,8 @@ def test_criterion_5_sensitivity_grid():
 def _median_mode_means(results, year):
     cfg = results.config
     out = {}
-    for mode in cfg.enabled_modes:
-        vals = [results.mode_means[(year, rep)][mode]
-                for rep in range(cfg.iterations)]
+    for i, mode in enumerate(cfg.enabled_modes):
+        vals = results.mode_means[:, year - cfg.start_year, i]
         out[mode] = float(np.median(vals))
     return out
 
@@ -269,9 +268,8 @@ def test_criterion_9_property_suite(scenario1):
         failures.append("non-positive trip cost")
     cfg = results.config
     for rep in range(cfg.iterations):
-        for mode in cfg.enabled_modes:
-            path = [results.mode_means[(y, rep)][mode]
-                    for y in range(cfg.start_year, cfg.end_year + 1)]
+        for i, mode in enumerate(cfg.enabled_modes):
+            path = results.mode_means[rep, :, i].tolist()
             if not all(b < a for a, b in zip(path, path[1:])):
                 failures.append(f"non-decreasing trajectory: {mode} rep {rep}")
                 break

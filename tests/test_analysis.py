@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from freightsim.analysis import (deterministic_crossover_year,
                                  empirical_crossover, sensitivity_grid,
                                  summarize)
-from freightsim.config import ScenarioConfig
+from freightsim.config import ScenarioConfig, resolve_registry
 from freightsim.evolution import ResultSet, run_scenario
+from freightsim.modes import (ModeRegistry, ModeSpec, builtin_modes,
+                              derive_autonomous)
 from freightsim.tripsim import TripRecord
 
 
@@ -83,8 +86,9 @@ def fake_results(records, enabled=("ocean",), **cfg_kw):
     kw = dict(enabled_modes=list(enabled), seed=0, iterations=1)
     kw.update(cfg_kw)
     cfg = ScenarioConfig(**kw)
-    return ResultSet(config=cfg, fingerprint="x", records=records,
-                     mode_means={})
+    return ResultSet(config=cfg, fingerprint="x",
+                     registry=resolve_registry(cfg), records=records,
+                     mode_means=np.empty((0, 0, len(enabled))))
 
 
 def record(year, replicate, cost, fractions):
@@ -197,3 +201,27 @@ class TestEmpiricalCrossover:
         report = empirical_crossover(run_scenario(cfg), "ocean", "auto_ocean")
         assert report.empirical_year is not None
         assert abs(report.empirical_year - report.deterministic_year) <= 1
+
+
+class TestEmpiricalCrossoverUsesRunRegistry:
+    def test_derived_autonomous_variant_sets_deterministic_year(self):
+        ocean = builtin_modes().get("ocean")
+        registry = ModeRegistry([ocean, derive_autonomous(ocean, 1.2, 0.08)])
+        cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"], seed=3,
+                             iterations=5, end_year=2024)
+        report = empirical_crossover(run_scenario(cfg, registry),
+                                     "ocean", "auto_ocean")
+        # ln 1.2 / ln(0.979 / 0.899) = 2.1 years; the builtin auto_ocean
+        # would give 2024
+        assert report.deterministic_year == 2021
+
+    def test_modes_outside_the_builtin_dataset(self):
+        barge = ModeSpec(id="barge", base_cost_mean=0.05, base_year=2018,
+                         improvement_rate_mean=0.02)
+        registry = ModeRegistry([barge, derive_autonomous(barge, 1.5, 0.06)])
+        cfg = ScenarioConfig(enabled_modes=["barge", "auto_barge"], seed=3,
+                             iterations=5, end_year=2024)
+        report = empirical_crossover(run_scenario(cfg, registry),
+                                     "barge", "auto_barge")
+        assert report.deterministic_year == deterministic_crossover_year(
+            1.5, 0.02, 0.08, 2018)

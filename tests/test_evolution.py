@@ -125,10 +125,11 @@ class TestRunReplicate:
     def test_closed_form_with_zero_stdevs(self):
         cfg = ocean_only_config(end_year=2024)
         reg = resolve_registry(cfg)
-        records, means = run_replicate(cfg, reg, 0)
+        records = run_replicate(cfg, reg, 0)
+        means = run_scenario(cfg, reg).mode_means[0]
         for t, rec in enumerate(records):
             expected_mean = 0.0196 * (1 - 0.021) ** t
-            assert means[(2018 + t, 0)]["ocean"] == pytest.approx(
+            assert means[t, 0] == pytest.approx(
                 expected_mean, rel=1e-12)
             distance_cost = 10_000.0 * 50_000.0 * expected_mean
             handling_cost = rec.n_legs * 50_000.0 * 4.59
@@ -139,13 +140,13 @@ class TestRunReplicate:
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=5,
                              iterations=4, end_year=2022)
         reg = resolve_registry(cfg)
-        first, _ = run_replicate(cfg, reg, 3)
-        second, _ = run_replicate(cfg, reg, 3)
+        first = run_replicate(cfg, reg, 3)
+        second = run_replicate(cfg, reg, 3)
         assert first == second
 
     def test_single_year_single_record(self):
         cfg = ocean_only_config(end_year=2018)
-        records, _ = run_replicate(cfg, resolve_registry(cfg), 0)
+        records = run_replicate(cfg, resolve_registry(cfg), 0)
         assert len(records) == 1
 
 
@@ -184,25 +185,25 @@ class TestRunScenario:
         serial = run_scenario(cfg, workers=1)
         parallel = run_scenario(cfg, workers=4)
         assert serial.records == parallel.records
-        assert serial.mode_means == parallel.mode_means
+        assert np.array_equal(serial.mode_means, parallel.mode_means)
 
     def test_strictly_decreasing_trajectories(self):
         cfg = ScenarioConfig(enabled_modes=["ocean", "air"], seed=13,
                              iterations=20, end_year=2030)
         results = run_scenario(cfg)
         for rep in range(cfg.iterations):
-            for mode in cfg.enabled_modes:
-                path = [results.mode_means[(y, rep)][mode]
-                        for y in range(cfg.start_year, cfg.end_year + 1)]
+            for i in range(len(cfg.enabled_modes)):
+                path = results.mode_means[rep, :, i].tolist()
                 assert all(b < a for a, b in zip(path, path[1:]))
 
     def test_zero_rate_stdev_matches_compound_decay(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=3, iterations=3,
                              end_year=2030, rate_stdev_fraction=0.0)
         results = run_scenario(cfg)
-        for (year, rep), means in results.mode_means.items():
-            expected = 0.0196 * (1 - 0.021) ** (year - 2018)
-            assert means["ocean"] == pytest.approx(expected, rel=1e-12)
+        for trajectory in results.mode_means:
+            for t, means in enumerate(trajectory):
+                expected = 0.0196 * (1 - 0.021) ** t
+                assert means[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestEvolutionPolicies:
@@ -212,9 +213,19 @@ class TestEvolutionPolicies:
                              evolution_policy="shared")
         results = run_scenario(cfg)
         for year in range(cfg.start_year, cfg.end_year + 1):
-            per_rep = [results.mode_means[(year, rep)]
+            per_rep = [results.mode_means[rep, year - cfg.start_year].tolist()
                        for rep in range(cfg.iterations)]
             assert all(m == per_rep[0] for m in per_rep)
+
+    def test_shared_mode_means_are_one_read_only_trajectory(self):
+        cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=19,
+                             iterations=3, end_year=2022,
+                             evolution_policy="shared")
+        means = run_scenario(cfg).mode_means
+        assert means.shape == (3, 5, 2)
+        assert means.strides[0] == 0
+        with pytest.raises(ValueError):
+            means[0, 0, 0] = 1.0
 
     def test_shared_means_are_reused_verbatim(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=19, iterations=2,
@@ -222,8 +233,8 @@ class TestEvolutionPolicies:
         reg = resolve_registry(cfg)
         shared = compute_shared_means(cfg, reg)
         results = run_scenario(cfg, reg)
-        for (year, _), means in results.mode_means.items():
-            assert means == shared[year]
+        for means in results.mode_means:
+            assert means.tolist() == shared.tolist()
 
     def test_per_replicate_variance_grows(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=23, iterations=200,
@@ -231,8 +242,7 @@ class TestEvolutionPolicies:
         results = run_scenario(cfg)
         variances = []
         for year in range(cfg.start_year, cfg.end_year + 1):
-            vals = [results.mode_means[(year, rep)]["ocean"]
-                    for rep in range(cfg.iterations)]
+            vals = results.mode_means[:, year - cfg.start_year, 0].tolist()
             variances.append(statistics.pvariance(vals))
         assert variances[0] == 0.0
         assert all(v > 0 for v in variances[1:])
@@ -250,7 +260,7 @@ class TestInitialStates:
             modes=[{"id": "old", "base_cost_mean": 1.766, "base_year": 2016,
                     "improvement_rate_mean": 0.055}])
         results = run_scenario(cfg)
-        assert results.mode_means[(2018, 0)]["old"] == pytest.approx(
+        assert results.mode_means[0, 0, 0] == pytest.approx(
             1.766 * 0.945 ** 2, rel=1e-12)
 
     def test_future_base_year_rejected(self):

@@ -71,13 +71,17 @@ class TestLoadConfig:
 
     def test_config_level_fractions_apply_to_registry(self):
         cfg = load_config(json.dumps({
-            "enabled_modes": ["ocean", "rail"],
+            "enabled_modes": ["ocean", "rail", "barge"],
             "cost_stdev_fraction": 0.1, "rate_stdev_fraction": 0.2,
-            "modes": [{"id": "rail", "cost_stdev_fraction": 0.4}]}))
+            "modes": [{"id": "rail", "cost_stdev_fraction": 0.4},
+                      {"id": "barge", "base_cost_mean": 0.05,
+                       "base_year": 2018, "improvement_rate_mean": 0.01}]}))
         reg = resolve_registry(cfg)
         assert reg.get("ocean").cost_stdev_fraction == 0.1
         assert reg.get("ocean").rate_stdev_fraction == 0.2
         assert reg.get("rail").cost_stdev_fraction == 0.4
+        assert reg.get("barge").cost_stdev_fraction == 0.1
+        assert reg.get("barge").rate_stdev_fraction == 0.2
 
 
 def small_results(**kw):
@@ -263,6 +267,13 @@ MALFORMED_VALUES = [
     ("cost_stdev_fraction", "0.25"),
     ("enabled_modes", "ocean"),
     ("enabled_modes", ["ocean", 3]),
+    ("modes", 5),
+    ("modes", [{"id": "ocean", "base_cost_mean": "1"}]),
+    ("modes", [{"id": "ocean", "base_year": 2018.5}]),
+    ("modes", [{"id": "ocean", "autonomous": "yes"}]),
+    ("modes", [{"id": "ocean", "improvement_rate_mean": float("nan")}]),
+    ("modes", [{"id": "ocean", "provenance": 7}]),
+    ("modes", [{"id": 7, "base_cost_mean": 1.0}]),
 ]
 
 
@@ -292,3 +303,31 @@ class TestMalformedConfigValues:
                                       "min_leg_km": 50}))
         assert cfg.trip_distance_km == 5000
         assert isinstance(cfg.trip_distance_km, int)
+
+
+# A mean whose square underflows to 0 once drove lognormal_from_moments into
+# a ZeroDivisionError traceback.
+UNDERFLOWING_MEANS = [
+    {"modes": [{"id": "ocean", "improvement_rate_mean": 5e-324,
+                "rate_stdev_fraction": 1}]},
+    {"handling_mean_usd_per_tonne": 5e-324, "handling_stdev_fraction": 1},
+]
+
+
+class TestUnderflowingMeans:
+    @pytest.mark.parametrize("fields", UNDERFLOWING_MEANS)
+    def test_simulate_fails_with_one_error_line_and_no_output(
+            self, tmp_path, capsys, fields):
+        doc = dict(enabled_modes=["ocean"], seed=1, iterations=2,
+                   end_year=2019, **fields)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        csv_path = tmp_path / "out.csv"
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out-csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "underflows" in lines[0]
+        assert not csv_path.exists()

@@ -52,6 +52,14 @@ class TestMomentMatching:
         with pytest.raises(ValueError):
             lognormal_from_moments(float("nan"), 1.0)
 
+    def test_rejects_mean_whose_square_underflows(self):
+        with pytest.raises(ValueError, match="underflows"):
+            lognormal_from_moments(5e-324, 5e-324)
+        with pytest.raises(ValueError, match="underflows"):
+            lognormal_from_moments(1e-170, 0.25e-170)
+        # with no spread the square is never formed
+        assert lognormal_from_moments(5e-324, 0.0).mu == math.log(5e-324)
+
     def test_params_reject_negative_sigma(self):
         with pytest.raises(ValueError):
             LogNormalParams(mu=0.0, sigma=-1.0)
