@@ -5,15 +5,16 @@ from .analysis import (CrossoverReport, SensitivityGrid, YearSummary,
                        sensitivity_grid, summarize)
 from .config import (ConfigError, ScenarioConfig, config_fingerprint,
                      config_to_json, load_config, resolve_registry)
-from .evolution import (RateModel, ResultSet, compute_shared_means,
-                        evolve_mode_state, run_replicate, run_scenario)
+from .evolution import (RateModel, ResultSet, TripRecord,
+                        compute_shared_means, evolve_mode_state,
+                        run_replicate, run_scenario)
 from .modes import (ModeRegistry, ModeSpec, adjust_reference_cost,
                     builtin_modes, derive_autonomous, validate_registry)
 from .report import PlotSpec, ramp_color, render_scatter_svg, write_records_csv
 from .stochastics import (LogNormalParams, RngStream, derive_stream,
                           lognormal_from_moments, sample_lognormal)
-from .tripsim import (TripRecord, assign_modes, generate_leg_distances,
-                      leg_cost, simulate_trip)
+from .tripsim import (assign_modes, generate_leg_distances, leg_cost,
+                      simulate_trip)
 
 __version__ = "0.1.0"
 

@@ -7,9 +7,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .evolution import ResultSet
 from .modes import ModeId, adjust_reference_cost
-from .tripsim import TripRecord
 
 
 @dataclass(frozen=True)
@@ -104,29 +105,20 @@ def _nearest_rank(sorted_values: list[float], pct: float) -> float:
     return sorted_values[rank - 1]
 
 
-def _records_by_year(results: ResultSet) -> dict[int, list[TripRecord]]:
-    """The records grouped by year; records come in (year, replicate) order,
-    so the years come out ascending."""
-    by_year: dict[int, list[TripRecord]] = {}
-    for rec in results.records:
-        by_year.setdefault(rec.year, []).append(rec)
-    return by_year
-
-
 def summarize(results: ResultSet) -> list[YearSummary]:
     """One YearSummary per simulated year, percentiles by nearest rank."""
-    if not results.records:
+    if not results.cost.size:
         raise ValueError("cannot summarize an empty result set")
 
+    mode_ids = results.registry.ids()
     summaries = []
-    for year, recs in _records_by_year(results).items():
-        costs = sorted(r.trip_cost for r in recs)
-        mode_ids = recs[0].mode_distance_fraction.keys()
-        frac_mean = {
-            m: math.fsum(r.mode_distance_fraction[m] for r in recs) / len(recs)
-            for m in mode_ids}
+    for t, (year_costs, year_frac) in enumerate(zip(results.cost,
+                                                    results.frac)):
+        costs = np.sort(year_costs).tolist()
+        frac_mean = {m: math.fsum(col) / len(costs)
+                     for m, col in zip(mode_ids, year_frac.T.tolist())}
         summaries.append(YearSummary(
-            year=year,
+            year=results.config.start_year + t,
             p5=_nearest_rank(costs, 5), p25=_nearest_rank(costs, 25),
             p50=_nearest_rank(costs, 50), p75=_nearest_rank(costs, 75),
             p95=_nearest_rank(costs, 95),
@@ -136,15 +128,13 @@ def summarize(results: ResultSet) -> list[YearSummary]:
     return summaries
 
 
-def _weighted_median(values: list[float], weights: list[float]) -> float:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    total = math.fsum(weights)
-    cum = 0.0
-    for i in order:
-        cum += weights[i]
-        if cum >= total / 2.0:
-            return values[i]
-    return values[order[-1]]
+def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """The smallest value whose weight, summed in ascending value order
+    (ties in input order), reaches half the total weight."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    k = np.searchsorted(cum, math.fsum(weights.tolist()) / 2.0)
+    return float(values[order[min(k, len(order) - 1)]])
 
 
 def empirical_crossover(results: ResultSet, mode: ModeId,
@@ -161,20 +151,21 @@ def empirical_crossover(results: ResultSet, mode: ModeId,
         if m not in results.registry:
             raise ValueError(f"mode {m!r} not present in results")
 
-    denom = results.config.trip_distance_km * results.config.freight_tonnes
+    config = results.config
+    per_tkm = results.cost / (config.trip_distance_km * config.freight_tonnes)
+    columns = [results.registry.ids().index(m) for m in (mode, auto_mode)]
     basis: dict[int, tuple[float | None, float | None]] = {}
     empirical_year: int | None = None
-    for year, recs in _records_by_year(results).items():
+    for t, (year_cost, year_frac) in enumerate(zip(per_tkm, results.frac)):
         medians: list[float | None] = []
-        for m in (mode, auto_mode):
-            vals, wts = [], []
-            for rec in recs:
-                frac = rec.mode_distance_fraction[m]
-                if frac > 0.5:
-                    vals.append(rec.trip_cost / denom)
-                    wts.append(frac)
-            medians.append(_weighted_median(vals, wts) if vals else None)
+        for col in columns:
+            frac = year_frac[:, col]
+            dominated = frac > 0.5
+            medians.append(_weighted_median(year_cost[dominated],
+                                            frac[dominated])
+                           if dominated.any() else None)
         non_med, auto_med = medians
+        year = config.start_year + t
         basis[year] = (non_med, auto_med)
         if (empirical_year is None and non_med is not None
                 and auto_med is not None and auto_med <= non_med):
@@ -182,7 +173,7 @@ def empirical_crossover(results: ResultSet, mode: ModeId,
 
     base = results.registry.get(mode)
     auto = results.registry.get(auto_mode)
-    start = results.config.start_year
+    start = config.start_year
     base_cost = adjust_reference_cost(
         base.base_cost_mean, base.improvement_rate_mean, base.base_year, start)
     auto_cost = adjust_reference_cost(

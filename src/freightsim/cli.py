@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-svg", help="optional SVG scatter output path")
     p_sim.add_argument("--focus", help="mode whose distance fraction colors "
                                        "the SVG points (default: first enabled)")
-    p_sim.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (output is identical for any value)")
 
     p_cross = sub.add_parser("crossover",
                              help="pairwise autonomous-vs-conventional crossover")
@@ -77,10 +75,10 @@ def _cmd_modes_list() -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(Path(args.config).read_text("utf-8"))
-    results = run_scenario(cfg, workers=args.workers)
+    results = run_scenario(cfg)
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as f:
         write_records_csv(results, f)
-    print(f"wrote {len(results.records)} records to {args.out_csv}")
+    print(f"wrote {results.cost.size} records to {args.out_csv}")
     if args.out_svg:
         focus = args.focus or cfg.enabled_modes[0]
         with open(args.out_svg, "w", encoding="utf-8", newline="\n") as f:

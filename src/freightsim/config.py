@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .modes import ModeId, ModeRegistry, ModeSpec, builtin_modes, validate_registry
+from .modes import (ModeId, ModeRegistry, ModeSpec, adjust_reference_cost,
+                    builtin_modes, validate_registry)
 
 
 class ConfigError(ValueError):
@@ -24,6 +25,9 @@ _FLOAT_FIELDS = (
     "handling_mean_usd_per_tonne", "handling_stdev_fraction",
     "cost_stdev_fraction", "rate_stdev_fraction",
 )
+
+# The name is written unquoted into every CSV row.
+_NAME_FORBIDDEN = (",", '"', "\r", "\n")
 
 _MODE_FLOAT_FIELDS = ("base_cost_mean", "improvement_rate_mean",
                       "cost_stdev_fraction", "rate_stdev_fraction")
@@ -89,6 +93,11 @@ class ScenarioConfig:
     def _validate_types(self) -> None:
         # Values are checked, never coerced, so the fingerprint of a valid
         # config is unchanged.  bool is an int subclass and is rejected.
+        if (not isinstance(self.name, str)
+                or any(c in self.name for c in _NAME_FORBIDDEN)):
+            raise ConfigError(
+                f"name must be a string without ',', '\"', CR or LF, "
+                f"got {self.name!r}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value):
@@ -144,7 +153,7 @@ def load_config(text: str) -> ScenarioConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -152,6 +161,8 @@ def load_config(text: str) -> ScenarioConfig:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    if "enabled_modes" not in doc:
+        raise ConfigError("enabled_modes is required")
     cfg = ScenarioConfig(**doc)
     cfg.validate()
     return cfg
@@ -206,4 +217,26 @@ def resolve_registry(cfg: ScenarioConfig,
     problems = validate_registry(reg)
     if problems:
         raise ConfigError("invalid mode registry: " + "; ".join(problems))
+    for spec in reg:
+        _check_start_year_cost(spec, cfg.start_year)
     return reg
+
+
+def _check_start_year_cost(spec: ModeSpec, start_year: int) -> None:
+    """The mode's cost rolled forward to the start year must be a finite
+    positive float: a base year far in the past overflows the exponent or
+    underflows the cost to 0."""
+    where = f"modes[{spec.id!r}]"
+    if spec.base_year > start_year:
+        raise ConfigError(f"{where}: base_year {spec.base_year} must be <= "
+                          f"start_year {start_year}")
+    try:
+        cost = adjust_reference_cost(spec.base_cost_mean,
+                                     spec.improvement_rate_mean,
+                                     spec.base_year, start_year)
+    except OverflowError:  # the year gap is too large for a float
+        raise ConfigError(f"{where}: base_year must be within float range "
+                          f"of start_year {start_year}") from None
+    if not (math.isfinite(cost) and cost > 0):
+        raise ConfigError(f"{where}: cost at start_year {start_year} must be "
+                          f"finite and > 0, got {cost!r}")

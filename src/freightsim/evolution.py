@@ -4,23 +4,24 @@ Each replicate simulates one trip per year with the modes' mean costs from a
 cost trajectory: its own, or one shared by all replicates.  A trajectory
 compounds every mode's cost down by a sampled improvement rate each year.
 All randomness flows through substreams derived from the scenario seed and
-(year, replicate) labels, so results are independent of scheduling order and
-worker count.
+(year, replicate) labels, so results are independent of the order the
+replicates run in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig, config_fingerprint, resolve_registry
-from .modes import ModeRegistry, adjust_reference_cost
+from .config import (ConfigError, ScenarioConfig, config_fingerprint,
+                     resolve_registry)
+from .modes import ModeId, ModeRegistry, adjust_reference_cost
 from .stochastics import (LogNormalParams, RngStream, derive_stream,
                           lognormal_from_moments, sample_lognormal)
-from .tripsim import TripRecord, simulate_trip
+from .tripsim import simulate_trip
 
 _MAX_RATE_REDRAWS = 100
 _RATE_CLAMP = 0.99
@@ -116,33 +117,57 @@ def evolve_mode_state(costs: np.ndarray, rates: RateModel,
     return costs * (1.0 - r)
 
 
+@dataclass(frozen=True)
+class TripRecord:
+    """One simulated trip, as ``ResultSet.records`` presents it."""
+
+    year: int
+    replicate: int
+    trip_cost: float
+    n_legs: int
+    mode_distance_fraction: dict[ModeId, float]
+
+
 @dataclass
 class ResultSet:
-    """A run's registry, its trip records in (year, replicate) order, and
-    ``mode_means[replicate, year - start_year, mode]`` in registry mode order
-    (a read-only broadcast of the one trajectory under the shared policy)."""
+    """A run's registry and trip table, indexed ``[year - start_year,
+    replicate]``: ``cost``, ``n_legs`` and ``frac[..., mode]`` (each mode's
+    share of the trip distance, in registry order).  ``mode_means[replicate,
+    year - start_year, mode]`` is the mean cost each trip was costed with (a
+    read-only broadcast of one trajectory under the shared policy)."""
 
     config: ScenarioConfig
     fingerprint: str
     registry: ModeRegistry
-    records: list[TripRecord]
+    cost: np.ndarray
+    n_legs: np.ndarray
+    frac: np.ndarray
     mode_means: np.ndarray
 
+    @property
+    def records(self) -> "_RecordsView":
+        """The trips as TripRecords, built on access."""
+        return _RecordsView(self)
 
-def _initial_costs(config: ScenarioConfig,
-                   registry: ModeRegistry) -> np.ndarray:
-    """Every mode's mean cost rolled forward to the start year, in registry
-    order."""
-    costs = []
-    for spec in registry:
-        if spec.base_year > config.start_year:
-            raise ValueError(
-                f"mode {spec.id!r} base_year {spec.base_year} is after "
-                f"start_year {config.start_year}")
-        costs.append(adjust_reference_cost(
-            spec.base_cost_mean, spec.improvement_rate_mean,
-            spec.base_year, config.start_year))
-    return np.array(costs, dtype=np.float64)
+
+@dataclass(frozen=True, eq=False)
+class _RecordsView(Sequence):
+    """Read-only sequence of a ResultSet's trips; index i is the trip of
+    year ``start_year + i // iterations`` and replicate ``i % iterations``."""
+
+    results: ResultSet
+
+    def __len__(self) -> int:
+        return self.results.cost.size
+
+    def __getitem__(self, index: int) -> TripRecord:
+        r = self.results
+        t, rep = divmod(range(len(self))[index], r.cost.shape[1])
+        return TripRecord(
+            year=r.config.start_year + t, replicate=rep,
+            trip_cost=float(r.cost[t, rep]), n_legs=int(r.n_legs[t, rep]),
+            mode_distance_fraction=dict(zip(r.registry.ids(),
+                                            r.frac[t, rep].tolist())))
 
 
 def _cost_trajectory(config: ScenarioConfig, registry: ModeRegistry,
@@ -151,7 +176,9 @@ def _cost_trajectory(config: ScenarioConfig, registry: ModeRegistry,
     when ``replicate`` is None, stepped once per year in [start, end)."""
     years = range(config.start_year, config.end_year)
     means = np.empty((len(years) + 1, len(registry)))
-    means[0] = _initial_costs(config, registry)
+    means[0] = [adjust_reference_cost(s.base_cost_mean,
+                                      s.improvement_rate_mean, s.base_year,
+                                      config.start_year) for s in registry]
     for t, year in enumerate(years):
         labels = (("scenario", year, "shared-rates") if replicate is None
                   else ("scenario", year, replicate, "rates"))
@@ -181,56 +208,55 @@ def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
                   replicate: int,
-                  means: np.ndarray | None = None) -> list[TripRecord]:
-    """Simulate one replicate across the whole horizon, returning one trip
-    record per year, costed with the ``(years, modes)`` trajectory ``means``
-    (by default the one the evolution policy gives this replicate)."""
+                  means: np.ndarray | None = None
+                  ) -> list[tuple[float, int, list[float]]]:
+    """Simulate one replicate across the whole horizon, returning one
+    ``simulate_trip`` result (cost, legs, fractions) per year, costed with
+    the ``(years, modes)`` trajectory ``means`` (by default the one the
+    evolution policy gives this replicate)."""
     if means is None:
         means = _mode_means(config, registry,
                             range(replicate, replicate + 1))[0]
-    enabled = registry.ids()
-    stdev_fractions = {s.id: s.cost_stdev_fraction for s in registry}
+    stdev_fractions = [s.cost_stdev_fraction for s in registry]
     handling_params = lognormal_from_moments(
         config.handling_mean_usd_per_tonne,
         config.handling_stdev_fraction * config.handling_mean_usd_per_tonne)
 
-    records: list[TripRecord] = []
     years = range(config.start_year, config.end_year + 1)
-    for year, current in zip(years, means.tolist()):
-        trip_stream = derive_stream(
-            config.seed, ("scenario", year, replicate, "trip"))
-        records.append(simulate_trip(
-            config.trip_distance_km, config.freight_tonnes, enabled,
-            dict(zip(enabled, current)), handling_params, stdev_fractions,
-            year, replicate, trip_stream, min_leg=config.min_leg_km))
-    return records
+    return [simulate_trip(
+        config.trip_distance_km, config.freight_tonnes, current,
+        stdev_fractions, handling_params,
+        derive_stream(config.seed, ("scenario", year, replicate, "trip")),
+        min_leg=config.min_leg_km)
+        for year, current in zip(years, means.tolist())]
 
 
 def run_scenario(config: ScenarioConfig,
                  registry: ModeRegistry | None = None,
                  workers: int = 1) -> ResultSet:
-    """Run every replicate and collect the ResultSet.
+    """Run every replicate, one after another, into the trip table.
 
-    The output is byte-identical for any ``workers`` value: each replicate
-    draws only from its own derived streams, and the per-replicate record
-    lists are transposed into (year, replicate) order afterwards.
+    ``registry`` defaults to the one the config resolves to; a registry
+    passed in must list the config's ``enabled_modes`` in order.
+    ``workers`` is accepted for old callers and ignored.
     """
     config.validate()
     if registry is None:
         registry = resolve_registry(config)
+    elif registry.ids() != config.enabled_modes:
+        raise ConfigError(
+            f"registry modes {registry.ids()} differ from enabled_modes "
+            f"{config.enabled_modes}")
 
     replicates = range(config.iterations)
     mode_means = _mode_means(config, registry, replicates)
-
-    def one(rep: int) -> list[TripRecord]:
-        return run_replicate(config, registry, rep, mode_means[rep])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, replicates))
-    else:
-        parts = [one(rep) for rep in replicates]
-
-    records = [rec for year in zip(*parts) for rec in year]
+    shape = (config.end_year - config.start_year + 1, config.iterations)
+    cost = np.empty(shape)
+    n_legs = np.empty(shape, dtype=np.int64)
+    frac = np.empty((*shape, len(registry)))
+    for rep in replicates:
+        cost[:, rep], n_legs[:, rep], frac[:, rep] = zip(*run_replicate(
+            config, registry, rep, mode_means[rep]))
     return ResultSet(config=config, fingerprint=config_fingerprint(config),
-                     registry=registry, records=records, mode_means=mode_means)
+                     registry=registry, cost=cost, n_legs=n_legs, frac=frac,
+                     mode_means=mode_means)

@@ -16,19 +16,19 @@ def _fmt(x: float) -> str:
 
 
 def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
-    """Write the trip records as CSV, one fraction column per enabled mode
-    in config order, rows in the records' (year, replicate) order, LF line
-    endings."""
-    mode_ids = results.config.enabled_modes
+    """Write the trip table as CSV, one fraction column per mode in registry
+    order, rows in (year, replicate) order, LF line endings."""
     header = ["scenario", "year", "replicate", "trip_cost_usd", "n_legs"]
-    header += [f"frac_{m}" for m in mode_ids]
+    header += [f"frac_{m}" for m in results.registry.ids()]
     sink.write(",".join(header) + "\n")
     name = results.config.name
-    for rec in results.records:
-        row = [name, str(rec.year), str(rec.replicate),
-               _fmt(rec.trip_cost), str(rec.n_legs)]
-        row += [_fmt(rec.mode_distance_fraction[m]) for m in mode_ids]
-        sink.write(",".join(row) + "\n")
+    for t, (costs, legs, frac) in enumerate(zip(
+            results.cost.tolist(), results.n_legs.tolist(), results.frac)):
+        year = str(results.config.start_year + t)
+        for rep, (cost, n, fr) in enumerate(zip(costs, legs, frac.tolist())):
+            row = [name, year, str(rep), _fmt(cost), str(n)]
+            row += [_fmt(f) for f in fr]
+            sink.write(",".join(row) + "\n")
 
 
 # Color ramp anchors: purple at fraction 0, teal-green at 0.5, yellow at 1.
@@ -75,19 +75,20 @@ def _year_tick_step(span: int) -> int:
 
 
 def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> None:
-    """Render one circle per trip record at (year, log10(cost in $M)),
-    filled from the color ramp at the record's focus-mode distance fraction.
+    """Render one circle per trip at (year, log10(cost in $M)), filled from
+    the color ramp at the trip's focus-mode distance fraction.
 
     The output is deterministic for a given input.
     """
-    if not results.records:
+    if not results.cost.size:
         raise ValueError("cannot plot an empty result set")
-    if plot.focus_mode not in results.config.enabled_modes:
+    if plot.focus_mode not in results.registry:
         raise ValueError(f"focus mode {plot.focus_mode!r} not in scenario")
 
-    y_vals = [cost_axis_value(r.trip_cost) for r in results.records]
-    y_lo = math.floor(min(y_vals))
-    y_hi = math.ceil(max(y_vals))
+    y_vals = [[cost_axis_value(c) for c in costs]
+              for costs in results.cost.tolist()]
+    y_lo = math.floor(min(map(min, y_vals)))
+    y_hi = math.ceil(max(map(max, y_vals)))
     if y_hi == y_lo:
         y_hi = y_lo + 1
     x_lo = results.config.start_year
@@ -145,13 +146,14 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
                f'text-anchor="middle" font-family="sans-serif" font-size="13">'
                f'Distance fraction on {plot.focus_mode}</text>')
 
-    for rec in results.records:
-        frac = rec.mode_distance_fraction[plot.focus_mode]
-        out.append(
-            f'<circle cx="{sx(rec.year):.2f}" '
-            f'cy="{sy(cost_axis_value(rec.trip_cost)):.2f}" '
-            f'r="{plot.point_radius:g}" fill="{ramp_color(frac)}" '
-            f'fill-opacity="0.6"/>')
+    focus = results.frac[..., results.registry.ids().index(plot.focus_mode)]
+    for t, (ys, fracs) in enumerate(zip(y_vals, focus.tolist())):
+        cx = f"{sx(results.config.start_year + t):.2f}"
+        for y, frac in zip(ys, fracs):
+            out.append(
+                f'<circle cx="{cx}" cy="{sy(y):.2f}" '
+                f'r="{plot.point_radius:g}" fill="{ramp_color(frac)}" '
+                f'fill-opacity="0.6"/>')
 
     out.append("</svg>")
     sink.write("\n".join(out) + "\n")

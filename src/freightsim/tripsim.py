@@ -9,24 +9,13 @@ costs sampled from log-normal distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .modes import ModeId
 from .stochastics import LogNormalParams, RngStream, lognormal_from_moments
 
-
-@dataclass(frozen=True)
-class TripRecord:
-    """Costed outcome of one simulated trip."""
-
-    year: int
-    replicate: int
-    trip_cost: float
-    n_legs: int
-    mode_distance_fraction: dict[ModeId, float]
+_T = TypeVar("_T")
 
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
@@ -57,9 +46,10 @@ def generate_leg_distances(trip_distance: float, min_leg: float,
     return legs
 
 
-def assign_modes(n_legs: int, enabled: Sequence[ModeId],
-                 stream: RngStream) -> list[ModeId]:
-    """Pick a mode for each leg, independently and uniformly."""
+def assign_modes(n_legs: int, enabled: Sequence[_T],
+                 stream: RngStream) -> list[_T]:
+    """Pick one of ``enabled`` (mode ids, or mode indices) for each leg,
+    independently and uniformly."""
     if not enabled:
         raise ValueError("enabled mode list must be non-empty")
     if n_legs < 1:
@@ -77,15 +67,13 @@ def leg_cost(distance: float, weight: float, op_cost: float,
 
 def simulate_trip(trip_distance: float,
                   weight: float,
-                  enabled: Sequence[ModeId],
-                  mode_cost_means: Mapping[ModeId, float],
+                  mode_cost_means: Sequence[float],
+                  cost_stdev_fractions: Sequence[float],
                   handling_params: LogNormalParams,
-                  cost_stdev_fractions: Mapping[ModeId, float],
-                  year: int,
-                  replicate: int,
                   stream: RngStream,
-                  min_leg: float = 100.0) -> TripRecord:
-    """Simulate and cost one intermodal trip.
+                  min_leg: float = 100.0) -> tuple[float, int, list[float]]:
+    """Simulate and cost one intermodal trip over modes given in registry
+    order; return its cost, leg count and per-mode distance fractions.
 
     Each leg samples its own operational cost (mean = the mode's current
     mean, stdev = fraction * mean) and its own handling cost; the trip cost
@@ -96,14 +84,15 @@ def simulate_trip(trip_distance: float,
     nothing and is exp(mu), as in ``sample_lognormal``.
     """
     distances = generate_leg_distances(trip_distance, min_leg, stream)
-    leg_modes = assign_modes(len(distances), enabled, stream)
+    n_modes = len(mode_cost_means)
+    leg_modes = assign_modes(len(distances), range(n_modes), stream)
 
-    op_params: dict[ModeId, LogNormalParams] = {}
-    for mode in leg_modes:
-        if mode not in op_params:
-            mean = mode_cost_means[mode]
-            op_params[mode] = lognormal_from_moments(
-                mean, cost_stdev_fractions[mode] * mean)
+    op_params: list[LogNormalParams | None] = [None] * n_modes
+    for m in leg_modes:
+        if op_params[m] is None:
+            mean = mode_cost_means[m]
+            op_params[m] = lognormal_from_moments(
+                mean, cost_stdev_fractions[m] * mean)
     n_draws = sum(op_params[m].sigma != 0.0 for m in leg_modes)
     if handling_params.sigma != 0.0:
         n_draws += len(leg_modes)
@@ -114,17 +103,15 @@ def simulate_trip(trip_distance: float,
     exp = np.exp
     h = handling_params
     total = 0.0
-    per_mode_km = dict.fromkeys(enabled, 0.0)
-    for d, mode in zip(distances, leg_modes):
-        p = op_params[mode]
+    per_mode_km = [0.0] * n_modes
+    for d, m in zip(distances, leg_modes):
+        p = op_params[m]
         op = (float(exp(p.mu + p.sigma * next(z))) if p.sigma != 0.0
               else math.exp(p.mu))
         handling = (float(exp(h.mu + h.sigma * next(z))) if h.sigma != 0.0
                     else math.exp(h.mu))
         total += leg_cost(d, weight, op, handling)
-        per_mode_km[mode] += d
+        per_mode_km[m] += d
 
     span = math.fsum(distances)
-    fractions = {m: km / span for m, km in per_mode_km.items()}
-    return TripRecord(year=year, replicate=replicate, trip_cost=total,
-                      n_legs=len(distances), mode_distance_fraction=fractions)
+    return total, len(distances), [km / span for km in per_mode_km]

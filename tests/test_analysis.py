@@ -8,10 +8,9 @@ from freightsim.analysis import (deterministic_crossover_year,
                                  empirical_crossover, sensitivity_grid,
                                  summarize)
 from freightsim.config import ScenarioConfig, resolve_registry
-from freightsim.evolution import ResultSet, run_scenario
+from freightsim.evolution import ResultSet, TripRecord, run_scenario
 from freightsim.modes import (ModeRegistry, ModeSpec, builtin_modes,
                               derive_autonomous)
-from freightsim.tripsim import TripRecord
 
 
 class TestDeterministicCrossover:
@@ -83,11 +82,20 @@ class TestSensitivityGrid:
 
 
 def fake_results(records, enabled=("ocean",), **cfg_kw):
-    kw = dict(enabled_modes=list(enabled), seed=0, iterations=1)
+    """A one-year trip table holding ``records`` (all of one year) as its
+    replicates, in the given order."""
+    year = records[0].year if records else 2018
+    kw = dict(enabled_modes=list(enabled), seed=0, iterations=1,
+              start_year=year, end_year=year)
     kw.update(cfg_kw)
     cfg = ScenarioConfig(**kw)
+    frac = [[r.mode_distance_fraction[m] for m in enabled] for r in records]
     return ResultSet(config=cfg, fingerprint="x",
-                     registry=resolve_registry(cfg), records=records,
+                     registry=resolve_registry(cfg),
+                     cost=np.array([[r.trip_cost for r in records]]),
+                     n_legs=np.array([[r.n_legs for r in records]]),
+                     frac=np.array(frac).reshape(1, len(records),
+                                                 len(enabled)),
                      mode_means=np.empty((0, 0, len(enabled))))
 
 

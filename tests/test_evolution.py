@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freightsim.config import ScenarioConfig, resolve_registry
+from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
 from freightsim.evolution import (RateModel, compute_shared_means,
                                   evolve_mode_state, run_replicate,
                                   run_scenario)
-from freightsim.modes import ModeRegistry, ModeSpec
+from freightsim.modes import ModeRegistry, ModeSpec, builtin_modes
 from freightsim.stochastics import (derive_stream, lognormal_from_moments,
                                     sample_lognormal)
 
@@ -125,15 +125,15 @@ class TestRunReplicate:
     def test_closed_form_with_zero_stdevs(self):
         cfg = ocean_only_config(end_year=2024)
         reg = resolve_registry(cfg)
-        records = run_replicate(cfg, reg, 0)
+        trips = run_replicate(cfg, reg, 0)
         means = run_scenario(cfg, reg).mode_means[0]
-        for t, rec in enumerate(records):
+        for t, (cost, n_legs, _) in enumerate(trips):
             expected_mean = 0.0196 * (1 - 0.021) ** t
             assert means[t, 0] == pytest.approx(
                 expected_mean, rel=1e-12)
             distance_cost = 10_000.0 * 50_000.0 * expected_mean
-            handling_cost = rec.n_legs * 50_000.0 * 4.59
-            assert rec.trip_cost == pytest.approx(
+            handling_cost = n_legs * 50_000.0 * 4.59
+            assert cost == pytest.approx(
                 distance_cost + handling_cost, rel=1e-9)
 
     def test_repeat_run_is_identical(self):
@@ -179,13 +179,44 @@ class TestRunScenario:
         keys = [(r.year, r.replicate) for r in results.records]
         assert keys == sorted(keys)
 
+    def test_records_view_reads_the_trip_table(self):
+        cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=2,
+                             iterations=3, end_year=2021)
+        results = run_scenario(cfg)
+        assert results.cost.shape == results.n_legs.shape == (4, 3)
+        assert results.frac.shape == (4, 3, 2)
+        records = results.records
+        assert len(records) == 12
+        rec = records[7]  # 2020, replicate 1
+        assert (rec.year, rec.replicate) == (2020, 1)
+        assert rec.trip_cost == results.cost[2, 1]
+        assert rec.n_legs == results.n_legs[2, 1]
+        assert rec.mode_distance_fraction == {
+            "ocean": results.frac[2, 1, 0], "rail": results.frac[2, 1, 1]}
+        assert records[-1] == records[11]
+        with pytest.raises(IndexError):
+            records[12]
+        with pytest.raises(TypeError):
+            records[0] = rec
+
+    def test_registry_must_list_the_enabled_modes(self):
+        # A mismatched registry once ran, and the CSV writer then failed
+        # with KeyError: 'auto_ocean'.
+        builtin = builtin_modes()
+        cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"], seed=1,
+                             iterations=2, end_year=2019)
+        registry = ModeRegistry([builtin.get("ocean"), builtin.get("rail")])
+        with pytest.raises(ConfigError, match="enabled_modes"):
+            run_scenario(cfg, registry)
+
     def test_worker_count_does_not_change_results(self):
         cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"], seed=7,
                              iterations=8, end_year=2024)
         serial = run_scenario(cfg, workers=1)
         parallel = run_scenario(cfg, workers=4)
-        assert serial.records == parallel.records
-        assert np.array_equal(serial.mode_means, parallel.mode_means)
+        for name in ("cost", "n_legs", "frac", "mode_means"):
+            assert np.array_equal(getattr(serial, name),
+                                  getattr(parallel, name))
 
     def test_strictly_decreasing_trajectories(self):
         cfg = ScenarioConfig(enabled_modes=["ocean", "air"], seed=13,

@@ -4,6 +4,8 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freightsim.config import (ConfigError, ScenarioConfig, config_to_json,
                                load_config, resolve_registry)
@@ -40,6 +42,12 @@ class TestLoadConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
             load_config("{not json")
+
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError past 4300 digits.
+        with pytest.raises(ConfigError):
+            load_config('{"enabled_modes": ["ocean"], "seed": '
+                        + "9" * 5000 + "}")
 
     def test_empty_enabled_modes(self):
         with pytest.raises(ConfigError, match="enabled_modes"):
@@ -274,6 +282,16 @@ MALFORMED_VALUES = [
     ("modes", [{"id": "ocean", "improvement_rate_mean": float("nan")}]),
     ("modes", [{"id": "ocean", "provenance": 7}]),
     ("modes", [{"id": 7, "base_cost_mean": 1.0}]),
+    # The start-year cost overflowed (a 401-digit base year) or underflowed
+    # to 0; a base year after start_year was a ValueError from the engine.
+    ("modes", [{"id": "ocean", "base_year": -10**400}]),
+    ("modes", [{"id": "ocean", "base_year": -1000000}]),
+    ("modes", [{"id": "ocean", "base_year": 2030}]),
+    # The name is written unquoted into every CSV row.
+    ("name", 5),
+    ("name", "a,b"),
+    ("name", 'say "hi"'),
+    ("name", "a\nb"),
 ]
 
 
@@ -331,3 +349,71 @@ class TestUnderflowingMeans:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "underflows" in lines[0]
         assert not csv_path.exists()
+
+
+# Every top-level field and every mode-override field, each either a value
+# of the right type (in or out of range) or junk.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
+_fractions = st.floats(-1.0, 5.0)
+_years = st.integers(1900, 2100)
+TOP_LEVEL = {
+    "name": st.sampled_from(["scenario", "s 1", "a,b"]),
+    "seed": st.integers(0, 2**64),
+    "start_year": _years,
+    "end_year": _years,
+    "iterations": st.integers(-1, 10**9),
+    "trip_distance_km": st.floats(-1.0, 1e5),
+    "freight_tonnes": st.floats(-1.0, 1e6),
+    "min_leg_km": st.floats(-1.0, 1e4),
+    "handling_mean_usd_per_tonne": st.floats(-1.0, 10.0),
+    "handling_stdev_fraction": _fractions,
+    "cost_stdev_fraction": _fractions,
+    "rate_stdev_fraction": _fractions,
+    "evolution_policy": st.sampled_from(["per-replicate", "shared", "other"]),
+    "enabled_modes": st.lists(
+        st.sampled_from(["ocean", "rail", "auto_air", "barge"]),
+        min_size=1, max_size=3, unique=True),
+}
+MODE_OVERRIDE = {
+    "id": st.sampled_from(["ocean", "rail", "barge"]),
+    "base_cost_mean": st.floats(-1.0, 1e308),
+    "base_year": st.one_of(st.integers(1900, 2100),
+                           st.integers(-10**7, 10**7),
+                           st.sampled_from([-10**400, 10**400])),
+    "improvement_rate_mean": st.floats(-0.5, 1.5),
+    "cost_stdev_fraction": _fractions,
+    "rate_stdev_fraction": _fractions,
+    "autonomous": st.booleans(),
+    "provenance": st.text(max_size=4),
+}
+
+
+def _mostly(valid):
+    """``valid`` seven times in eight, else junk."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else JUNK)
+
+
+def _document(fields, required=()):
+    return st.fixed_dictionaries(
+        {k: _mostly(fields[k]) for k in required},
+        optional={k: _mostly(v) for k, v in fields.items()
+                  if k not in required})
+
+
+TOP_LEVEL["modes"] = st.lists(_mostly(_document(MODE_OVERRIDE)), max_size=3)
+# Half the documents must name their modes, so the mode checks get reached.
+CONFIG_DOCUMENTS = st.one_of(_document(TOP_LEVEL),
+                             _document(TOP_LEVEL, required=("enabled_modes",)))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=CONFIG_DOCUMENTS)
+    def test_document_loads_or_raises_config_error(self, doc):
+        try:
+            resolve_registry(load_config(json.dumps(doc)))
+        except ConfigError:
+            pass

@@ -81,71 +81,65 @@ class TestSimulateTrip:
     HANDLING_EXACT = lognormal_from_moments(4.59, 0.0)
 
     def test_single_leg_degenerate(self):
-        rec = simulate_trip(
-            10_000.0, 50_000.0, ["ocean"], {"ocean": 0.0196},
-            self.HANDLING_EXACT, {"ocean": 0.0}, 2018, 0,
+        cost, n_legs, fractions = simulate_trip(
+            10_000.0, 50_000.0, [0.0196], [0.0], self.HANDLING_EXACT,
             FullLegStream(integers=[0]))
-        assert rec.trip_cost == pytest.approx(10_029_500.0, rel=1e-12)
-        assert rec.n_legs == 1
-        assert rec.mode_distance_fraction == {"ocean": 1.0}
+        assert cost == pytest.approx(10_029_500.0, rel=1e-12)
+        assert n_legs == 1
+        assert fractions == [1.0]
 
     def test_two_leg_trace(self):
         stream = StubStream(uniforms=[4000.0, 6000.0], integers=[0, 1])
-        rec = simulate_trip(
-            10_000.0, 50_000.0, ["ocean", "rail"],
-            {"ocean": 0.0196, "rail": 0.046},
-            self.HANDLING_EXACT, {"ocean": 0.0, "rail": 0.0}, 2018, 0, stream)
-        assert rec.trip_cost == pytest.approx(18_179_000.0, rel=1e-12)
-        assert rec.mode_distance_fraction["ocean"] == pytest.approx(0.4)
-        assert rec.mode_distance_fraction["rail"] == pytest.approx(0.6)
+        cost, _, fractions = simulate_trip(
+            10_000.0, 50_000.0, [0.0196, 0.046], [0.0, 0.0],
+            self.HANDLING_EXACT, stream)
+        assert cost == pytest.approx(18_179_000.0, rel=1e-12)
+        assert fractions[0] == pytest.approx(0.4)
+        assert fractions[1] == pytest.approx(0.6)
 
     def test_fractions_sum_to_one(self):
-        means = {"ocean": 0.0196, "rail": 0.046, "truck": 0.227}
-        fractions = {m: 0.25 for m in means}
+        means = [0.0196, 0.046, 0.227]
+        fractions = [0.25] * len(means)
         handling = lognormal_from_moments(4.59, 0.25 * 4.59)
         for seed in range(200):
             stream = derive_stream(seed, ["fractions"])
-            rec = simulate_trip(10_000.0, 50_000.0, list(means), means,
-                                handling, fractions, 2018, 0, stream)
-            assert math.fsum(rec.mode_distance_fraction.values()) == \
-                pytest.approx(1.0, abs=1e-9)
-            assert rec.trip_cost > 0
+            cost, _, mode_fractions = simulate_trip(
+                10_000.0, 50_000.0, means, fractions, handling, stream)
+            assert math.fsum(mode_fractions) == pytest.approx(1.0, abs=1e-9)
+            assert cost > 0
 
     def test_handling_charged_once_per_leg(self):
         # zero operational cost isolates the per-leg handling term
         stream = StubStream(uniforms=[4000.0, 3000.0, 3000.0],
                             integers=[0, 0, 0])
-        rec = simulate_trip(
-            10_000.0, 50_000.0, ["ocean"], {"ocean": 1e-300},
-            self.HANDLING_EXACT, {"ocean": 0.0}, 2018, 0, stream)
-        assert rec.n_legs == 3
-        assert rec.trip_cost == pytest.approx(3 * 50_000.0 * 4.59, rel=1e-9)
+        cost, n_legs, _ = simulate_trip(
+            10_000.0, 50_000.0, [1e-300], [0.0], self.HANDLING_EXACT, stream)
+        assert n_legs == 3
+        assert cost == pytest.approx(3 * 50_000.0 * 4.59, rel=1e-9)
 
     def test_deterministic_given_zero_stdevs(self):
-        means = {"ocean": 0.0196, "rail": 0.046}
-        fractions = {"ocean": 0.0, "rail": 0.0}
+        means = [0.0196, 0.046]
+        fractions = [0.0, 0.0]
         costs = set()
         for _ in range(2):
             stream = derive_stream(9, ["det"])
-            rec = simulate_trip(10_000.0, 50_000.0, list(means), means,
-                                self.HANDLING_EXACT, fractions, 2018, 0, stream)
-            costs.add(rec.trip_cost)
+            cost, _, _ = simulate_trip(10_000.0, 50_000.0, means, fractions,
+                                       self.HANDLING_EXACT, stream)
+            costs.add(cost)
         assert len(costs) == 1
 
     def test_raising_a_mode_mean_never_cheapens_the_plan(self):
         # same stream -> same plan and same z-draws; only the mean rises
-        fractions = {"ocean": 0.25, "rail": 0.25}
+        fractions = [0.25, 0.25]
         handling = lognormal_from_moments(4.59, 0.25 * 4.59)
         for seed in range(50):
-            base = simulate_trip(
-                10_000.0, 50_000.0, ["ocean", "rail"],
-                {"ocean": 0.0196, "rail": 0.046}, handling, fractions,
-                2018, 0, derive_stream(seed, ["mono"]))
-            bumped = simulate_trip(
-                10_000.0, 50_000.0, ["ocean", "rail"],
-                {"ocean": 0.0392, "rail": 0.046}, handling, fractions,
-                2018, 0, derive_stream(seed, ["mono"]))
-            assert bumped.trip_cost >= base.trip_cost
+            base, _, _ = simulate_trip(
+                10_000.0, 50_000.0, [0.0196, 0.046], fractions, handling,
+                derive_stream(seed, ["mono"]))
+            bumped, _, _ = simulate_trip(
+                10_000.0, 50_000.0, [0.0392, 0.046], fractions, handling,
+                derive_stream(seed, ["mono"]))
+            assert bumped >= base
 
 
 class RecordingStream(StubStream):
@@ -161,8 +155,8 @@ class RecordingStream(StubStream):
 
 
 class TestSimulateTripDrawOrder:
-    MEANS = {"ocean": 0.0196, "rail": 0.046}
-    FRACTIONS = {"ocean": 0.25, "rail": 0.5}
+    MEANS = [0.0196, 0.046]  # ocean, rail
+    FRACTIONS = [0.25, 0.5]
 
     def test_normals_pair_with_operational_then_handling_per_leg(self):
         handling = lognormal_from_moments(4.59, 0.25 * 4.59)
@@ -170,14 +164,14 @@ class TestSimulateTripDrawOrder:
         rail = lognormal_from_moments(0.046, 0.5 * 0.046)
         stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[0, 1],
                                  normals=[0.5, -1.0, 1.5, 0.25])
-        rec = simulate_trip(10_000.0, 50_000.0, ["ocean", "rail"], self.MEANS,
-                            handling, self.FRACTIONS, 2018, 0, stream)
+        cost, _, _ = simulate_trip(10_000.0, 50_000.0, self.MEANS,
+                                   self.FRACTIONS, handling, stream)
         expected = (
             4000.0 * 50_000.0 * math.exp(ocean.mu + ocean.sigma * 0.5)
             + 50_000.0 * math.exp(handling.mu + handling.sigma * -1.0)
             + 6000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * 1.5)
             + 50_000.0 * math.exp(handling.mu + handling.sigma * 0.25))
-        assert rec.trip_cost == pytest.approx(expected, rel=1e-12)
+        assert cost == pytest.approx(expected, rel=1e-12)
         assert stream.normal_sizes == [4]
 
     def test_zero_sigma_slots_draw_nothing(self):
@@ -185,19 +179,18 @@ class TestSimulateTripDrawOrder:
         rail = lognormal_from_moments(0.046, 0.5 * 0.046)
         stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[1, 1],
                                  normals=[-0.5, 2.0])
-        rec = simulate_trip(10_000.0, 50_000.0, ["ocean", "rail"], self.MEANS,
-                            TestSimulateTrip.HANDLING_EXACT, self.FRACTIONS,
-                            2018, 0, stream)
+        cost, _, _ = simulate_trip(10_000.0, 50_000.0, self.MEANS,
+                                   self.FRACTIONS,
+                                   TestSimulateTrip.HANDLING_EXACT, stream)
         expected = (
             4000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * -0.5)
             + 6000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * 2.0)
             + 2 * 50_000.0 * 4.59)
-        assert rec.trip_cost == pytest.approx(expected, rel=1e-12)
+        assert cost == pytest.approx(expected, rel=1e-12)
         assert stream.normal_sizes == [2]
 
     def test_all_zero_sigmas_make_no_normal_draw(self):
         stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[0, 1])
-        simulate_trip(10_000.0, 50_000.0, ["ocean", "rail"], self.MEANS,
-                      TestSimulateTrip.HANDLING_EXACT,
-                      {"ocean": 0.0, "rail": 0.0}, 2018, 0, stream)
+        simulate_trip(10_000.0, 50_000.0, self.MEANS, [0.0, 0.0],
+                      TestSimulateTrip.HANDLING_EXACT, stream)
         assert stream.normal_sizes == []
