@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .analysis import (DEFAULT_BASE_RATE, DEFAULT_BASE_YEAR, DEFAULT_DELTAS,
                        DEFAULT_MULTIPLES, empirical_crossover, sensitivity_grid)
-from .config import ConfigError, load_config
+from .config import load_config
 from .evolution import run_scenario
 from .modes import adjust_reference_cost, builtin_modes
 from .report import PlotSpec, render_scatter_svg, write_records_csv
@@ -75,12 +75,14 @@ def _cmd_modes_list() -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(Path(args.config).read_text("utf-8"))
+    focus = args.focus or cfg.enabled_modes[0]
+    if focus not in cfg.enabled_modes:
+        raise ValueError(f"focus mode {focus!r} not in scenario")
     results = run_scenario(cfg)
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as f:
         write_records_csv(results, f)
     print(f"wrote {results.cost.size} records to {args.out_csv}")
     if args.out_svg:
-        focus = args.focus or cfg.enabled_modes[0]
         with open(args.out_svg, "w", encoding="utf-8", newline="\n") as f:
             render_scatter_svg(results, PlotSpec(focus_mode=focus), f)
         print(f"wrote scatter chart to {args.out_svg}")
@@ -151,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "calibrate":
             return _cmd_calibrate(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -89,6 +89,10 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"modes[{entry.get('id')!r}]: unknown fields {sorted(unknown)}")
             _validate_mode_override_types(entry)
+        override_ids = [entry["id"] for entry in self.modes]
+        if len(set(override_ids)) != len(override_ids):
+            raise ConfigError(
+                "modes: each mode id must be overridden at most once")
 
     def _validate_types(self) -> None:
         # Values are checked, never coerced, so the fingerprint of a valid
@@ -178,8 +182,7 @@ def config_fingerprint(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(config_to_json(cfg).encode("utf-8")).hexdigest()
 
 
-def resolve_registry(cfg: ScenarioConfig,
-                     base: ModeRegistry | None = None) -> ModeRegistry:
+def resolve_registry(cfg: ScenarioConfig) -> ModeRegistry:
     """Resolve the enabled modes against the builtin dataset plus any inline
     overrides.
 
@@ -187,11 +190,8 @@ def resolve_registry(cfg: ScenarioConfig,
     inline override pins a mode-specific value.  The returned registry lists
     modes in enabled_modes order.
     """
-    if base is None:
-        base = builtin_modes()
-    overrides: dict[ModeId, dict[str, Any]] = {}
-    for entry in cfg.modes:
-        overrides[entry["id"]] = entry
+    base = builtin_modes()
+    overrides = {entry["id"]: entry for entry in cfg.modes}
 
     specs: list[ModeSpec] = []
     for mode_id in cfg.enabled_modes:

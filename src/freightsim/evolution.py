@@ -194,29 +194,25 @@ def compute_shared_means(config: ScenarioConfig,
                             RateModel.from_registry(registry), None)
 
 
-def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
-                replicates: range) -> np.ndarray:
+def _mode_means(config: ScenarioConfig,
+                registry: ModeRegistry) -> np.ndarray:
     """The ``[replicate, year, mode]`` trajectories of the evolution policy."""
     if config.evolution_policy == "shared":
         shared = compute_shared_means(config, registry)
-        return np.broadcast_to(shared, (len(replicates), *shared.shape))
+        return np.broadcast_to(shared, (config.iterations, *shared.shape))
     rates = RateModel.from_registry(registry)
     return np.stack([_cost_trajectory(config, registry, rates, rep)
-                     for rep in replicates])
+                     for rep in range(config.iterations)])
 
 
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
                   replicate: int,
-                  means: np.ndarray | None = None
+                  means: np.ndarray
                   ) -> list[tuple[float, int, list[float]]]:
     """Simulate one replicate across the whole horizon, returning one
     ``simulate_trip`` result (cost, legs, fractions) per year, costed with
-    the ``(years, modes)`` trajectory ``means`` (by default the one the
-    evolution policy gives this replicate)."""
-    if means is None:
-        means = _mode_means(config, registry,
-                            range(replicate, replicate + 1))[0]
+    the ``(years, modes)`` trajectory ``means``."""
     stdev_fractions = [s.cost_stdev_fraction for s in registry]
     handling_params = lognormal_from_moments(
         config.handling_mean_usd_per_tonne,
@@ -231,32 +227,23 @@ def run_replicate(config: ScenarioConfig,
         for year, current in zip(years, means.tolist())]
 
 
-def run_scenario(config: ScenarioConfig,
-                 registry: ModeRegistry | None = None,
-                 workers: int = 1) -> ResultSet:
-    """Run every replicate, one after another, into the trip table.
-
-    ``registry`` defaults to the one the config resolves to; a registry
-    passed in must list the config's ``enabled_modes`` in order.
-    ``workers`` is accepted for old callers and ignored.
-    """
+def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
+    """Run every replicate of the config, one after another, into the trip
+    table.  ``workers`` is accepted for old callers and ignored."""
     config.validate()
-    if registry is None:
-        registry = resolve_registry(config)
-    elif registry.ids() != config.enabled_modes:
-        raise ConfigError(
-            f"registry modes {registry.ids()} differ from enabled_modes "
-            f"{config.enabled_modes}")
-
-    replicates = range(config.iterations)
-    mode_means = _mode_means(config, registry, replicates)
+    registry = resolve_registry(config)
+    mode_means = _mode_means(config, registry)
     shape = (config.end_year - config.start_year + 1, config.iterations)
     cost = np.empty(shape)
     n_legs = np.empty(shape, dtype=np.int64)
     frac = np.empty((*shape, len(registry)))
-    for rep in replicates:
+    for rep in range(config.iterations):
         cost[:, rep], n_legs[:, rep], frac[:, rep] = zip(*run_replicate(
             config, registry, rep, mode_means[rep]))
+    if not np.isfinite(cost).all():
+        raise ConfigError(
+            "trip costs overflow a float: trip_distance_km x freight_tonnes "
+            "x mode cost must be below 1.8e308")
     return ResultSet(config=config, fingerprint=config_fingerprint(config),
                      registry=registry, cost=cost, n_legs=n_legs, frac=frac,
                      mode_means=mode_means)

@@ -53,18 +53,21 @@ def cost_axis_value(cost_usd: float) -> float:
     return math.log10(cost_usd / 1e6)
 
 
+# Scatter chart layout, in SVG user units.
+_WIDTH = 960
+_HEIGHT = 600
+_MARGIN_LEFT = 70
+_MARGIN_RIGHT = 20
+_MARGIN_TOP = 30
+_MARGIN_BOTTOM = 50
+_POINT_RADIUS = 3.0
+
+
 @dataclass(frozen=True)
 class PlotSpec:
-    """Scatter chart layout: points colored by one mode's distance fraction."""
+    """Scatter chart: points colored by one mode's distance fraction."""
 
     focus_mode: ModeId
-    width: int = 960
-    height: int = 600
-    margin_left: int = 70
-    margin_right: int = 20
-    margin_top: int = 30
-    margin_bottom: int = 50
-    point_radius: float = 3.0
 
 
 def _year_tick_step(span: int) -> int:
@@ -96,8 +99,8 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1, x_hi + 1
 
-    px0, px1 = plot.margin_left, plot.width - plot.margin_right
-    py0, py1 = plot.height - plot.margin_bottom, plot.margin_top
+    px0, px1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
+    py0, py1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 
     def sx(year: float) -> float:
         return px0 + (year - x_lo) / (x_hi - x_lo) * (px1 - px0)
@@ -108,9 +111,9 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{plot.width}" '
-        f'height="{plot.height}" viewBox="0 0 {plot.width} {plot.height}">')
-    out.append(f'<rect width="{plot.width}" height="{plot.height}" fill="white"/>')
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
     # Decade grid: one horizontal line per integer log10 value.
     for v in range(y_lo, y_hi + 1):
@@ -135,14 +138,14 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
                f'stroke="black" stroke-width="1"/>')
     out.append(f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" '
                f'stroke="black" stroke-width="1"/>')
-    out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{plot.height - 10}" '
+    out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{_HEIGHT - 10}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13">'
                f'Year</text>')
     out.append(f'<text x="16" y="{(py0 + py1) / 2:.2f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 16 {(py0 + py1) / 2:.2f})">'
                f'Trip cost (log10 $M)</text>')
-    out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{plot.margin_top - 10}" '
+    out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{_MARGIN_TOP - 10}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13">'
                f'Distance fraction on {plot.focus_mode}</text>')
 
@@ -152,7 +155,7 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
         for y, frac in zip(ys, fracs):
             out.append(
                 f'<circle cx="{cx}" cy="{sy(y):.2f}" '
-                f'r="{plot.point_radius:g}" fill="{ramp_color(frac)}" '
+                f'r="{_POINT_RADIUS:g}" fill="{ramp_color(frac)}" '
                 f'fill-opacity="0.6"/>')
 
     out.append("</svg>")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from freightsim.analysis import (deterministic_crossover_year,
                                  summarize)
 from freightsim.config import ScenarioConfig, resolve_registry
 from freightsim.evolution import ResultSet, TripRecord, run_scenario
-from freightsim.modes import (ModeRegistry, ModeSpec, builtin_modes,
-                              derive_autonomous)
+from freightsim.modes import ModeSpec, builtin_modes, derive_autonomous
 
 
 class TestDeterministicCrossover:
@@ -211,13 +211,18 @@ class TestEmpiricalCrossover:
         assert abs(report.empirical_year - report.deterministic_year) <= 1
 
 
+def overrides(*specs):
+    """Config ``modes`` entries that pin every field of the given specs."""
+    return [dataclasses.asdict(spec) for spec in specs]
+
+
 class TestEmpiricalCrossoverUsesRunRegistry:
     def test_derived_autonomous_variant_sets_deterministic_year(self):
         ocean = builtin_modes().get("ocean")
-        registry = ModeRegistry([ocean, derive_autonomous(ocean, 1.2, 0.08)])
+        modes = overrides(ocean, derive_autonomous(ocean, 1.2, 0.08))
         cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"], seed=3,
-                             iterations=5, end_year=2024)
-        report = empirical_crossover(run_scenario(cfg, registry),
+                             iterations=5, end_year=2024, modes=modes)
+        report = empirical_crossover(run_scenario(cfg),
                                      "ocean", "auto_ocean")
         # ln 1.2 / ln(0.979 / 0.899) = 2.1 years; the builtin auto_ocean
         # would give 2024
@@ -226,10 +231,10 @@ class TestEmpiricalCrossoverUsesRunRegistry:
     def test_modes_outside_the_builtin_dataset(self):
         barge = ModeSpec(id="barge", base_cost_mean=0.05, base_year=2018,
                          improvement_rate_mean=0.02)
-        registry = ModeRegistry([barge, derive_autonomous(barge, 1.5, 0.06)])
+        modes = overrides(barge, derive_autonomous(barge, 1.5, 0.06))
         cfg = ScenarioConfig(enabled_modes=["barge", "auto_barge"], seed=3,
-                             iterations=5, end_year=2024)
-        report = empirical_crossover(run_scenario(cfg, registry),
+                             iterations=5, end_year=2024, modes=modes)
+        report = empirical_crossover(run_scenario(cfg),
                                      "barge", "auto_barge")
         assert report.deterministic_year == deterministic_crossover_year(
             1.5, 0.02, 0.08, 2018)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
+from freightsim.config import ScenarioConfig, resolve_registry
 from freightsim.evolution import (RateModel, compute_shared_means,
                                   evolve_mode_state, run_replicate,
                                   run_scenario)
-from freightsim.modes import ModeRegistry, ModeSpec, builtin_modes
+from freightsim.modes import ModeRegistry, ModeSpec
 from freightsim.stochastics import (derive_stream, lognormal_from_moments,
                                     sample_lognormal)
 
@@ -124,9 +124,8 @@ def ocean_only_config(**kw):
 class TestRunReplicate:
     def test_closed_form_with_zero_stdevs(self):
         cfg = ocean_only_config(end_year=2024)
-        reg = resolve_registry(cfg)
-        trips = run_replicate(cfg, reg, 0)
-        means = run_scenario(cfg, reg).mode_means[0]
+        means = run_scenario(cfg).mode_means[0]
+        trips = run_replicate(cfg, resolve_registry(cfg), 0, means)
         for t, (cost, n_legs, _) in enumerate(trips):
             expected_mean = 0.0196 * (1 - 0.021) ** t
             assert means[t, 0] == pytest.approx(
@@ -140,13 +139,15 @@ class TestRunReplicate:
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=5,
                              iterations=4, end_year=2022)
         reg = resolve_registry(cfg)
-        first = run_replicate(cfg, reg, 3)
-        second = run_replicate(cfg, reg, 3)
+        means = run_scenario(cfg).mode_means[3]
+        first = run_replicate(cfg, reg, 3, means)
+        second = run_replicate(cfg, reg, 3, means)
         assert first == second
 
     def test_single_year_single_record(self):
         cfg = ocean_only_config(end_year=2018)
-        records = run_replicate(cfg, resolve_registry(cfg), 0)
+        records = run_replicate(cfg, resolve_registry(cfg), 0,
+                                run_scenario(cfg).mode_means[0])
         assert len(records) == 1
 
 
@@ -199,15 +200,12 @@ class TestRunScenario:
         with pytest.raises(TypeError):
             records[0] = rec
 
-    def test_registry_must_list_the_enabled_modes(self):
-        # A mismatched registry once ran, and the CSV writer then failed
-        # with KeyError: 'auto_ocean'.
-        builtin = builtin_modes()
-        cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"], seed=1,
-                             iterations=2, end_year=2019)
-        registry = ModeRegistry([builtin.get("ocean"), builtin.get("rail")])
-        with pytest.raises(ConfigError, match="enabled_modes"):
-            run_scenario(cfg, registry)
+    def test_config_is_the_only_run_input(self):
+        # A second positional argument was once a registry that replaced
+        # the config's modes under an unchanged fingerprint.
+        cfg = ocean_only_config(iterations=2, end_year=2019)
+        with pytest.raises(TypeError):
+            run_scenario(cfg, resolve_registry(cfg))
 
     def test_worker_count_does_not_change_results(self):
         cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"], seed=7,
@@ -263,7 +261,7 @@ class TestEvolutionPolicies:
                              end_year=2022, evolution_policy="shared")
         reg = resolve_registry(cfg)
         shared = compute_shared_means(cfg, reg)
-        results = run_scenario(cfg, reg)
+        results = run_scenario(cfg)
         for means in results.mode_means:
             assert means.tolist() == shared.tolist()
 

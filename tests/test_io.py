@@ -257,6 +257,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "deterministic year: 2024" in out
 
+    def test_simulate_unknown_focus_writes_nothing(self, tmp_path, capsys):
+        # The CSV and an empty SVG were written before the focus was checked.
+        cfg = self.write_config(tmp_path, enabled_modes=["ocean"])
+        csv_path, svg_path = tmp_path / "o.csv", tmp_path / "o.svg"
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out-csv", str(csv_path),
+                       "--out-svg", str(svg_path), "--focus", "air"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "air" in lines[0]
+        assert captured.out == ""
+        assert not csv_path.exists() and not svg_path.exists()
+
     def test_bad_flags_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--no-such-flag"])
@@ -292,6 +307,12 @@ MALFORMED_VALUES = [
     ("name", "a,b"),
     ("name", 'say "hi"'),
     ("name", "a\nb"),
+    # Two overrides of one mode: the last one silently won.
+    ("modes", [{"id": "ocean", "base_cost_mean": 1.0},
+               {"id": "ocean", "base_cost_mean": 2.0}]),
+    # The trip costs overflowed to inf in the CSV, then the SVG renderer
+    # ended in an OverflowError traceback.
+    ("trip_distance_km", 1e308),
 ]
 
 
