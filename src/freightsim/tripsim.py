@@ -71,7 +71,9 @@ def simulate_trip(trip_distance: float,
                   cost_stdev_fractions: Sequence[float],
                   handling_params: LogNormalParams,
                   stream: RngStream,
-                  min_leg: float = 100.0) -> tuple[float, int, list[float]]:
+                  min_leg: float = 100.0,
+                  op_params: list[LogNormalParams | None] | None = None
+                  ) -> tuple[float, int, list[float]]:
     """Simulate and cost one intermodal trip over modes given in registry
     order; return its cost, leg count and per-mode distance fractions.
 
@@ -82,12 +84,17 @@ def simulate_trip(trip_distance: float,
     normal of the trip comes from one draw and is used in (operational,
     handling) order leg by leg; a cost with zero log-space spread draws
     nothing and is exp(mu), as in ``sample_lognormal``.
+
+    ``op_params`` caches each mode's operational log-normal parameters,
+    computed on first use; pass one list to every trip costed with the same
+    ``mode_cost_means``.  None gives the trip a cache of its own.
     """
     distances = generate_leg_distances(trip_distance, min_leg, stream)
     n_modes = len(mode_cost_means)
     leg_modes = assign_modes(len(distances), range(n_modes), stream)
 
-    op_params: list[LogNormalParams | None] = [None] * n_modes
+    if op_params is None:
+        op_params = [None] * n_modes
     for m in leg_modes:
         if op_params[m] is None:
             mean = mode_cost_means[m]

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freightsim.config import ScenarioConfig, resolve_registry
-from freightsim.evolution import (RateModel, compute_shared_means,
-                                  evolve_mode_state, run_replicate,
-                                  run_scenario)
-from freightsim.modes import ModeRegistry, ModeSpec
-from freightsim.stochastics import (derive_stream, lognormal_from_moments,
-                                    sample_lognormal)
+from freightsim.evolution import (RateModel, _scenario_paths,
+                                  compute_shared_means, evolve_mode_state,
+                                  run_replicate, run_scenario)
+from freightsim.modes import ModeRegistry, ModeSpec, adjust_reference_cost
+from freightsim.stochastics import (_CHUNK, derive_stream,
+                                    lognormal_from_moments, sample_lognormal)
 
 from conftest import StubStream
 
@@ -121,11 +121,18 @@ def ocean_only_config(**kw):
     return ScenarioConfig(**defaults)
 
 
+def trip_streams(cfg, replicate):
+    """The trip streams of one replicate, derived one by one."""
+    return (derive_stream(cfg.seed, ("scenario", year, replicate, "trip"))
+            for year in range(cfg.start_year, cfg.end_year + 1))
+
+
 class TestRunReplicate:
     def test_closed_form_with_zero_stdevs(self):
         cfg = ocean_only_config(end_year=2024)
         means = run_scenario(cfg).mode_means[0]
-        trips = run_replicate(cfg, resolve_registry(cfg), 0, means)
+        trips = run_replicate(cfg, resolve_registry(cfg), means,
+                              trip_streams(cfg, 0))
         for t, (cost, n_legs, _) in enumerate(trips):
             expected_mean = 0.0196 * (1 - 0.021) ** t
             assert means[t, 0] == pytest.approx(
@@ -140,14 +147,15 @@ class TestRunReplicate:
                              iterations=4, end_year=2022)
         reg = resolve_registry(cfg)
         means = run_scenario(cfg).mode_means[3]
-        first = run_replicate(cfg, reg, 3, means)
-        second = run_replicate(cfg, reg, 3, means)
+        first = run_replicate(cfg, reg, means, trip_streams(cfg, 3))
+        second = run_replicate(cfg, reg, means, trip_streams(cfg, 3))
         assert first == second
 
     def test_single_year_single_record(self):
         cfg = ocean_only_config(end_year=2018)
-        records = run_replicate(cfg, resolve_registry(cfg), 0,
-                                run_scenario(cfg).mode_means[0])
+        records = run_replicate(cfg, resolve_registry(cfg),
+                                run_scenario(cfg).mode_means[0],
+                                trip_streams(cfg, 0))
         assert len(records) == 1
 
 
@@ -260,7 +268,9 @@ class TestEvolutionPolicies:
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=19, iterations=2,
                              end_year=2022, evolution_policy="shared")
         reg = resolve_registry(cfg)
-        shared = compute_shared_means(cfg, reg)
+        shared = compute_shared_means(cfg, reg, (
+            derive_stream(cfg.seed, ("scenario", year, "shared-rates"))
+            for year in range(cfg.start_year, cfg.end_year)))
         results = run_scenario(cfg)
         for means in results.mode_means:
             assert means.tolist() == shared.tolist()
@@ -299,3 +309,56 @@ class TestInitialStates:
                     "improvement_rate_mean": 0.01}])
         with pytest.raises(ValueError):
             run_scenario(cfg)
+
+
+def stream_by_stream_run(cfg):
+    """cost, n_legs, frac and mode_means of ``cfg``, each stream derived on
+    its own with derive_stream and every trip with its own parameters."""
+    reg = resolve_registry(cfg)
+    rates = RateModel.from_registry(reg)
+    start = np.array([adjust_reference_cost(
+        s.base_cost_mean, s.improvement_rate_mean, s.base_year,
+        cfg.start_year) for s in reg])
+
+    def trajectory(rate_labels):
+        means = [start]
+        for year in range(cfg.start_year, cfg.end_year):
+            means.append(evolve_mode_state(
+                means[-1], rates, derive_stream(cfg.seed, rate_labels(year))))
+        return np.array(means)
+
+    if cfg.evolution_policy == "shared":
+        shared = trajectory(lambda y: ("scenario", y, "shared-rates"))
+        mode_means = [shared] * cfg.iterations
+    else:
+        mode_means = [trajectory(lambda y: ("scenario", y, rep, "rates"))
+                      for rep in range(cfg.iterations)]
+    trips = [run_replicate(cfg, reg, mode_means[rep], trip_streams(cfg, rep))
+             for rep in range(cfg.iterations)]
+    cost, n_legs, frac = (np.array([[trip[i] for trip in rep_trips]
+                                    for rep_trips in trips]).swapaxes(0, 1)
+                          for i in range(3))
+    return cost, n_legs, frac, np.array(mode_means)
+
+
+class TestBatchedStreamsMatchOneByOne:
+    # 12 rate steps and 13 trips per replicate: 2,500 paths per-replicate,
+    # 2,612 shared.
+    @pytest.mark.parametrize("policy,iterations",
+                             [("per-replicate", 100), ("shared", 200)])
+    def test_chunk_edges_inside_replicates(self, policy, iterations):
+        cfg = ScenarioConfig(enabled_modes=["ocean", "rail", "air"], seed=29,
+                             iterations=iterations, end_year=2030,
+                             evolution_policy=policy)
+        paths = list(_scenario_paths(cfg))
+        edges = range(_CHUNK, len(paths), _CHUNK)
+        assert len(edges) >= 2
+        # Each edge falls between two paths of one replicate's rates or
+        # trips.
+        assert all(len(paths[e]) == 4 and paths[e - 1][2:] == paths[e][2:]
+                   for e in edges)
+        results = run_scenario(cfg)
+        expected = stream_by_stream_run(cfg)
+        for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
+                              expected):
+            assert np.array_equal(getattr(results, name), want), name

@@ -313,6 +313,9 @@ MALFORMED_VALUES = [
     # The trip costs overflowed to inf in the CSV, then the SVG renderer
     # ended in an OverflowError traceback.
     ("trip_distance_km", 1e308),
+    # Subnormal trip costs were written to the CSV, then the SVG renderer
+    # ended in "math domain error" from log10(0).
+    ("freight_tonnes", 1e-320),
 ]
 
 

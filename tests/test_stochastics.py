@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from freightsim.stochastics import (LogNormalParams, derive_stream,
-                                    lognormal_from_moments, sample_lognormal)
+from freightsim import stochastics
+from freightsim.stochastics import (LogNormalParams, _path_entropy,
+                                    _seed_pcg64, _state_words, derive_stream,
+                                    derive_streams, lognormal_from_moments,
+                                    sample_lognormal)
 
 
 class TestMomentMatching:
@@ -131,3 +135,77 @@ class TestStreamDerivation:
         stream = derive_stream(11, ["ints"])
         draws = {stream.integers(4) for _ in range(200)}
         assert draws == {0, 1, 2, 3}
+
+
+def oracle_words(entropy):
+    return np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
+
+
+def first_draws(gen):
+    """The first normal, uniform and integer draws of a Generator or an
+    RngStream."""
+    return gen.normal(), gen.uniform(2.0, 5.0), int(gen.integers(1000))
+
+
+def batched_generator(words):
+    gen = np.random.Generator(np.random.PCG64(0))
+    _seed_pcg64(gen.bit_generator, words)
+    return gen
+
+
+# Entropies below 2**224 have a top 32-bit word of 0; numpy coerces them to
+# fewer words, so they must go through SeedSequence itself.
+SHORT_ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**128 + 5, 2**224 - 1]
+
+
+class TestBatchedSeedingMatchesSeedSequence:
+    @settings(max_examples=300, deadline=None)
+    @given(entropies=st.lists(st.integers(0, 2**256 - 1), min_size=1,
+                              max_size=8))
+    def test_state_words_and_first_draws(self, entropies):
+        words = _state_words(entropies)
+        assert words.tolist() == [oracle_words(e) for e in entropies]
+        for e, w in zip(entropies, words):
+            gen = batched_generator(w)
+            oracle = np.random.default_rng(np.random.SeedSequence(e))
+            assert gen.bit_generator.state == oracle.bit_generator.state
+            assert first_draws(gen) == first_draws(oracle)
+
+    def test_short_entropies_take_the_fallback(self, monkeypatch):
+        full = 2**256 - 1
+        expected = [oracle_words(e) for e in [full, *SHORT_ENTROPIES, full]]
+        seen = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, entropy=None, **kw):
+                seen.append(entropy)
+                super().__init__(entropy, **kw)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        assert _state_words([full, *SHORT_ENTROPIES, full]).tolist() == \
+            expected
+        assert seen == SHORT_ENTROPIES
+
+
+class TestDeriveStreams:
+    def test_each_stream_draws_as_derive_stream(self):
+        # Three chunks, the last one partial.
+        paths = [("scenario", 2020 + i % 7, i, "trip")
+                 for i in range(2 * stochastics._CHUNK + 5)]
+        for path, stream in zip(paths, derive_streams(31, paths)):
+            one_off = derive_stream(31, path)
+            assert stream.labels == path
+            assert first_draws(stream) == first_draws(one_off)
+
+    def test_paths_are_read_lazily(self):
+        paths = (("lazy", i) for i in itertools.count())
+        streams = derive_streams(3, paths)
+        first = [next(streams).normal() for _ in range(3)]
+        assert first == [derive_stream(3, ("lazy", i)).normal()
+                         for i in range(3)]
+
+    def test_entropy_is_the_sha256_of_the_path(self):
+        stream = derive_stream(2018, ["scenario", 2030, 4, "rates"])
+        oracle = np.random.default_rng(np.random.SeedSequence(
+            _path_entropy(2018, ("scenario", 2030, 4, "rates"))))
+        assert stream.normal(size=4).tolist() == oracle.normal(size=4).tolist()

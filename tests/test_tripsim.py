@@ -141,6 +141,27 @@ class TestSimulateTrip:
                 derive_stream(seed, ["mono"]))
             assert bumped >= base
 
+    def test_parameter_cache_is_filled_and_reused(self):
+        means, fractions = [0.0196, 0.046, 0.03], [0.25, 0.25, 0.25]
+        handling = lognormal_from_moments(4.59, 0.25 * 4.59)
+        cache = [None] * 3
+        for seed in range(20):
+            fresh = simulate_trip(10_000.0, 50_000.0, means, fractions,
+                                  handling, derive_stream(seed, ["cache"]))
+            cached = simulate_trip(10_000.0, 50_000.0, means, fractions,
+                                   handling, derive_stream(seed, ["cache"]),
+                                   op_params=cache)
+            assert cached == fresh
+        assert cache == [lognormal_from_moments(m, f * m)
+                         for m, f in zip(means, fractions)]
+        # A filled slot is used as it stands.
+        cache[:] = [lognormal_from_moments(1.0, 0.0)] * 3
+        cost, n_legs, _ = simulate_trip(
+            10_000.0, 50_000.0, means, [0.0] * 3, self.HANDLING_EXACT,
+            derive_stream(0, ["cache"]), op_params=cache)
+        assert cost == pytest.approx(n_legs * 50_000.0 * 4.59
+                                     + 10_000.0 * 50_000.0, rel=1e-9)
+
 
 class RecordingStream(StubStream):
     """Records the size of every normal draw."""
