@@ -192,16 +192,15 @@ def _scenario_paths(config: ScenarioConfig) -> Iterator[tuple]:
 
 
 def _cost_trajectory(config: ScenarioConfig, registry: ModeRegistry,
-                     rates: RateModel,
-                     streams: Iterator[RngStream]) -> np.ndarray:
-    """The ``(years, modes)`` mean costs of one trajectory, stepped once per
-    year in [start, end), each step with the next stream of ``streams``."""
-    steps = config.end_year - config.start_year
-    means = np.empty((steps + 1, len(registry)))
+                     rates: RateModel, streams: Iterator[RngStream],
+                     means: np.ndarray) -> np.ndarray:
+    """Fill and return ``means``, the ``(years, modes)`` mean costs of one
+    trajectory, stepped once per year in [start, end), each step with the
+    next stream of ``streams``."""
     means[0] = [adjust_reference_cost(s.base_cost_mean,
                                       s.improvement_rate_mean, s.base_year,
                                       config.start_year) for s in registry]
-    for t in range(steps):
+    for t in range(config.end_year - config.start_year):
         means[t + 1] = evolve_mode_state(means[t], rates, next(streams))
     return means
 
@@ -211,40 +210,44 @@ def compute_shared_means(config: ScenarioConfig, registry: ModeRegistry,
     """The one ``(years, modes)`` cost trajectory all replicates share,
     drawn from the next ``end_year - start_year`` streams of ``streams``
     (the ``"shared-rates"`` paths)."""
+    years = config.end_year - config.start_year + 1
     return _cost_trajectory(config, registry,
-                            RateModel.from_registry(registry), streams)
+                            RateModel.from_registry(registry), streams,
+                            np.empty((years, len(registry))))
 
 
 def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
-                streams: Iterator[RngStream]) -> np.ndarray:
-    """The ``[replicate, year, mode]`` trajectories of the evolution policy."""
-    if config.evolution_policy == "shared":
+                streams: Iterator[RngStream],
+                out: np.ndarray | None) -> np.ndarray:
+    """The ``[replicate, year, mode]`` trajectories of the evolution policy:
+    each replicate's own, written into ``out``, or under the shared policy
+    (``out`` is None) a read-only broadcast of the one trajectory."""
+    if out is None:
         shared = compute_shared_means(config, registry, streams)
         return np.broadcast_to(shared, (config.iterations, *shared.shape))
     rates = RateModel.from_registry(registry)
-    return np.stack([_cost_trajectory(config, registry, rates, streams)
-                     for _ in range(config.iterations)])
+    for means in out:
+        _cost_trajectory(config, registry, rates, streams, means)
+    return out
 
 
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
                   means: np.ndarray,
+                  handling_params: LogNormalParams,
                   streams: Iterator[RngStream],
                   op_params: list[list[LogNormalParams | None]] | None = None
                   ) -> list[tuple[float, int, list[float]]]:
     """Simulate one replicate across the whole horizon, returning one
     ``simulate_trip`` result (cost, legs, fractions) per year, costed with
-    the ``(years, modes)`` trajectory ``means``; year by year, each trip
-    draws from the next stream of ``streams``.
+    the ``(years, modes)`` trajectory ``means`` and the run's handling-cost
+    parameters; year by year, each trip draws from the next stream of
+    ``streams``.
 
     ``op_params``, when given, holds one ``simulate_trip`` parameter cache
     per year, kept for every replicate costed with the same ``means``.
     """
     stdev_fractions = [s.cost_stdev_fraction for s in registry]
-    handling_params = lognormal_from_moments(
-        config.handling_mean_usd_per_tonne,
-        config.handling_stdev_fraction * config.handling_mean_usd_per_tonne)
-
     rows = means.tolist()
     caches = op_params if op_params is not None else [None] * len(rows)
     return [simulate_trip(
@@ -258,25 +261,41 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     """Run every replicate of the config, one after another, into the trip
     table.  ``workers`` is accepted for old callers and ignored.
 
-    All streams of the run come from one ``derive_streams`` over
+    The trip table and the per-replicate trajectories are allocated before
+    any stream is drawn, so a run too large for memory fails at once.  All
+    streams of the run come from one ``derive_streams`` over
     ``_scenario_paths(config)``, consumed in that order.
     """
     config.validate()
     registry = resolve_registry(config)
-    streams = derive_streams(config.seed, _scenario_paths(config))
-    mode_means = _mode_means(config, registry, streams)
+    handling_params = lognormal_from_moments(
+        config.handling_mean_usd_per_tonne,
+        config.handling_stdev_fraction * config.handling_mean_usd_per_tonne)
     shape = (config.end_year - config.start_year + 1, config.iterations)
-    cost = np.empty(shape)
-    n_legs = np.empty(shape, dtype=np.int64)
-    frac = np.empty((*shape, len(registry)))
+    shared = config.evolution_policy == "shared"
+    try:
+        cost = np.empty(shape)
+        n_legs = np.empty(shape, dtype=np.int64)
+        frac = np.empty((*shape, len(registry)))
+        mode_means = (None if shared else
+                      np.empty((shape[1], shape[0], len(registry))))
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for a size past the address space.
+        raise ConfigError(
+            f"iterations must be small enough for the run to fit in memory: "
+            f"{config.iterations} replicates x {shape[0]} years do "
+            f"not") from None
+    streams = derive_streams(config.seed, _scenario_paths(config))
+    mode_means = _mode_means(config, registry, streams, mode_means)
     # Under the shared policy every replicate of a year is costed with the
     # same means, so each (year, mode)'s log-normal parameters are computed
     # once for the run.
     op_params = ([[None] * len(registry) for _ in range(shape[0])]
-                 if config.evolution_policy == "shared" else None)
+                 if shared else None)
     for rep in range(config.iterations):
         cost[:, rep], n_legs[:, rep], frac[:, rep] = zip(*run_replicate(
-            config, registry, mode_means[rep], streams, op_params))
+            config, registry, mode_means[rep], handling_params, streams,
+            op_params))
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "

@@ -58,12 +58,8 @@ def lognormal_from_moments(mean: float, stdev: float) -> LogNormalParams:
 def _path_entropy(master_seed: int, labels: Sequence[object]) -> int:
     # Hash the label path so any mix of strings and integers yields a
     # well-spread, platform-independent seed.
-    h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode("utf-8"))
-    for label in labels:
-        h.update(b"\x1f")
-        h.update(str(label).encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    path = "\x1f".join([str(int(master_seed)), *map(str, labels)])
+    return int.from_bytes(hashlib.sha256(path.encode()).digest(), "big")
 
 
 # The constants of numpy's SeedSequence (pool size 4) and of PCG64's seeding
@@ -76,8 +72,13 @@ _MULT_B = 0x58f38ded
 _MIX_MULT_L = 0xca01f9dd
 _MIX_MULT_R = 0x4973f715
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_RANGE32 = 1 << 32
+# numpy's next_double scale: a 53-bit integer times 2**-53 is in [0, 1).
+_TO_UNIT = 1.0 / 9007199254740992.0
+_INF = math.inf
 
 # Label paths whose seeds ``derive_streams`` computes together: enough to
 # amortise numpy's per-call overhead over the array operations, few enough
@@ -132,13 +133,18 @@ def _state_words(entropies: Sequence[int]) -> np.ndarray:
     return words
 
 
-def _seed_pcg64(bit_generator: np.random.PCG64, words: np.ndarray) -> None:
-    """Put ``bit_generator`` in the state ``PCG64(seed_sequence)`` starts in
-    when the sequence's ``generate_state(4, np.uint64)`` is ``words``: the
-    first two words are the initial state, the last two the stream."""
-    w0, w1, w2, w3 = words.tolist()
+def _pcg64_state(words: Iterable[int]) -> tuple[int, int]:
+    """The ``(state, inc)`` that ``PCG64(seed_sequence)`` starts in when the
+    sequence's ``generate_state(4, np.uint64)`` is ``words``: the first two
+    words are the initial state, the last two the stream."""
+    w0, w1, w2, w3 = map(int, words)
     inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _seed_pcg64(bit_generator: np.random.PCG64, words: Iterable[int]) -> None:
+    """Put ``bit_generator`` in the state of ``_pcg64_state(words)``."""
+    state, inc = _pcg64_state(words)
     bit_generator.state = {"bit_generator": "PCG64",
                            "state": {"state": state, "inc": inc},
                            "has_uint32": 0, "uinteger": 0}
@@ -151,33 +157,115 @@ class RngStream:
     label paths give statistically independent sequences.  The draws are
     those of ``np.random.default_rng(np.random.SeedSequence(entropy))``,
     with the entropy hashed from the seed and the labels.
+
+    The stream holds numpy's PCG64 state (O'Neill's XSL-RR generator) as
+    Python ints: the 128-bit ``state`` and ``inc``, and the buffered upper
+    half of a 64-bit output that ``next_uint32`` keeps for its next call.
+    ``uniform`` and most ``integers`` step that state with numpy's own
+    arithmetic, which is cheaper than a scalar numpy call.  ``normal`` runs
+    numpy's ``Generator``: the state moves into the stream's ``PCG64`` at
+    the first normal, and back at the next Python draw.
     """
 
     def __init__(self, master_seed: int, labels: Iterable[object]):
         self.master_seed = int(master_seed)
-        # PCG64(0) is a placeholder state; _reseed sets the path's own.
+        # PCG64(0) is a placeholder; _to_numpy sets the stream's state.
         self._bits = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bits)
         labels = tuple(labels)
         [words] = _state_words([_path_entropy(self.master_seed, labels)])
-        self._reseed(labels, words)
+        self._reseed(labels, _pcg64_state(words))
 
-    def _reseed(self, labels: tuple, words: np.ndarray) -> None:
-        """Become the stream of ``labels``, whose state words are
-        ``words``."""
+    def _reseed(self, labels: tuple, state_inc: tuple[int, int]) -> None:
+        """Become the stream of ``labels``, whose seeded PCG64 ``(state,
+        inc)`` is ``state_inc``."""
         self.labels = labels
-        _seed_pcg64(self._bits, words)
+        self._state, self._inc = state_inc
+        self._has_uint32 = self._uinteger = 0
+        self._in_numpy = False
+
+    def _to_numpy(self) -> None:
+        """Hand the state to the numpy generator, unless it holds it."""
+        if not self._in_numpy:
+            self._bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": self._has_uint32, "uinteger": self._uinteger}
+            self._in_numpy = True
+
+    def _from_numpy(self) -> None:
+        """Take the state back from the numpy generator."""
+        st = self._bits.state
+        self._state, self._inc = st["state"]["state"], st["state"]["inc"]
+        self._has_uint32, self._uinteger = st["has_uint32"], st["uinteger"]
+        self._in_numpy = False
+
+    def _next64(self) -> int:
+        """numpy's ``next_uint64``: step the LCG, then rotate the xor of
+        the new state's halves right by its top six bits."""
+        if self._in_numpy:
+            self._from_numpy()
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next_uint32(self) -> int:
+        """numpy's ``next_uint32``: the low half of a fresh 64-bit output,
+        buffering the high half for the next call."""
+        if self._in_numpy:
+            self._from_numpy()
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        x = self._next64()
+        self._has_uint32, self._uinteger = 1, x >> 32
+        return x & _MASK32
 
     def uniform(self, low: float, high: float) -> float:
-        return float(self._gen.uniform(low, high))
+        """``Generator.uniform(low, high)``, with its exceptions."""
+        span = high - low
+        if type(span) is not float or not 0.0 < span < _INF:
+            # numpy subtracts the bounds as doubles; two ints subtract
+            # exactly and would round once, after.
+            low, high = float(low), float(high)
+            span = high - low
+            if not math.isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
+            if math.copysign(1.0, span) < 0.0:
+                raise ValueError("high - low < 0")
+        # _next64, inlined: a method call costs about a tenth of the draw.
+        if self._in_numpy:
+            self._from_numpy()
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        return low + span * ((x >> 11) * _TO_UNIT)
 
     def normal(self, size: int | None = None):
+        self._to_numpy()
         out = self._gen.normal(size=size)
         return float(out) if size is None else out
 
     def integers(self, n: int) -> int:
-        """A uniform integer in [0, n)."""
-        return int(self._gen.integers(n))
+        """A uniform integer in [0, n): ``Generator.integers(n)``.
+
+        For 1 <= n <= 2**32 this is numpy's Lemire method on 32-bit
+        draws (Lemire, ACM TOMACS 29(1), 2019); n == 1 draws nothing.
+        Any other n is numpy's, values and errors alike.
+        """
+        if type(n) is not int or not 1 <= n <= _RANGE32:
+            self._to_numpy()
+            return int(self._gen.integers(n))
+        if n == 1:
+            return 0
+        m = self._next_uint32() * n
+        if m & _MASK32 < n:
+            threshold = (_RANGE32 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next_uint32() * n
+        return m >> 32
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.master_seed}, labels={self.labels!r})"
@@ -205,8 +293,8 @@ def derive_streams(master_seed: int,
         words = _state_words([_path_entropy(master_seed, p) for p in chunk])
         if stream is None:
             stream = RngStream(master_seed, chunk[0])
-        for labels, state_words in zip(chunk, words):
-            stream._reseed(labels, state_words)
+        for labels, state_words in zip(chunk, words.tolist()):
+            stream._reseed(labels, _pcg64_state(state_words))
             yield stream
 
 

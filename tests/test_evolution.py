@@ -121,6 +121,13 @@ def ocean_only_config(**kw):
     return ScenarioConfig(**defaults)
 
 
+def handling_params(cfg):
+    """The run's handling-cost log-normal parameters."""
+    return lognormal_from_moments(
+        cfg.handling_mean_usd_per_tonne,
+        cfg.handling_stdev_fraction * cfg.handling_mean_usd_per_tonne)
+
+
 def trip_streams(cfg, replicate):
     """The trip streams of one replicate, derived one by one."""
     return (derive_stream(cfg.seed, ("scenario", year, replicate, "trip"))
@@ -132,7 +139,7 @@ class TestRunReplicate:
         cfg = ocean_only_config(end_year=2024)
         means = run_scenario(cfg).mode_means[0]
         trips = run_replicate(cfg, resolve_registry(cfg), means,
-                              trip_streams(cfg, 0))
+                              handling_params(cfg), trip_streams(cfg, 0))
         for t, (cost, n_legs, _) in enumerate(trips):
             expected_mean = 0.0196 * (1 - 0.021) ** t
             assert means[t, 0] == pytest.approx(
@@ -147,15 +154,17 @@ class TestRunReplicate:
                              iterations=4, end_year=2022)
         reg = resolve_registry(cfg)
         means = run_scenario(cfg).mode_means[3]
-        first = run_replicate(cfg, reg, means, trip_streams(cfg, 3))
-        second = run_replicate(cfg, reg, means, trip_streams(cfg, 3))
+        first = run_replicate(cfg, reg, means, handling_params(cfg),
+                              trip_streams(cfg, 3))
+        second = run_replicate(cfg, reg, means, handling_params(cfg),
+                               trip_streams(cfg, 3))
         assert first == second
 
     def test_single_year_single_record(self):
         cfg = ocean_only_config(end_year=2018)
         records = run_replicate(cfg, resolve_registry(cfg),
                                 run_scenario(cfg).mode_means[0],
-                                trip_streams(cfg, 0))
+                                handling_params(cfg), trip_streams(cfg, 0))
         assert len(records) == 1
 
 
@@ -333,7 +342,8 @@ def stream_by_stream_run(cfg):
     else:
         mode_means = [trajectory(lambda y: ("scenario", y, rep, "rates"))
                       for rep in range(cfg.iterations)]
-    trips = [run_replicate(cfg, reg, mode_means[rep], trip_streams(cfg, rep))
+    trips = [run_replicate(cfg, reg, mode_means[rep], handling_params(cfg),
+                           trip_streams(cfg, rep))
              for rep in range(cfg.iterations)]
     cost, n_legs, frac = (np.array([[trip[i] for trip in rep_trips]
                                     for rep_trips in trips]).swapaxes(0, 1)

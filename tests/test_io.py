@@ -316,6 +316,13 @@ MALFORMED_VALUES = [
     # Subnormal trip costs were written to the CSV, then the SVG renderer
     # ended in "math domain error" from log10(0).
     ("freight_tonnes", 1e-320),
+    # A run too large to allocate (240 TiB per array, past the address
+    # space) ended in a numpy MemoryError traceback; under per-replicate the
+    # trajectories were drawn first, growing memory without bound.  A dict
+    # value sets several fields; the error must name the first.
+    ("iterations", {"iterations": 10**12, "end_year": 2050}),
+    ("iterations", {"iterations": 10**12, "end_year": 2050,
+                    "evolution_policy": "shared"}),
 ]
 
 
@@ -325,7 +332,7 @@ class TestMalformedConfigValues:
             self, tmp_path, capsys, field, value):
         doc = dict(enabled_modes=["ocean"], seed=1, iterations=2,
                    end_year=2019)
-        doc[field] = value
+        doc.update(value if isinstance(value, dict) else {field: value})
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
         csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"

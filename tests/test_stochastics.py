@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
 from freightsim.stochastics import (LogNormalParams, _path_entropy,
@@ -209,3 +209,93 @@ class TestDeriveStreams:
         oracle = np.random.default_rng(np.random.SeedSequence(
             _path_entropy(2018, ("scenario", 2030, 4, "rates"))))
         assert stream.normal(size=4).tolist() == oracle.normal(size=4).tolist()
+
+
+# n = 2**31 + 1 rejects about half of the first 32-bit draws; 2**32 takes
+# them whole; 1 draws nothing.
+STREAM_NS = [1, 2, 10, 2**31 + 1, 2**32]
+_bounds = st.floats(-1e9, 1e9)
+# Bounds past 2**53 that numpy rounds to doubles before subtracting.
+_int_bounds = st.integers(-2**62, 2**62)
+STREAM_CALLS = st.one_of(
+    st.tuples(st.just("uniform"), st.tuples(_bounds, _bounds).map(sorted)),
+    st.tuples(st.just("uniform"),
+              st.tuples(_int_bounds, _int_bounds).map(sorted)),
+    st.tuples(st.just("uniform"), _bounds.map(lambda x: (x, x))),
+    st.tuples(st.just("integers"), st.sampled_from(STREAM_NS).map(
+        lambda n: (n,))),
+    st.tuples(st.just("normal"), st.sampled_from([None, 1, 5]).map(
+        lambda size: (size,))),
+)
+LABELS = st.lists(st.one_of(st.integers(-10**6, 10**6), st.text(max_size=6)),
+                  max_size=4)
+
+
+def stream_and_oracle(seed, labels):
+    """An RngStream and the numpy Generator it must draw as."""
+    oracle = np.random.default_rng(np.random.SeedSequence(
+        _path_entropy(seed, tuple(labels))))
+    return derive_stream(seed, labels), oracle
+
+
+def draw(gen, method, args):
+    """One call on an RngStream or a Generator, as plain Python values.  A
+    normal's one argument is its size (the Generator's first is loc)."""
+    out = (gen.normal(size=args[0]) if method == "normal"
+           else getattr(gen, method)(*args))
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def bit_generator_state(stream):
+    """The stream's PCG64 state, in numpy's ``bit_generator.state`` form."""
+    stream._to_numpy()
+    return stream._bits.state
+
+
+class TestStreamMatchesGenerator:
+    @settings(max_examples=300, deadline=None)
+    @given(labels=LABELS, calls=st.lists(STREAM_CALLS, max_size=40))
+    @example(labels=["hand-off"],
+             calls=[("integers", (10,)), ("normal", (None,)),
+                    ("integers", (10,)), ("integers", (2**31 + 1,)),
+                    ("normal", (5,)), ("uniform", (0.0, 1.0))])
+    @example(labels=["int-bounds"],
+             calls=[("uniform", (1765361027151260729, 3684652229583422894))]
+             * 6)
+    def test_every_draw_and_the_final_state(self, labels, calls):
+        stream, oracle = stream_and_oracle(2018, labels)
+        for method, args in calls:
+            assert draw(stream, method, args) == draw(oracle, method, args)
+        assert bit_generator_state(stream) == oracle.bit_generator.state
+
+    def test_buffered_uint32_crosses_the_numpy_hand_off(self):
+        # One 32-bit draw buffers the high half of a 64-bit output; the
+        # normal after it must not lose it.
+        stream, oracle = stream_and_oracle(7, ["buffer"])
+        assert draw(stream, "integers", (10,)) == \
+            draw(oracle, "integers", (10,))
+        assert oracle.bit_generator.state["has_uint32"] == 1
+        calls = [("normal", (None,)), ("integers", (10,)),
+                 ("integers", (10,))]
+        assert [draw(stream, m, a) for m, a in calls] == \
+            [draw(oracle, m, a) for m, a in calls]
+        assert bit_generator_state(stream) == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("method,args", [
+        ("uniform", (1.0, 0.0)),
+        ("uniform", (0.0, -0.0)),
+        ("uniform", (-math.inf, math.inf)),
+        ("uniform", (0.0, math.nan)),
+        ("uniform", (-1e308, 1e308)),
+        ("integers", (0,)),
+        ("integers", (-3,)),
+        ("integers", (2**64,)),
+    ])
+    def test_errors_are_numpys_and_draw_nothing(self, method, args):
+        stream, oracle = stream_and_oracle(3, ["errors"])
+        with pytest.raises(Exception) as expected:
+            getattr(oracle, method)(*args)
+        with pytest.raises(type(expected.value)):
+            getattr(stream, method)(*args)
+        assert draw(stream, "uniform", (0.0, 1.0)) == \
+            draw(oracle, "uniform", (0.0, 1.0))
