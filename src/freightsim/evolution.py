@@ -282,9 +282,9 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     except (MemoryError, ValueError):
         # numpy raises ValueError for a size past the address space.
         raise ConfigError(
-            f"iterations must be small enough for the run to fit in memory: "
-            f"{config.iterations} replicates x {shape[0]} years do "
-            f"not") from None
+            f"iterations x (end_year - start_year + 1) must be small enough "
+            f"for the run to fit in memory: {config.iterations} x "
+            f"{shape[0]} trips do not") from None
     streams = derive_streams(config.seed, _scenario_paths(config))
     mode_means = _mode_means(config, registry, streams, mode_means)
     # Under the shared policy every replicate of a year is costed with the

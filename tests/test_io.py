@@ -319,7 +319,7 @@ MALFORMED_VALUES = [
     # A run too large to allocate (240 TiB per array, past the address
     # space) ended in a numpy MemoryError traceback; under per-replicate the
     # trajectories were drawn first, growing memory without bound.  A dict
-    # value sets several fields; the error must name the first.
+    # value sets several fields at once; the error must still name `field`.
     ("iterations", {"iterations": 10**12, "end_year": 2050}),
     ("iterations", {"iterations": 10**12, "end_year": 2050,
                     "evolution_policy": "shared"}),
