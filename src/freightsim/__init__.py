@@ -13,21 +13,22 @@ from .modes import (ModeRegistry, ModeSpec, adjust_reference_cost,
 from .report import PlotSpec, ramp_color, render_scatter_svg, write_records_csv
 from .stochastics import (LogNormalParams, RngStream, derive_stream,
                           lognormal_from_moments, sample_lognormal)
-from .tripsim import (assign_modes, generate_leg_distances, leg_cost,
-                      simulate_trip)
+from .tripsim import (CostTable, assign_modes, cost_trips,
+                      generate_leg_distances, leg_cost, simulate_trip)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "CrossoverReport", "LogNormalParams", "ModeRegistry",
-    "ModeSpec", "PlotSpec", "RateModel", "ResultSet", "RngStream",
-    "ScenarioConfig", "SensitivityGrid", "TripRecord", "YearSummary",
-    "adjust_reference_cost", "assign_modes", "builtin_modes",
+    "ConfigError", "CostTable", "CrossoverReport", "LogNormalParams",
+    "ModeRegistry", "ModeSpec", "PlotSpec", "RateModel", "ResultSet",
+    "RngStream", "ScenarioConfig", "SensitivityGrid", "TripRecord",
+    "YearSummary", "adjust_reference_cost", "assign_modes", "builtin_modes",
     "compute_shared_means", "config_fingerprint", "config_to_json",
-    "derive_autonomous", "derive_stream", "deterministic_crossover_year",
-    "empirical_crossover", "evolve_mode_state", "generate_leg_distances",
-    "leg_cost", "load_config", "lognormal_from_moments", "ramp_color",
-    "render_scatter_svg", "resolve_registry", "run_replicate", "run_scenario",
-    "sample_lognormal", "sensitivity_grid", "simulate_trip", "summarize",
-    "validate_registry", "write_records_csv",
+    "cost_trips", "derive_autonomous", "derive_stream",
+    "deterministic_crossover_year", "empirical_crossover", "evolve_mode_state",
+    "generate_leg_distances", "leg_cost", "load_config",
+    "lognormal_from_moments", "ramp_color", "render_scatter_svg",
+    "resolve_registry", "run_replicate", "run_scenario", "sample_lognormal",
+    "sensitivity_grid", "simulate_trip", "summarize", "validate_registry",
+    "write_records_csv",
 ]

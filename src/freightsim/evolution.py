@@ -23,12 +23,18 @@ from .modes import ModeId, ModeRegistry, adjust_reference_cost
 # derive_stream, the one-off form of derive_streams, stays bound here: the
 # benchmark's self-test checks that tracing restores it in this module.
 from .stochastics import (LogNormalParams, RngStream, derive_stream,  # noqa: F401
-                          derive_streams, lognormal_from_moments,
-                          sample_lognormal)
-from .tripsim import simulate_trip
+                          derive_streams, lognormal_arrays,
+                          lognormal_from_moments, sample_lognormal)
+from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
 _RATE_CLAMP = 0.99
+
+
+def _unmatched(fields: str, exc: ValueError) -> ConfigError:
+    """The error for config ``fields`` that no log-normal matches."""
+    return ConfigError(f"{fields} must be such that a log-normal with finite "
+                       f"parameters matches them: {exc}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,13 @@ class RateModel:
         for i, spec in enumerate(registry):
             if spec.improvement_rate_mean == 0.0:
                 continue
-            p = lognormal_from_moments(
-                spec.improvement_rate_mean,
-                spec.rate_stdev_fraction * spec.improvement_rate_mean)
+            try:
+                p = lognormal_from_moments(
+                    spec.improvement_rate_mean,
+                    spec.rate_stdev_fraction * spec.improvement_rate_mean)
+            except ValueError as exc:
+                raise _unmatched(f"modes[{spec.id!r}]: improvement_rate_mean "
+                                 f"and rate_stdev_fraction", exc) from None
             if p.sigma == 0.0:
                 # A redraw of a fixed rate gives the same value, so a rate
                 # >= 1 ends at the clamp.
@@ -231,30 +241,46 @@ def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
     return out
 
 
+def _cost_table(registry: ModeRegistry, means: np.ndarray) -> CostTable:
+    """The parameter table of the ``(years, modes)`` trajectory ``means``.
+    Every entry is checked, used by a leg or not; one that no log-normal
+    matches is a ConfigError naming its mode."""
+    fractions = np.array([s.cost_stdev_fraction for s in registry])
+    try:
+        return CostTable.from_means(means, fractions)
+    except ValueError:
+        # Find the mode: the error path alone pays for a call per mode.
+        for spec, column in zip(registry, means.T):
+            try:
+                lognormal_arrays(column, spec.cost_stdev_fraction * column)
+            except ValueError as exc:
+                raise _unmatched(f"modes[{spec.id!r}]: base_cost_mean and "
+                                 f"cost_stdev_fraction", exc) from None
+        raise
+
+
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
                   means: np.ndarray,
                   handling_params: LogNormalParams,
                   streams: Iterator[RngStream],
-                  op_params: list[list[LogNormalParams | None]] | None = None
-                  ) -> list[tuple[float, int, list[float]]]:
-    """Simulate one replicate across the whole horizon, returning one
-    ``simulate_trip`` result (cost, legs, fractions) per year, costed with
-    the ``(years, modes)`` trajectory ``means`` and the run's handling-cost
-    parameters; year by year, each trip draws from the next stream of
-    ``streams``.
+                  table: CostTable | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate one replicate across the whole horizon and return its
+    ``cost``, ``n_legs`` and ``frac`` columns, one row per year.
 
-    ``op_params``, when given, holds one ``simulate_trip`` parameter cache
-    per year, kept for every replicate costed with the same ``means``.
+    Year by year, each trip draws from the next stream of ``streams``; then
+    every leg of the replicate is costed at once with the ``(years, modes)``
+    trajectory ``means`` and the run's handling-cost parameters.  ``table``
+    is the parameter table of ``means``, when the caller has built it.
     """
-    stdev_fractions = [s.cost_stdev_fraction for s in registry]
-    rows = means.tolist()
-    caches = op_params if op_params is not None else [None] * len(rows)
-    return [simulate_trip(
-        config.trip_distance_km, config.freight_tonnes, current,
-        stdev_fractions, handling_params, next(streams),
-        min_leg=config.min_leg_km, op_params=cache)
-        for current, cache in zip(rows, caches)]
+    if table is None:
+        table = _cost_table(registry, means)
+    handling_drawn = handling_params.sigma != 0.0
+    trips = [simulate_trip(config.trip_distance_km, drawn, handling_drawn,
+                           next(streams), min_leg=config.min_leg_km)
+             for drawn in table.drawn]
+    return cost_trips(trips, table, handling_params, config.freight_tonnes)
 
 
 def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
@@ -268,9 +294,14 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     """
     config.validate()
     registry = resolve_registry(config)
-    handling_params = lognormal_from_moments(
-        config.handling_mean_usd_per_tonne,
-        config.handling_stdev_fraction * config.handling_mean_usd_per_tonne)
+    try:
+        handling_params = lognormal_from_moments(
+            config.handling_mean_usd_per_tonne,
+            config.handling_stdev_fraction
+            * config.handling_mean_usd_per_tonne)
+    except ValueError as exc:
+        raise _unmatched("handling_mean_usd_per_tonne and "
+                         "handling_stdev_fraction", exc) from None
     shape = (config.end_year - config.start_year + 1, config.iterations)
     shared = config.evolution_policy == "shared"
     try:
@@ -287,15 +318,13 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
             f"{shape[0]} trips do not") from None
     streams = derive_streams(config.seed, _scenario_paths(config))
     mode_means = _mode_means(config, registry, streams, mode_means)
-    # Under the shared policy every replicate of a year is costed with the
-    # same means, so each (year, mode)'s log-normal parameters are computed
-    # once for the run.
-    op_params = ([[None] * len(registry) for _ in range(shape[0])]
-                 if shared else None)
+    # Under the shared policy every replicate is costed with the same
+    # trajectory, so its parameter table is built once for the run.
+    table = _cost_table(registry, mode_means[0]) if shared else None
     for rep in range(config.iterations):
-        cost[:, rep], n_legs[:, rep], frac[:, rep] = zip(*run_replicate(
+        cost[:, rep], n_legs[:, rep], frac[:, rep] = run_replicate(
             config, registry, mode_means[rep], handling_params, streams,
-            op_params))
+            table)
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "

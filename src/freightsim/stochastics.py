@@ -38,21 +38,46 @@ def lognormal_from_moments(mean: float, stdev: float) -> LogNormalParams:
     The round trip exp(mu + sigma^2/2) == mean holds to machine precision.
     A mean whose square underflows to 0 with a non-zero stdev is rejected.
     """
-    if not (math.isfinite(mean) and math.isfinite(stdev)):
+    (mu,), (sigma,) = lognormal_arrays(np.array([mean], dtype=float),
+                                       np.array([stdev], dtype=float))
+    return LogNormalParams(mu=float(mu), sigma=float(sigma))
+
+
+def lognormal_arrays(means: np.ndarray,
+                     stdevs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lognormal_from_moments`` elementwise: the ``(mu, sigma)`` arrays
+    matching float arrays of means and stdevs, with its ``ValueError`` for
+    the first entry that cannot be matched.
+
+    Products, quotients and square roots are numpy's, correctly rounded as
+    Python's are; ``log`` and ``log1p`` are ``math``'s, whose results numpy's
+    vector routines do not always reproduce.  A zero stdev gives
+    mu = ln(m) and sigma = 0.
+    """
+    if not (np.isfinite(means).all() and np.isfinite(stdevs).all()):
         raise ValueError("mean and stdev must be finite")
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean}")
-    if stdev < 0:
-        raise ValueError(f"stdev must be >= 0, got {stdev}")
-    if stdev == 0:
-        return LogNormalParams(mu=math.log(mean), sigma=0.0)
-    mean_sq = mean * mean
-    if mean_sq == 0.0:
-        raise ValueError(f"mean {mean!r} is too small: its square underflows "
-                         f"to 0")
-    sigma2 = math.log1p((stdev * stdev) / mean_sq)
-    mu = math.log(mean) - 0.5 * sigma2
-    return LogNormalParams(mu=mu, sigma=math.sqrt(sigma2))
+    if not (means > 0).all():
+        raise ValueError(
+            f"mean must be > 0, got {means[means <= 0][0].item()}")
+    if (stdevs < 0).any():
+        raise ValueError(
+            f"stdev must be >= 0, got {stdevs[stdevs < 0][0].item()}")
+    spread = stdevs != 0
+    with np.errstate(over="ignore"):
+        mean_sq = means * means
+        tiny = spread & (mean_sq == 0.0)
+        if tiny.any():
+            raise ValueError(f"mean {means[tiny][0].item()!r} is too small: "
+                             f"its square underflows to 0")
+        ratio = np.divide(stdevs * stdevs, mean_sq, out=np.zeros_like(means),
+                          where=spread)
+    sigma2 = np.array(list(map(math.log1p, ratio.ravel().tolist())))
+    log_mean = np.array(list(map(math.log, means.ravel().tolist())))
+    mu = (log_mean - 0.5 * sigma2).reshape(means.shape)
+    sigma = np.sqrt(sigma2).reshape(means.shape)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise ValueError("log-normal parameters must be finite")
+    return mu, sigma
 
 
 def _path_entropy(master_seed: int, labels: Sequence[object]) -> int:

@@ -3,17 +3,20 @@
 A trip is split into legs by repeatedly drawing a uniform leg length, each leg
 is assigned a mode uniformly at random, and each leg is costed as
 distance * weight * operational_cost + weight * handling_cost with both unit
-costs sampled from log-normal distributions.
+costs sampled from log-normal distributions.  Trips are drawn one by one
+(``simulate_trip``); the legs of a replicate's trips are then costed together,
+as columns (``cost_trips``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .stochastics import LogNormalParams, RngStream, lognormal_from_moments
+from .stochastics import LogNormalParams, RngStream, lognormal_arrays
 
 _T = TypeVar("_T")
 
@@ -57,68 +60,109 @@ def assign_modes(n_legs: int, enabled: Sequence[_T],
     return [enabled[stream.integers(len(enabled))] for _ in range(n_legs)]
 
 
-def leg_cost(distance: float, weight: float, op_cost: float,
-             handling: float) -> float:
-    """Cost of one leg: distance*weight*op_cost plus one handling charge."""
-    if min(distance, weight, op_cost, handling) < 0:
+def leg_cost(distance, weight, op_cost, handling):
+    """Cost of one leg, or of every leg of equal-shaped arrays:
+    distance*weight*op_cost plus one handling charge."""
+    if min(np.min(distance), weight, np.min(op_cost), np.min(handling)) < 0:
         raise ValueError("leg cost inputs must be >= 0")
     return distance * weight * op_cost + weight * handling
 
 
-def simulate_trip(trip_distance: float,
-                  weight: float,
-                  mode_cost_means: Sequence[float],
-                  cost_stdev_fractions: Sequence[float],
-                  handling_params: LogNormalParams,
-                  stream: RngStream,
-                  min_leg: float = 100.0,
-                  op_params: list[LogNormalParams | None] | None = None
-                  ) -> tuple[float, int, list[float]]:
-    """Simulate and cost one intermodal trip over modes given in registry
-    order; return its cost, leg count and per-mode distance fractions.
+@dataclass(frozen=True)
+class CostTable:
+    """Operational-cost log-normal parameters of one cost trajectory,
+    indexed ``[year, mode]``: ``mu``, ``sigma``, ``exp_mu`` (exp(mu) where
+    sigma is 0, the cost of a slot that draws nothing) and ``drawn``, the
+    rows of ``sigma != 0`` as lists for ``simulate_trip``."""
 
-    Each leg samples its own operational cost (mean = the mode's current
-    mean, stdev = fraction * mean) and its own handling cost; the trip cost
-    is the sum of the leg costs.  Handling is charged once per leg,
-    including the first.  Once the legs and modes are drawn, every cost
-    normal of the trip comes from one draw and is used in (operational,
-    handling) order leg by leg; a cost with zero log-space spread draws
-    nothing and is exp(mu), as in ``sample_lognormal``.
+    mu: np.ndarray
+    sigma: np.ndarray
+    exp_mu: np.ndarray
+    drawn: list[list[bool]]
 
-    ``op_params`` caches each mode's operational log-normal parameters,
-    computed on first use; pass one list to every trip costed with the same
-    ``mode_cost_means``.  None gives the trip a cache of its own.
+    @classmethod
+    def from_means(cls, means: np.ndarray,
+                   stdev_fractions: np.ndarray) -> "CostTable":
+        """The table of ``(years, modes)`` mean costs whose stdev is each
+        mode's fraction of its mean; raises ``lognormal_from_moments``'
+        ``ValueError`` if any entry cannot be matched."""
+        mu, sigma = lognormal_arrays(means, stdev_fractions * means)
+        fixed = sigma == 0.0
+        exp_mu = np.zeros_like(mu)
+        exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
+        return cls(mu=mu, sigma=sigma, exp_mu=exp_mu,
+                   drawn=(~fixed).tolist())
+
+
+# A trip's draws: leg lengths, leg modes and its cost normals (None when no
+# cost of the trip draws).
+TripDraws = tuple[list[float], list[int], "np.ndarray | None"]
+
+
+def simulate_trip(trip_distance: float, drawn: Sequence[bool],
+                  handling_drawn: bool, stream: RngStream,
+                  min_leg: float = 100.0) -> TripDraws:
+    """Draw one intermodal trip over modes given in registry order: its leg
+    lengths, each leg's mode, and every cost normal of the trip in one draw.
+
+    ``drawn[m]`` says whether mode m's operational cost has a non-zero
+    log-space spread this year, and ``handling_drawn`` whether the handling
+    cost has one.  The normals are used in (operational, handling) order
+    leg by leg, one per cost that draws; ``cost_trips`` costs the legs.
     """
     distances = generate_leg_distances(trip_distance, min_leg, stream)
-    n_modes = len(mode_cost_means)
-    leg_modes = assign_modes(len(distances), range(n_modes), stream)
-
-    if op_params is None:
-        op_params = [None] * n_modes
-    for m in leg_modes:
-        if op_params[m] is None:
-            mean = mode_cost_means[m]
-            op_params[m] = lognormal_from_moments(
-                mean, cost_stdev_fractions[m] * mean)
-    n_draws = sum(op_params[m].sigma != 0.0 for m in leg_modes)
-    if handling_params.sigma != 0.0:
+    leg_modes = assign_modes(len(distances), range(len(drawn)), stream)
+    n_draws = [drawn[m] for m in leg_modes].count(True)
+    if handling_drawn:
         n_draws += len(leg_modes)
-    z = iter(stream.normal(size=n_draws).tolist() if n_draws else ())
+    return (distances, leg_modes,
+            stream.normal(size=n_draws) if n_draws else None)
 
-    # One scalar np.exp per value: the arithmetic of sample_lognormal, and
-    # cheaper than an array call over a trip's few values.
-    exp = np.exp
-    h = handling_params
-    total = 0.0
-    per_mode_km = [0.0] * n_modes
-    for d, m in zip(distances, leg_modes):
-        p = op_params[m]
-        op = (float(exp(p.mu + p.sigma * next(z))) if p.sigma != 0.0
-              else math.exp(p.mu))
-        handling = (float(exp(h.mu + h.sigma * next(z))) if h.sigma != 0.0
-                    else math.exp(h.mu))
-        total += leg_cost(d, weight, op, handling)
-        per_mode_km[m] += d
 
-    span = math.fsum(distances)
-    return total, len(distances), [km / span for km in per_mode_km]
+def cost_trips(trips: Sequence[TripDraws], table: CostTable,
+               handling_params: LogNormalParams, weight: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost the trips ``simulate_trip`` drew, trip i with row i of ``table``
+    and its ``drawn`` flags; return each trip's cost, leg count and
+    per-mode distance fractions (registry order).
+
+    Each leg samples its own operational cost (mean = the mode's mean that
+    year, stdev = fraction * mean) and its own handling cost, exp(mu +
+    sigma * z), or exp(mu) for a cost that draws nothing, as in
+    ``sample_lognormal``; handling is charged once per leg, including the
+    first.  A trip's cost and each mode's kilometres are summed left to
+    right in leg order: ``np.add.at`` adds one index at a time, in index
+    order, where numpy's pairwise reductions would round a trip of 8 or
+    more legs differently.
+    """
+    n_legs = np.array([len(trip_legs) for trip_legs, _, _ in trips])
+    distances = np.array([d for trip_legs, _, _ in trips for d in trip_legs])
+    modes = np.array([m for _, leg_modes, _ in trips for m in leg_modes])
+    n_modes = table.sigma.shape[1]
+    trip = np.repeat(np.arange(len(trips)), n_legs)
+    cell = trip * n_modes + modes
+    sigma = table.sigma.take(cell)
+    drawn = sigma != 0.0
+    handling_drawn = handling_params.sigma != 0.0
+    # The first of each leg's normals in the trips' concatenated draws.
+    slots = drawn.astype(np.intp) + handling_drawn
+    first = np.cumsum(slots) - slots
+    normals = [z for _, _, z in trips if z is not None]
+    z = np.concatenate(normals) if normals else None
+
+    # A cost that overflows is inf, as in Python float arithmetic; the
+    # caller rejects it.
+    with np.errstate(over="ignore"):
+        op_cost = table.exp_mu.take(cell)
+        if drawn.any():
+            op_cost[drawn] = np.exp(table.mu.take(cell[drawn])
+                                    + sigma[drawn] * z[first[drawn]])
+        h = handling_params
+        handling = (np.exp(h.mu + h.sigma * z[first + drawn])
+                    if handling_drawn else math.exp(h.mu))
+        cost = np.zeros(len(trips))
+        np.add.at(cost, trip, leg_cost(distances, weight, op_cost, handling))
+    per_mode_km = np.zeros(table.sigma.shape)
+    np.add.at(per_mode_km.reshape(-1), cell, distances)
+    span = np.array([math.fsum(trip_legs) for trip_legs, _, _ in trips])
+    return cost, n_legs, per_mode_km / span[:, None]

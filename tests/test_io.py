@@ -323,6 +323,15 @@ MALFORMED_VALUES = [
     ("iterations", {"iterations": 10**12, "end_year": 2050}),
     ("iterations", {"iterations": 10**12, "end_year": 2050,
                     "evolution_policy": "shared"}),
+    # No log-normal matches the cost, handling or rate moments: a stdev
+    # whose square overflows, or a mean whose square underflows.  Each was a
+    # bare ValueError whose message named no field.
+    ("cost_stdev_fraction", 1e200),
+    ("handling_stdev_fraction", 1e200),
+    ("rate_stdev_fraction", 1e200),
+    ("modes", [{"id": "ocean", "base_cost_mean": 1e-200}]),
+    ("handling_mean_usd_per_tonne", 1e-320),
+    ("modes", [{"id": "ocean", "improvement_rate_mean": 1e-320}]),
 ]
 
 

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from freightsim.stochastics import derive_stream, lognormal_from_moments
-from freightsim.tripsim import (assign_modes, generate_leg_distances, leg_cost,
+from freightsim.stochastics import (LogNormalParams, derive_stream,
+                                    lognormal_from_moments)
+from freightsim.tripsim import (CostTable, assign_modes, cost_trips,
+                                generate_leg_distances, leg_cost,
                                 simulate_trip)
 
 from conftest import FullLegStream, MidpointStream, StubStream
@@ -76,12 +80,36 @@ class TestLegCost:
         with pytest.raises(ValueError):
             leg_cost(-1.0, 1.0, 1.0, 1.0)
 
+    def test_arrays_cost_each_leg_as_a_scalar_call(self):
+        distances, op_costs = [1000.0, 100.0, 123.0], [0.0196, 1.669, 0.0]
+        costs = leg_cost(np.array(distances), 50_000.0, np.array(op_costs),
+                         4.59)
+        assert costs.tolist() == [leg_cost(d, 50_000.0, op, 4.59)
+                                  for d, op in zip(distances, op_costs)]
+        with pytest.raises(ValueError):
+            leg_cost(np.array(distances), 1.0, np.array([1.0, -1e-9, 1.0]),
+                     4.59)
+
+
+def simulate_and_cost(trip_distance, weight, mode_cost_means,
+                      cost_stdev_fractions, handling_params, stream,
+                      min_leg=100.0):
+    """Draw one trip with ``simulate_trip`` and cost it with ``cost_trips``:
+    its cost, leg count and per-mode distance fractions."""
+    table = CostTable.from_means(np.array([mode_cost_means], dtype=float),
+                                 np.array(cost_stdev_fractions, dtype=float))
+    trip = simulate_trip(trip_distance, table.drawn[0],
+                         handling_params.sigma != 0.0, stream, min_leg=min_leg)
+    cost, n_legs, fractions = cost_trips([trip], table, handling_params,
+                                         weight)
+    return float(cost[0]), int(n_legs[0]), fractions[0].tolist()
+
 
 class TestSimulateTrip:
     HANDLING_EXACT = lognormal_from_moments(4.59, 0.0)
 
     def test_single_leg_degenerate(self):
-        cost, n_legs, fractions = simulate_trip(
+        cost, n_legs, fractions = simulate_and_cost(
             10_000.0, 50_000.0, [0.0196], [0.0], self.HANDLING_EXACT,
             FullLegStream(integers=[0]))
         assert cost == pytest.approx(10_029_500.0, rel=1e-12)
@@ -90,7 +118,7 @@ class TestSimulateTrip:
 
     def test_two_leg_trace(self):
         stream = StubStream(uniforms=[4000.0, 6000.0], integers=[0, 1])
-        cost, _, fractions = simulate_trip(
+        cost, _, fractions = simulate_and_cost(
             10_000.0, 50_000.0, [0.0196, 0.046], [0.0, 0.0],
             self.HANDLING_EXACT, stream)
         assert cost == pytest.approx(18_179_000.0, rel=1e-12)
@@ -103,7 +131,7 @@ class TestSimulateTrip:
         handling = lognormal_from_moments(4.59, 0.25 * 4.59)
         for seed in range(200):
             stream = derive_stream(seed, ["fractions"])
-            cost, _, mode_fractions = simulate_trip(
+            cost, _, mode_fractions = simulate_and_cost(
                 10_000.0, 50_000.0, means, fractions, handling, stream)
             assert math.fsum(mode_fractions) == pytest.approx(1.0, abs=1e-9)
             assert cost > 0
@@ -112,7 +140,7 @@ class TestSimulateTrip:
         # zero operational cost isolates the per-leg handling term
         stream = StubStream(uniforms=[4000.0, 3000.0, 3000.0],
                             integers=[0, 0, 0])
-        cost, n_legs, _ = simulate_trip(
+        cost, n_legs, _ = simulate_and_cost(
             10_000.0, 50_000.0, [1e-300], [0.0], self.HANDLING_EXACT, stream)
         assert n_legs == 3
         assert cost == pytest.approx(3 * 50_000.0 * 4.59, rel=1e-9)
@@ -123,8 +151,9 @@ class TestSimulateTrip:
         costs = set()
         for _ in range(2):
             stream = derive_stream(9, ["det"])
-            cost, _, _ = simulate_trip(10_000.0, 50_000.0, means, fractions,
-                                       self.HANDLING_EXACT, stream)
+            cost, _, _ = simulate_and_cost(10_000.0, 50_000.0, means,
+                                           fractions, self.HANDLING_EXACT,
+                                           stream)
             costs.add(cost)
         assert len(costs) == 1
 
@@ -133,34 +162,35 @@ class TestSimulateTrip:
         fractions = [0.25, 0.25]
         handling = lognormal_from_moments(4.59, 0.25 * 4.59)
         for seed in range(50):
-            base, _, _ = simulate_trip(
+            base, _, _ = simulate_and_cost(
                 10_000.0, 50_000.0, [0.0196, 0.046], fractions, handling,
                 derive_stream(seed, ["mono"]))
-            bumped, _, _ = simulate_trip(
+            bumped, _, _ = simulate_and_cost(
                 10_000.0, 50_000.0, [0.0392, 0.046], fractions, handling,
                 derive_stream(seed, ["mono"]))
             assert bumped >= base
 
-    def test_parameter_cache_is_filled_and_reused(self):
-        means, fractions = [0.0196, 0.046, 0.03], [0.25, 0.25, 0.25]
-        handling = lognormal_from_moments(4.59, 0.25 * 4.59)
-        cache = [None] * 3
-        for seed in range(20):
-            fresh = simulate_trip(10_000.0, 50_000.0, means, fractions,
-                                  handling, derive_stream(seed, ["cache"]))
-            cached = simulate_trip(10_000.0, 50_000.0, means, fractions,
-                                   handling, derive_stream(seed, ["cache"]),
-                                   op_params=cache)
-            assert cached == fresh
-        assert cache == [lognormal_from_moments(m, f * m)
-                         for m, f in zip(means, fractions)]
-        # A filled slot is used as it stands.
-        cache[:] = [lognormal_from_moments(1.0, 0.0)] * 3
-        cost, n_legs, _ = simulate_trip(
-            10_000.0, 50_000.0, means, [0.0] * 3, self.HANDLING_EXACT,
-            derive_stream(0, ["cache"]), op_params=cache)
-        assert cost == pytest.approx(n_legs * 50_000.0 * 4.59
-                                     + 10_000.0 * 50_000.0, rel=1e-9)
+    def test_parameter_table_is_lognormal_from_moments_per_year_and_mode(
+            self):
+        means = np.array([[0.0196, 0.046, 0.03], [0.018, 0.045, 0.0291]])
+        fractions = np.array([0.25, 0.0, 0.5])
+        table = CostTable.from_means(means, fractions)
+        for t, row in enumerate(means.tolist()):
+            for m, mean in enumerate(row):
+                p = lognormal_from_moments(mean, fractions[m] * mean)
+                assert (table.mu[t, m], table.sigma[t, m]) == (p.mu, p.sigma)
+                assert table.drawn[t][m] == (p.sigma != 0.0)
+                if p.sigma == 0.0:
+                    assert table.exp_mu[t, m] == math.exp(p.mu)
+        # A table is used as it stands: exp(0) = 1 per tonne-km.
+        ones = CostTable(mu=np.zeros((1, 3)), sigma=np.zeros((1, 3)),
+                         exp_mu=np.ones((1, 3)), drawn=[[False] * 3])
+        stream = derive_stream(0, ["cache"])
+        trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
+        cost, n_legs, _ = cost_trips([trip], ones, self.HANDLING_EXACT,
+                                     50_000.0)
+        assert cost[0] == pytest.approx(n_legs[0] * 50_000.0 * 4.59
+                                        + 10_000.0 * 50_000.0, rel=1e-9)
 
 
 class RecordingStream(StubStream):
@@ -185,8 +215,8 @@ class TestSimulateTripDrawOrder:
         rail = lognormal_from_moments(0.046, 0.5 * 0.046)
         stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[0, 1],
                                  normals=[0.5, -1.0, 1.5, 0.25])
-        cost, _, _ = simulate_trip(10_000.0, 50_000.0, self.MEANS,
-                                   self.FRACTIONS, handling, stream)
+        cost, _, _ = simulate_and_cost(10_000.0, 50_000.0, self.MEANS,
+                                       self.FRACTIONS, handling, stream)
         expected = (
             4000.0 * 50_000.0 * math.exp(ocean.mu + ocean.sigma * 0.5)
             + 50_000.0 * math.exp(handling.mu + handling.sigma * -1.0)
@@ -200,9 +230,9 @@ class TestSimulateTripDrawOrder:
         rail = lognormal_from_moments(0.046, 0.5 * 0.046)
         stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[1, 1],
                                  normals=[-0.5, 2.0])
-        cost, _, _ = simulate_trip(10_000.0, 50_000.0, self.MEANS,
-                                   self.FRACTIONS,
-                                   TestSimulateTrip.HANDLING_EXACT, stream)
+        cost, _, _ = simulate_and_cost(10_000.0, 50_000.0, self.MEANS,
+                                       self.FRACTIONS,
+                                       TestSimulateTrip.HANDLING_EXACT, stream)
         expected = (
             4000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * -0.5)
             + 6000.0 * 50_000.0 * math.exp(rail.mu + rail.sigma * 2.0)
@@ -212,6 +242,124 @@ class TestSimulateTripDrawOrder:
 
     def test_all_zero_sigmas_make_no_normal_draw(self):
         stream = RecordingStream(uniforms=[4000.0, 6000.0], integers=[0, 1])
-        simulate_trip(10_000.0, 50_000.0, self.MEANS, [0.0, 0.0],
-                      TestSimulateTrip.HANDLING_EXACT, stream)
+        simulate_and_cost(10_000.0, 50_000.0, self.MEANS, [0.0, 0.0],
+                          TestSimulateTrip.HANDLING_EXACT, stream)
         assert stream.normal_sizes == []
+
+
+def scalar_lognormal(mean, stdev):
+    """``lognormal_from_moments`` in scalar ``math`` arithmetic: the
+    reference for the parameter table."""
+    if stdev == 0:
+        return LogNormalParams(mu=math.log(mean), sigma=0.0)
+    sigma2 = math.log1p((stdev * stdev) / (mean * mean))
+    return LogNormalParams(mu=math.log(mean) - 0.5 * sigma2,
+                           sigma=math.sqrt(sigma2))
+
+
+def scalar_trip(trip_distance, weight, mode_cost_means, cost_stdev_fractions,
+                handling_params, stream, min_leg):
+    """One trip drawn and costed leg by leg, the costing loop the columnar
+    costing replaced: the reference it must match bit for bit, draw for
+    draw."""
+    distances = generate_leg_distances(trip_distance, min_leg, stream)
+    n_modes = len(mode_cost_means)
+    leg_modes = assign_modes(len(distances), range(n_modes), stream)
+    op_params = [scalar_lognormal(mean, f * mean)
+                 for mean, f in zip(mode_cost_means, cost_stdev_fractions)]
+    n_draws = sum(op_params[m].sigma != 0.0 for m in leg_modes)
+    if handling_params.sigma != 0.0:
+        n_draws += len(leg_modes)
+    z = iter(stream.normal(size=n_draws).tolist() if n_draws else ())
+    h = handling_params
+    total = 0.0
+    per_mode_km = [0.0] * n_modes
+    for d, m in zip(distances, leg_modes):
+        p = op_params[m]
+        op = (float(np.exp(p.mu + p.sigma * next(z))) if p.sigma != 0.0
+              else math.exp(p.mu))
+        handling = (float(np.exp(h.mu + h.sigma * next(z))) if h.sigma != 0.0
+                    else math.exp(h.mu))
+        total += leg_cost(d, weight, op, handling)
+        per_mode_km[m] += d
+    span = math.fsum(distances)
+    return total, len(distances), [km / span for km in per_mode_km]
+
+
+def check_columnar_costing(seed, trip_distances, means, fractions,
+                           handling_fraction, weight):
+    """Draw and cost one trip per row of ``means`` both ways, assert the
+    two agree bit for bit, and return the trips' leg counts."""
+    handling = lognormal_from_moments(4.59, handling_fraction * 4.59)
+    table = CostTable.from_means(np.array(means), np.array(fractions))
+    trips = [simulate_trip(distance, drawn, handling.sigma != 0.0,
+                           derive_stream(seed, ["oracle", t]), min_leg=1.0)
+             for t, (distance, drawn) in enumerate(zip(trip_distances,
+                                                       table.drawn))]
+    cost, n_legs, frac = cost_trips(trips, table, handling, weight)
+    for t, (distance, row) in enumerate(zip(trip_distances, means)):
+        want = scalar_trip(distance, weight, row, fractions, handling,
+                           derive_stream(seed, ["oracle", t]), min_leg=1.0)
+        assert (cost[t].hex(), n_legs[t], frac[t].tolist()) == (
+            want[0].hex(), want[1], want[2])
+    return n_legs.tolist()
+
+
+@st.composite
+def replicates(draw):
+    """A replicate of 1-6 trips over 1-4 modes: trip lengths from 0.5 km
+    (one leg at a 1 km minimum) to 10^12 km (about 28 legs), yearly means,
+    and zero and non-zero cost and handling spreads."""
+    n_trips = draw(st.integers(1, 6))
+    n_modes = draw(st.integers(1, 4))
+    distances = draw(st.lists(st.floats(-0.3, 12.0).map(lambda e: 10.0 ** e),
+                              min_size=n_trips, max_size=n_trips))
+    means = draw(st.lists(st.lists(st.floats(1e-3, 10.0), min_size=n_modes,
+                                   max_size=n_modes),
+                          min_size=n_trips, max_size=n_trips))
+    fractions = draw(st.lists(st.sampled_from([0.0, 0.25, 0.3, 1.5]),
+                              min_size=n_modes, max_size=n_modes))
+    return distances, means, fractions
+
+
+class TestColumnarCostingMatchesScalarLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), replicate=replicates(),
+           handling_fraction=st.sampled_from([0.0, 0.25, 0.7]),
+           weight=st.sampled_from([50_000.0, 1.0, 37.3]))
+    @example(seed=3, replicate=([0.5, 1e12], [[0.0196, 0.046]] * 2,
+                                [0.0, 0.25]),
+             handling_fraction=0.25, weight=50_000.0)
+    def test_cost_and_fractions_bit_for_bit(self, seed, replicate,
+                                            handling_fraction, weight):
+        check_columnar_costing(seed, *replicate, handling_fraction, weight)
+
+    def test_examples_cover_one_and_twenty_legs(self):
+        n_legs = check_columnar_costing(
+            3, [0.5, 1e12], [[0.0196, 0.046]] * 2, [0.0, 0.25], 0.0,
+            50_000.0)
+        assert n_legs[0] == 1 and n_legs[1] >= 20
+
+
+# Means whose math.log differs from numpy's in the last bit, on an x86-64
+# build of numpy 2.4 with AVX-512.
+LOG_SENSITIVE_MEANS = [0.9962625036100411, 1.0399585869502883,
+                       0.997283163217933, 0.16465840517487387,
+                       1.2822808941705544, 0.9864620082412674]
+
+
+class TestCostTable:
+    def test_entries_are_the_scalar_math(self):
+        means = np.array(LOG_SENSITIVE_MEANS).reshape(2, 3)
+        fractions = np.array([0.0, 0.25, 0.3])
+        table = CostTable.from_means(means, fractions)
+        for (t, m), mean in np.ndenumerate(means):
+            want = scalar_lognormal(mean, fractions[m] * mean)
+            assert (table.mu[t, m], table.sigma[t, m]) == (want.mu,
+                                                           want.sigma)
+            assert lognormal_from_moments(mean, fractions[m] * mean) == want
+
+    def test_an_unused_entry_that_cannot_be_matched_is_rejected(self):
+        means = np.array([[0.0196, 0.046], [0.018, 1e-200]])
+        with pytest.raises(ValueError, match="underflows"):
+            CostTable.from_means(means, np.array([0.25, 0.25]))
