@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freightsim.config import ScenarioConfig, resolve_registry
+from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
 from freightsim.evolution import (RateModel, _scenario_paths,
                                   compute_shared_means, evolve_mode_state,
                                   run_replicate, run_scenario)
@@ -110,6 +111,54 @@ class TestVectorStepMatchesScalarReference:
                                   stream)
         assert costs.tolist() == [1.0 - np.exp(params.mu),
                                   1.0 - np.exp(params.mu + params.sigma)]
+
+
+class TestRateModel:
+    def test_matches_per_mode_lognormal_from_moments(self):
+        # A rate-0 mode, a zero fraction, a fraction whose stdev squared
+        # underflows (zero log-space spread) and two drawing modes.
+        shapes = [("still", 0.0, 0.5), ("flat", 0.03, 0.0),
+                  ("a", 0.021, 0.5), ("thin", 0.05, 1e-200),
+                  ("b", 0.064, 1.5)]
+        specs = [ModeSpec(id=m, base_cost_mean=1.0, base_year=2018,
+                          improvement_rate_mean=rate,
+                          rate_stdev_fraction=fraction)
+                 for m, rate, fraction in shapes]
+        params = [lognormal_from_moments(rate, fraction * rate)
+                  if rate else None for _, rate, fraction in shapes]
+        rates = RateModel.from_registry(ModeRegistry(specs))
+        assert rates.fixed.tolist() == [0.0, math.exp(params[1].mu), 0.0,
+                                        math.exp(params[3].mu), 0.0]
+        assert params[3].sigma == 0.0
+        assert rates.drawn.tolist() == [2, 4]
+        assert rates.mu.tolist() == [params[2].mu, params[4].mu]
+        assert rates.sigma.tolist() == [params[2].sigma, params[4].sigma]
+
+
+# The second of two modes has moments no log-normal matches; the error
+# names it, with the text of its own failed match.
+UNMATCHED_SECOND_MODE = [
+    ({"improvement_rate_mean": 1e-320},
+     "modes['rail']: improvement_rate_mean and rate_stdev_fraction must be "
+     "such that a log-normal with finite parameters matches them: mean "
+     "1e-320 is too small: its square underflows to 0"),
+    ({"cost_stdev_fraction": 1e200},
+     "modes['rail']: base_cost_mean and cost_stdev_fraction must be such "
+     "that a log-normal with finite parameters matches them: log-normal "
+     "parameters must be finite"),
+]
+
+
+@pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+@pytest.mark.parametrize("override,message", UNMATCHED_SECOND_MODE)
+def test_unmatched_second_mode_is_named(policy, override, message):
+    cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=1,
+                         iterations=2, end_year=2019,
+                         evolution_policy=policy,
+                         modes=[{"id": "rail", **override}])
+    with pytest.raises(ConfigError) as info:
+        run_scenario(cfg)
+    assert str(info.value) == message
 
 
 def ocean_only_config(**kw):
