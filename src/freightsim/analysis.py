@@ -63,10 +63,12 @@ def deterministic_crossover_year(cost_multiple: float, r_non: float,
     conventional cost (1-r_non)^t; None if it never does.
 
     Solves t* = ln M / ln((1-r_non)/(1-r_auto)) and reports
-    base_year + ceil(t*).
+    base_year + ceil(t*).  Rates so close that the ratio rounds to 1 have
+    no finite t* and are rejected.
     """
-    if cost_multiple <= 0:
-        raise ValueError(f"cost_multiple must be > 0, got {cost_multiple}")
+    if not (math.isfinite(cost_multiple) and cost_multiple > 0):
+        raise ValueError(
+            f"cost_multiple must be finite and > 0, got {cost_multiple}")
     for name, r in (("r_non", r_non), ("r_auto", r_auto)):
         if not 0 <= r < 1:
             raise ValueError(f"{name} must be in [0, 1), got {r}")
@@ -74,7 +76,12 @@ def deterministic_crossover_year(cost_multiple: float, r_non: float,
         return base_year
     if r_auto <= r_non:
         return None
-    t_star = math.log(cost_multiple) / math.log((1 - r_non) / (1 - r_auto))
+    ratio = (1 - r_non) / (1 - r_auto)
+    if ratio == 1.0:
+        raise ValueError(f"r_auto {r_auto!r} must differ from r_non "
+                         f"{r_non!r} by more than rounding: (1 - r_non) / "
+                         f"(1 - r_auto) rounds to 1")
+    t_star = math.log(cost_multiple) / math.log(ratio)
     return base_year + math.ceil(t_star)
 
 

@@ -234,7 +234,7 @@ def _check_start_year_cost(spec: ModeSpec, start_year: int) -> None:
         cost = adjust_reference_cost(spec.base_cost_mean,
                                      spec.improvement_rate_mean,
                                      spec.base_year, start_year)
-    except OverflowError:  # the year gap is too large for a float
+    except ValueError:  # the year gap is too large for a float
         raise ConfigError(f"{where}: base_year must be within float range "
                           f"of start_year {start_year}") from None
     if not (math.isfinite(cost) and cost > 0):

@@ -10,7 +10,6 @@ replicates run in.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .config import (ConfigError, ScenarioConfig, config_fingerprint,
                      resolve_registry)
-from .modes import ModeId, ModeRegistry, adjust_reference_cost
+from .modes import ModeId, ModeRegistry, ModeSpec, adjust_reference_cost
 # derive_stream, the one-off form of derive_streams, stays bound here: the
 # benchmark's self-test checks that tracing restores it in this module.
 from .stochastics import (LogNormalParams, RngStream, derive_stream,  # noqa: F401
@@ -37,6 +36,26 @@ def _unmatched(fields: str, exc: ValueError) -> ConfigError:
                        f"parameters matches them: {exc}")
 
 
+def _param_table(specs: Sequence[ModeSpec], means: np.ndarray,
+                 mean_field: str, fraction_field: str) -> CostTable:
+    """The log-normal table of ``means`` (one column per spec of ``specs``),
+    each mode's stdev its ``fraction_field`` share of its mean.  Every entry
+    is checked; one that no log-normal matches is a ConfigError naming the
+    first such mode and its ``mean_field`` and ``fraction_field``."""
+    fractions = np.array([getattr(s, fraction_field) for s in specs])
+    try:
+        return CostTable.from_means(means, fractions)
+    except ValueError:
+        # Find the mode: the error path alone pays for a call per mode.
+        for spec, fraction, column in zip(specs, fractions, means.T):
+            try:
+                lognormal_arrays(column, fraction * column)
+            except ValueError as exc:
+                raise _unmatched(f"modes[{spec.id!r}]: {mean_field} and "
+                                 f"{fraction_field}", exc) from None
+        raise
+
+
 @dataclass(frozen=True)
 class RateModel:
     """Improvement-rate distributions of a registry's modes, in registry
@@ -44,46 +63,34 @@ class RateModel:
 
     ``fixed`` holds the rate of every mode that draws nothing (rate mean 0,
     or a zero log-space spread) and 0 for the others; ``drawn`` indexes the
-    modes that draw, with their log-normal parameters in ``params``, ``mu``
-    and ``sigma``.
+    modes that draw, with their log-normal parameters in ``mu`` and
+    ``sigma``.
     """
 
     fixed: np.ndarray
     drawn: np.ndarray
-    params: tuple[LogNormalParams, ...]
     mu: np.ndarray
     sigma: np.ndarray
 
     @classmethod
     def from_registry(cls, registry: ModeRegistry) -> "RateModel":
+        rated = np.array([s.improvement_rate_mean != 0.0 for s in registry],
+                         dtype=bool)
+        specs = [s for s, r in zip(registry, rated) if r]
+        table = _param_table(
+            specs, np.array([[s.improvement_rate_mean for s in specs]]),
+            "improvement_rate_mean", "rate_stdev_fraction")
+        spread = table.sigma[0] != 0.0
         fixed = np.zeros(len(registry))
-        drawn: list[int] = []
-        params: list[LogNormalParams] = []
-        for i, spec in enumerate(registry):
-            if spec.improvement_rate_mean == 0.0:
-                continue
-            try:
-                p = lognormal_from_moments(
-                    spec.improvement_rate_mean,
-                    spec.rate_stdev_fraction * spec.improvement_rate_mean)
-            except ValueError as exc:
-                raise _unmatched(f"modes[{spec.id!r}]: improvement_rate_mean "
-                                 f"and rate_stdev_fraction", exc) from None
-            if p.sigma == 0.0:
-                # A redraw of a fixed rate gives the same value, so a rate
-                # >= 1 ends at the clamp.
-                rate = math.exp(p.mu)
-                fixed[i] = rate if rate < 1.0 else _RATE_CLAMP
-            else:
-                drawn.append(i)
-                params.append(p)
-        return cls(fixed=fixed, drawn=np.array(drawn, dtype=np.intp),
-                   params=tuple(params),
-                   mu=np.array([p.mu for p in params]),
-                   sigma=np.array([p.sigma for p in params]))
+        # A redraw of a fixed rate gives the same value, so a rate >= 1
+        # ends at the clamp; exp_mu is 0 for the modes that draw.
+        fixed[rated] = np.where(table.exp_mu[0] < 1.0, table.exp_mu[0],
+                                _RATE_CLAMP)
+        return cls(fixed=fixed, drawn=np.flatnonzero(rated)[spread],
+                   mu=table.mu[0, spread], sigma=table.sigma[0, spread])
 
 
-def _redraw_rates(params: tuple[LogNormalParams, ...], z: np.ndarray,
+def _redraw_rates(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray,
                   stream: RngStream) -> list[float]:
     """The per-mode redraw loop: a mode whose rate is >= 1 draws again, up
     to ``_MAX_RATE_REDRAWS`` times, then takes the clamp.  The normals in
@@ -91,18 +98,18 @@ def _redraw_rates(params: tuple[LogNormalParams, ...], z: np.ndarray,
     the stream is consumed exactly as by one scalar draw per attempt."""
     pending = iter(z.tolist())
 
-    def draw(p: LogNormalParams) -> float:
+    def draw(mu_i: float, sigma_i: float) -> float:
         zi = next(pending, None)
         if zi is None:
-            return sample_lognormal(p, stream)
-        return float(np.exp(p.mu + p.sigma * zi))
+            return sample_lognormal(LogNormalParams(mu_i, sigma_i), stream)
+        return float(np.exp(mu_i + sigma_i * zi))
 
     rates = []
-    for p in params:
-        r = draw(p)
+    for mu_i, sigma_i in zip(mu.tolist(), sigma.tolist()):
+        r = draw(mu_i, sigma_i)
         attempts = 0
         while r >= 1.0 and attempts < _MAX_RATE_REDRAWS:
-            r = draw(p)
+            r = draw(mu_i, sigma_i)
             attempts += 1
         rates.append(r if r < 1.0 else _RATE_CLAMP)
     return rates
@@ -121,11 +128,11 @@ def evolve_mode_state(costs: np.ndarray, rates: RateModel,
     then clamped to 0.99 as a last resort.
     """
     r = rates.fixed
-    if rates.params:
-        z = stream.normal(size=len(rates.params))
+    if rates.drawn.size:
+        z = stream.normal(size=rates.drawn.size)
         sampled = np.exp(rates.mu + rates.sigma * z)
         if (sampled >= 1.0).any():
-            sampled = _redraw_rates(rates.params, z, stream)
+            sampled = _redraw_rates(rates.mu, rates.sigma, z, stream)
         r = r.copy()
         r[rates.drawn] = sampled
     return costs * (1.0 - r)
@@ -242,21 +249,9 @@ def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
 
 
 def _cost_table(registry: ModeRegistry, means: np.ndarray) -> CostTable:
-    """The parameter table of the ``(years, modes)`` trajectory ``means``.
-    Every entry is checked, used by a leg or not; one that no log-normal
-    matches is a ConfigError naming its mode."""
-    fractions = np.array([s.cost_stdev_fraction for s in registry])
-    try:
-        return CostTable.from_means(means, fractions)
-    except ValueError:
-        # Find the mode: the error path alone pays for a call per mode.
-        for spec, column in zip(registry, means.T):
-            try:
-                lognormal_arrays(column, spec.cost_stdev_fraction * column)
-            except ValueError as exc:
-                raise _unmatched(f"modes[{spec.id!r}]: base_cost_mean and "
-                                 f"cost_stdev_fraction", exc) from None
-        raise
+    """The parameter table of the ``(years, modes)`` trajectory ``means``."""
+    return _param_table(list(registry), means, "base_cost_mean",
+                        "cost_stdev_fraction")
 
 
 def run_replicate(config: ScenarioConfig,

@@ -74,15 +74,20 @@ def adjust_reference_cost(value: float, rate: float,
                           from_year: int, to_year: int) -> float:
     """Roll a cost forward in time: value * (1 - rate)^(to_year - from_year).
 
-    Backward adjustment (to_year < from_year) is rejected.
+    Backward adjustment (to_year < from_year) is rejected, and so is a
+    year gap too large for a float.
     """
-    if value <= 0:
-        raise ValueError(f"value must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"value must be finite and > 0, got {value}")
     if not 0 <= rate < 1:
         raise ValueError(f"rate must be in [0, 1), got {rate}")
     if to_year < from_year:
         raise ValueError(f"to_year {to_year} precedes from_year {from_year}")
-    return value * (1.0 - rate) ** (to_year - from_year)
+    try:
+        return value * (1.0 - rate) ** (to_year - from_year)
+    except OverflowError:
+        raise ValueError("to_year - from_year must be within float "
+                         "range") from None
 
 
 def derive_autonomous(base: ModeSpec, cost_multiple: float,

@@ -167,21 +167,14 @@ def _pcg64_state(words: Iterable[int]) -> tuple[int, int]:
     return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _seed_pcg64(bit_generator: np.random.PCG64, words: Iterable[int]) -> None:
-    """Put ``bit_generator`` in the state of ``_pcg64_state(words)``."""
-    state, inc = _pcg64_state(words)
-    bit_generator.state = {"bit_generator": "PCG64",
-                           "state": {"state": state, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0}
-
-
 class RngStream:
     """An independent pseudo-random substream keyed by (master_seed, labels).
 
     Identical (seed, labels) pairs reproduce identical sequences; distinct
     label paths give statistically independent sequences.  The draws are
     those of ``np.random.default_rng(np.random.SeedSequence(entropy))``,
-    with the entropy hashed from the seed and the labels.
+    with the entropy hashed from the seed and the labels.  ``RngStream``
+    holds no state until ``derive_streams`` seeds it for a label path.
 
     The stream holds numpy's PCG64 state (O'Neill's XSL-RR generator) as
     Python ints: the 128-bit ``state`` and ``inc``, and the buffered upper
@@ -192,14 +185,11 @@ class RngStream:
     the first normal, and back at the next Python draw.
     """
 
-    def __init__(self, master_seed: int, labels: Iterable[object]):
+    def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
         # PCG64(0) is a placeholder; _to_numpy sets the stream's state.
         self._bits = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bits)
-        labels = tuple(labels)
-        [words] = _state_words([_path_entropy(self.master_seed, labels)])
-        self._reseed(labels, _pcg64_state(words))
 
     def _reseed(self, labels: tuple, state_inc: tuple[int, int]) -> None:
         """Become the stream of ``labels``, whose seeded PCG64 ``(state,
@@ -299,25 +289,23 @@ class RngStream:
 def derive_stream(master_seed: int, labels: Iterable[object]) -> RngStream:
     """Derive the substream identified by a label path such as
     ("scenario", year, replicate, "trip").  The stream owns its generator."""
-    return RngStream(master_seed, labels)
+    return next(derive_streams(master_seed, [labels]))
 
 
 def derive_streams(master_seed: int,
                    paths: Iterable[Iterable[object]]) -> Iterator[RngStream]:
-    """Derive the substreams of ``paths`` in order, each drawing exactly what
-    ``derive_stream(master_seed, path)`` draws.
+    """Derive the substreams of ``paths`` in order; this is the one place
+    a stream is seeded.
 
     The paths are read lazily and seeded ``_CHUNK`` at a time.  Every stream
     yielded is one generator, reseeded for each path, so a stream is valid
     only until the next one is taken.
     """
-    master_seed = int(master_seed)
+    stream = RngStream(master_seed)
     paths = iter(paths)
-    stream = None
     while chunk := [tuple(p) for p in itertools.islice(paths, _CHUNK)]:
-        words = _state_words([_path_entropy(master_seed, p) for p in chunk])
-        if stream is None:
-            stream = RngStream(master_seed, chunk[0])
+        words = _state_words([_path_entropy(stream.master_seed, p)
+                              for p in chunk])
         for labels, state_words in zip(chunk, words.tolist()):
             stream._reseed(labels, _pcg64_state(state_words))
             yield stream

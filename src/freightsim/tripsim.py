@@ -70,10 +70,12 @@ def leg_cost(distance, weight, op_cost, handling):
 
 @dataclass(frozen=True)
 class CostTable:
-    """Operational-cost log-normal parameters of one cost trajectory,
-    indexed ``[year, mode]``: ``mu``, ``sigma``, ``exp_mu`` (exp(mu) where
-    sigma is 0, the cost of a slot that draws nothing) and ``drawn``, the
-    rows of ``sigma != 0`` as lists for ``simulate_trip``."""
+    """Log-normal parameters of a table of means indexed ``[row, mode]``,
+    such as the operational costs of one cost trajectory (a row per year)
+    or the improvement rates of a run (one row): ``mu``, ``sigma``,
+    ``exp_mu`` (exp(mu) where sigma is 0, the value of a slot that draws
+    nothing) and ``drawn``, the rows of ``sigma != 0`` as lists for
+    ``simulate_trip``."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -83,8 +85,8 @@ class CostTable:
     @classmethod
     def from_means(cls, means: np.ndarray,
                    stdev_fractions: np.ndarray) -> "CostTable":
-        """The table of ``(years, modes)`` mean costs whose stdev is each
-        mode's fraction of its mean; raises ``lognormal_from_moments``'
+        """The table of ``(rows, modes)`` means whose stdev is each mode's
+        fraction of its mean; raises ``lognormal_from_moments``'
         ``ValueError`` if any entry cannot be matched."""
         mu, sigma = lognormal_arrays(means, stdev_fractions * means)
         fixed = sigma == 0.0

@@ -56,6 +56,20 @@ class TestDeterministicCrossover:
         with pytest.raises(ValueError):
             deterministic_crossover_year(0.0, 0.05, 0.05, 2018)
 
+    @pytest.mark.parametrize("multiple", [math.inf, math.nan])
+    def test_rejects_a_multiple_that_is_not_finite(self, multiple):
+        # inf ended in an OverflowError from ceil(inf).
+        with pytest.raises(ValueError, match="must be finite"):
+            deterministic_crossover_year(multiple, 0.021, 0.064, 2018)
+
+    def test_rejects_rates_whose_ratio_rounds_to_one(self):
+        # r_auto > r_non, but 1 - r rounds to the same float for both: the
+        # log of the ratio was 0, a ZeroDivisionError.
+        r_auto = 0.021 + 1e-17
+        assert 0.021 < r_auto and 1 - 0.021 == 1 - r_auto
+        with pytest.raises(ValueError, match="rounds to 1"):
+            deterministic_crossover_year(1.5, 0.021, r_auto, 2018)
+
 
 class TestSensitivityGrid:
     def test_default_shape_and_anchor(self):

@@ -179,6 +179,21 @@ class TestSvg:
                                io.StringIO())
 
 
+# Each printed nan or inf, or ended in a traceback: an OverflowError for an
+# infinite cost multiple and for a 401-digit year, a ZeroDivisionError for a
+# rate delta too small to change 1 - rate.
+BAD_NUMBERS = [
+    ["sensitivity", "--multiples", "inf"],
+    ["sensitivity", "--deltas", "1e-17"],
+    ["calibrate", "--value", "nan", "--rate", "0.05", "--from", "2018",
+     "--to", "2030"],
+    ["calibrate", "--value", "inf", "--rate", "0.05", "--from", "2018",
+     "--to", "2030"],
+    ["calibrate", "--value", "1.766", "--rate", "0.055", "--from", "2016",
+     "--to", "9" * 401],
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, **kw):
         doc = dict(enabled_modes=["ocean", "auto_ocean"], seed=42,
@@ -276,6 +291,25 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--no-such-flag"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("argv", BAD_NUMBERS)
+    def test_bad_numbers_fail_with_one_error_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""
+
+    def test_crossover_of_rates_equal_after_rounding_fails(self, tmp_path,
+                                                           capsys):
+        # 1 - r rounds to the same float for both modes: a
+        # ZeroDivisionError traceback.
+        cfg = self.write_config(tmp_path, modes=[
+            {"id": "auto_ocean", "improvement_rate_mean": 0.02100000000000001}])
+        assert cli.main(["crossover", "--config", cfg, "--mode", "ocean"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "rounds to 1" in lines[0]
 
 
 MALFORMED_VALUES = [

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
 from freightsim.stochastics import (LogNormalParams, _path_entropy,
-                                    _seed_pcg64, _state_words, derive_stream,
+                                    _pcg64_state, _state_words, derive_stream,
                                     derive_streams, lognormal_from_moments,
                                     sample_lognormal)
 
@@ -148,9 +148,12 @@ def first_draws(gen):
 
 
 def batched_generator(words):
-    gen = np.random.Generator(np.random.PCG64(0))
-    _seed_pcg64(gen.bit_generator, words)
-    return gen
+    state, inc = _pcg64_state(words)
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 # Entropies below 2**224 have a top 32-bit word of 0; numpy coerces them to
