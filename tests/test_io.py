@@ -1,10 +1,13 @@
+import dataclasses
 import io
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freightsim.config import (ConfigError, ScenarioConfig, config_to_json,
@@ -99,6 +102,33 @@ def small_results(**kw):
     return run_scenario(ScenarioConfig(**defaults))
 
 
+def one_year(costs, fractions):
+    """A one-year ResultSet of two modes: trip i costs ``costs[i]`` and puts
+    ``fractions[i]`` of its distance on ocean and the rest on rail."""
+    ocean = np.array(fractions, dtype=float)
+    return dataclasses.replace(
+        small_results(iterations=1, end_year=2018),
+        cost=np.array([costs], dtype=float),
+        n_legs=np.ones((1, len(costs)), dtype=np.int64),
+        frac=np.stack([ocean, 1.0 - ocean], axis=-1)[None])
+
+
+class RecordingSink:
+    """A text sink that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# The extremes of the float range, and two values with no short decimal.
+CSV_NUMBERS = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               1e16, 0.1, 1 / 3]
+
+
 class TestCsv:
     def test_header_and_line_count(self):
         results = small_results()
@@ -138,6 +168,23 @@ class TestCsv:
         row = buf.getvalue().splitlines()[1].split(",")
         assert float(row[3]) == results.records[0].trip_cost
 
+    def test_extreme_numbers_round_trip_in_repr_digits(self):
+        buf = io.StringIO()
+        write_records_csv(one_year(CSV_NUMBERS, CSV_NUMBERS), buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        for x, row in zip(CSV_NUMBERS, rows):
+            for text, want in ((row[3], x), (row[5], x), (row[6], 1.0 - x)):
+                assert float(text) == want
+                assert text == format(want, ".17g")
+
+
+def svg_fills(fractions):
+    """The fill of each circle the SVG draws for trips at ``fractions``."""
+    buf = io.StringIO()
+    render_scatter_svg(one_year([1e7] * len(fractions), fractions),
+                       PlotSpec(focus_mode="ocean"), buf)
+    return re.findall(r'<circle [^>]* fill="(#[0-9A-F]{6})"', buf.getvalue())
+
 
 class TestSvg:
     def test_well_formed_xml(self):
@@ -154,6 +201,13 @@ class TestSvg:
         assert ramp_color(0.5) == "#21918C"
         assert ramp_color(2.0) == "#FDE725"  # clamped
         assert ramp_color(-1.0) == "#440154"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=40))
+    @example([0.0, 0.5, math.nextafter(0.5, -1), math.nextafter(0.5, 1),
+              1.0, 1.0000000000000002, 5e-324])
+    def test_circle_fills_follow_ramp_color(self, fractions):
+        assert svg_fills(fractions) == [ramp_color(f) for f in fractions]
 
     def test_full_fraction_record_filled_yellow(self):
         results = small_results(enabled_modes=["ocean"], iterations=1,
@@ -177,6 +231,16 @@ class TestSvg:
         with pytest.raises(ValueError):
             render_scatter_svg(small_results(), PlotSpec(focus_mode="air"),
                                io.StringIO())
+
+    @pytest.mark.parametrize("results,focus", [
+        (small_results(), "air"),
+        (one_year([], []), "ocean"),
+    ], ids=["unknown-focus", "empty"])
+    def test_nothing_written_before_an_error(self, results, focus):
+        sink = RecordingSink()
+        with pytest.raises(ValueError):
+            render_scatter_svg(results, PlotSpec(focus_mode=focus), sink)
+        assert sink.writes == []
 
 
 # Each printed nan or inf, or ended in a traceback: an OverflowError for an
