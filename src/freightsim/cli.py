@@ -134,6 +134,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     value = adjust_reference_cost(args.value, args.rate,
                                   args.from_year, args.to_year)
+    if value == 0.0:
+        raise ValueError(f"the cost rolled to {args.to_year} underflows to 0")
     print(f"{value:.6g}")
     return 0
 

@@ -4,31 +4,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import IO
+
+import numpy as np
 
 from .evolution import ResultSet
 from .modes import ModeId
 
 
-def _fmt(x: float) -> str:
-    """Round-trip float formatting (17 significant digits)."""
-    return format(x, ".17g")
-
-
 def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
     """Write the trip table as CSV, one fraction column per mode in registry
-    order, rows in (year, replicate) order, LF line endings."""
+    order, rows in (year, replicate) order, LF line endings.  Floats are
+    written with 17 significant digits, so they read back exactly; each
+    year's rows go to ``sink`` in one write."""
+    ids = results.registry.ids()
     header = ["scenario", "year", "replicate", "trip_cost_usd", "n_legs"]
-    header += [f"frac_{m}" for m in results.registry.ids()]
+    header += [f"frac_{m}" for m in ids]
     sink.write(",".join(header) + "\n")
+    row = "%s,%d,%d,%.17g,%d" + ",%.17g" * len(ids) + "\n"
     name = results.config.name
     for t, (costs, legs, frac) in enumerate(zip(
-            results.cost.tolist(), results.n_legs.tolist(), results.frac)):
-        year = str(results.config.start_year + t)
-        for rep, (cost, n, fr) in enumerate(zip(costs, legs, frac.tolist())):
-            row = [name, year, str(rep), _fmt(cost), str(n)]
-            row += [_fmt(f) for f in fr]
-            sink.write(",".join(row) + "\n")
+            results.cost, results.n_legs, results.frac)):
+        year = results.config.start_year + t
+        sink.write("".join(map(row.__mod__, zip(
+            repeat(name), repeat(year), count(), costs.tolist(),
+            legs.tolist(), *frac.T.tolist()))))
 
 
 # Color ramp anchors: purple at fraction 0, teal-green at 0.5, yellow at 1.
@@ -46,6 +47,23 @@ def ramp_color(fraction: float) -> str:
             rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
             return "#{:02X}{:02X}{:02X}".format(*rgb)
     return "#{:02X}{:02X}{:02X}".format(*_RAMP[-1][1])
+
+
+_RAMP_F = np.array([f for f, _ in _RAMP])
+_RAMP_RGB = np.array([c for _, c in _RAMP], dtype=float)
+
+
+def _ramp_rgb(fractions: np.ndarray) -> np.ndarray:
+    """``ramp_color`` over an array, as 0xRRGGBB ints: the same clamp (NaN
+    to 0, as ``max(0.0, nan)`` gives), segment and arithmetic per element,
+    and ``np.rint`` rounds half to even as ``round`` does."""
+    f = np.fmin(np.fmax(fractions, 0.0), 1.0)
+    seg = np.searchsorted(_RAMP_F[1:], f)  # the first f1 >= f
+    f0, f1 = _RAMP_F[seg], _RAMP_F[seg + 1]
+    c0, c1 = _RAMP_RGB[seg], _RAMP_RGB[seg + 1]
+    t = ((f - f0) / (f1 - f0))[:, None]
+    r, g, b = np.rint(c0 + t * (c1 - c0)).astype(np.int64).T
+    return r << 16 | g << 8 | b
 
 
 def cost_axis_value(cost_usd: float) -> float:
@@ -88,10 +106,10 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     if plot.focus_mode not in results.registry:
         raise ValueError(f"focus mode {plot.focus_mode!r} not in scenario")
 
-    y_vals = [[cost_axis_value(c) for c in costs]
-              for costs in results.cost.tolist()]
-    y_lo = math.floor(min(map(min, y_vals)))
-    y_hi = math.ceil(max(map(max, y_vals)))
+    y_vals = np.array([np.fromiter(map(cost_axis_value, costs.tolist()), float)
+                       for costs in results.cost])
+    y_lo = math.floor(y_vals.min())
+    y_hi = math.ceil(y_vals.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1
     x_lo = results.config.start_year
@@ -105,7 +123,9 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     def sx(year: float) -> float:
         return px0 + (year - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
-    def sy(v: float) -> float:
+    def sy(v):
+        """Pixel row of a data value; a float or an array, elementwise the
+        same arithmetic."""
         return py0 + (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
     out = []
@@ -148,15 +168,14 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     out.append(f'<text x="{(px0 + px1) / 2:.2f}" y="{_MARGIN_TOP - 10}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13">'
                f'Distance fraction on {plot.focus_mode}</text>')
+    sink.write("\n".join(out) + "\n")
 
     focus = results.frac[..., results.registry.ids().index(plot.focus_mode)]
-    for t, (ys, fracs) in enumerate(zip(y_vals, focus.tolist())):
-        cx = f"{sx(results.config.start_year + t):.2f}"
-        for y, frac in zip(ys, fracs):
-            out.append(
-                f'<circle cx="{cx}" cy="{sy(y):.2f}" '
-                f'r="{_POINT_RADIUS:g}" fill="{ramp_color(frac)}" '
-                f'fill-opacity="0.6"/>')
-
-    out.append("</svg>")
-    sink.write("\n".join(out) + "\n")
+    # One write per year: cy and the fill computed over the year's trips.
+    for t, (ys, fracs) in enumerate(zip(y_vals, focus)):
+        circle = (f'<circle cx="{sx(results.config.start_year + t):.2f}" '
+                  f'cy="%.2f" r="{_POINT_RADIUS:g}" fill="#%06X" '
+                  f'fill-opacity="0.6"/>\n')
+        sink.write("".join(map(circle.__mod__, zip(
+            sy(ys).tolist(), _ramp_rgb(fracs).tolist()))))
+    sink.write("</svg>\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from freightsim.config import (ConfigError, ScenarioConfig, config_to_json,
                                load_config, resolve_registry)
 from freightsim.evolution import run_scenario
-from freightsim.report import (PlotSpec, cost_axis_value, ramp_color,
-                               render_scatter_svg, write_records_csv)
+from freightsim.report import (PlotSpec, _ramp_rgb, cost_axis_value,
+                               ramp_color, render_scatter_svg,
+                               write_records_csv)
 from freightsim import cli
+from test_golden_digest import CONFIGS, GOLDEN
 
 
 class TestLoadConfig:
@@ -209,6 +212,15 @@ class TestSvg:
     def test_circle_fills_follow_ramp_color(self, fractions):
         assert svg_fills(fractions) == [ramp_color(f) for f in fractions]
 
+    def test_vector_ramp_matches_ramp_color_on_a_dense_grid(self):
+        edges = [math.nextafter(x, d) for x in (0.0, 0.5, 1.0)
+                 for d in (-math.inf, math.inf)]
+        fractions = np.concatenate([
+            np.linspace(-1.0, 2.0, 200_001),
+            [*edges, 0.5, 5e-324, -0.0, math.nan, math.inf, -math.inf]])
+        assert ["#%06X" % c for c in _ramp_rgb(fractions).tolist()] == [
+            ramp_color(f) for f in fractions.tolist()]
+
     def test_full_fraction_record_filled_yellow(self):
         results = small_results(enabled_modes=["ocean"], iterations=1,
                                 end_year=2018)
@@ -255,7 +267,31 @@ BAD_NUMBERS = [
      "--to", "2030"],
     ["calibrate", "--value", "1.766", "--rate", "0.055", "--from", "2016",
      "--to", "9" * 401],
+    # A cost that underflows to 0 printed 0 and exited 0.
+    ["calibrate", "--value", "1", "--rate", "0.5", "--from", "2018",
+     "--to", "5000"],
 ]
+
+
+class TestWritesOneYearAtATime:
+    """Each write holds at most one year of rows or circles, beside the
+    fixed header block, and the writes add up to the pinned bytes."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_writes_stay_within_one_year(self, name):
+        cfg = ScenarioConfig(**CONFIGS[name])
+        results = run_scenario(cfg)
+        csv, svg = RecordingSink(), RecordingSink()
+        write_records_csv(results, csv)
+        render_scatter_svg(results, PlotSpec(focus_mode=cfg.enabled_modes[0]),
+                           svg)
+        header = csv.writes[0]
+        assert header.startswith("scenario,year,") and header.count("\n") == 1
+        assert max(w.count("\n") for w in csv.writes[1:]) <= cfg.iterations
+        assert max(w.count("<circle") for w in svg.writes) <= cfg.iterations
+        assert tuple(
+            hashlib.sha256("".join(sink.writes).encode("utf-8")).hexdigest()
+            for sink in (csv, svg)) == GOLDEN[name]
 
 
 class TestCli:
