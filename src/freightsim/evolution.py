@@ -11,7 +11,7 @@ replicates run in.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +19,12 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, config_fingerprint,
                      resolve_registry)
 from .modes import ModeId, ModeRegistry, ModeSpec, adjust_reference_cost
-# derive_stream, the one-off form of derive_streams, stays bound here: the
+# derive_stream, which the engine does not call, stays bound here: the
 # benchmark's self-test checks that tracing restores it in this module.
-from .stochastics import (LogNormalParams, RngStream, derive_stream,  # noqa: F401
-                          derive_streams, lognormal_arrays,
-                          lognormal_from_moments, sample_lognormal)
+from .stochastics import (Lanes, LogNormalParams, RngStream,  # noqa: F401
+                          derive_stream, lognormal_arrays,
+                          lognormal_from_moments, sample_lognormal,
+                          seed_chunks)
 from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
@@ -115,27 +116,31 @@ def _redraw_rates(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray,
     return rates
 
 
-def evolve_mode_state(costs: np.ndarray, rates: RateModel,
-                      stream: RngStream) -> np.ndarray:
-    """Advance every mode one year: cost * (1 - r), with each mode's r
-    sampled log-normally around its improvement rate.
+def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
+    """Advance every mode one year on each lane of a block: cost * (1 - r),
+    with each mode's r sampled log-normally around its improvement rate.
 
-    ``costs`` holds one current mean cost per mode, in the order of the
-    registry ``rates`` was built from.  The drawing modes take one normal
-    each, in registry order, in a single draw.  Sampled rates are strictly
-    positive, so costs strictly decrease whenever the mean rate is positive.
-    A draw >= 1 (possible only for extreme user configurations) is re-drawn,
-    then clamped to 0.99 as a last resort.
+    ``costs`` broadcasts against one row of mode costs per lane, in the
+    order of the registry ``rates`` was built from; a 1-D row with a
+    one-lane stream gives a 1-D row, and 1.0 gives each lane's factors
+    1 - r.  Each lane's drawing modes take one normal each, in registry
+    order, in a single draw.  Sampled rates are strictly positive, so costs
+    strictly decrease whenever the mean rate is positive.  A draw >= 1
+    (possible only for extreme user configurations) is re-drawn, then
+    clamped to 0.99 as a last resort, from that lane's stream alone.
     """
-    r = rates.fixed
-    if rates.drawn.size:
-        z = stream.normal(size=rates.drawn.size)
+    n = len(lanes)
+    r = np.tile(rates.fixed, (n, 1))
+    k = rates.drawn.size
+    if k:
+        z = lanes.normals(np.full(n, k)).reshape(n, k)
         sampled = np.exp(rates.mu + rates.sigma * z)
-        if (sampled >= 1.0).any():
-            sampled = _redraw_rates(rates.mu, rates.sigma, z, stream)
-        r = r.copy()
-        r[rates.drawn] = sampled
-    return costs * (1.0 - r)
+        for i in np.flatnonzero((sampled >= 1.0).any(axis=1)).tolist():
+            sampled[i] = _redraw_rates(rates.mu, rates.sigma, z[i],
+                                       lanes.stream(i))
+        r[:, rates.drawn] = sampled
+    step = costs * (1.0 - r)
+    return step.reshape(np.shape(costs)) if np.ndim(costs) == 1 else step
 
 
 @dataclass(frozen=True)
@@ -208,44 +213,74 @@ def _scenario_paths(config: ScenarioConfig) -> Iterator[tuple]:
             yield ("scenario", year, rep, "trip")
 
 
-def _cost_trajectory(config: ScenarioConfig, registry: ModeRegistry,
-                     rates: RateModel, streams: Iterator[RngStream],
-                     means: np.ndarray) -> np.ndarray:
-    """Fill and return ``means``, the ``(years, modes)`` mean costs of one
-    trajectory, stepped once per year in [start, end), each step with the
-    next stream of ``streams``."""
-    means[0] = [adjust_reference_cost(s.base_cost_mean,
-                                      s.improvement_rate_mean, s.base_year,
-                                      config.start_year) for s in registry]
-    for t in range(config.end_year - config.start_year):
-        means[t + 1] = evolve_mode_state(means[t], rates, next(streams))
-    return means
+def _path_texts(config: ScenarioConfig) -> Iterator[bytes]:
+    """The ``_path_text`` of every path of ``_scenario_paths(config)``, in
+    order, each formatted by one template of its kind of path."""
+    prefix = b"%d\x1fscenario\x1f" % config.seed
+    steps = range(config.start_year, config.end_year)
+    if config.evolution_policy == "shared":
+        rate = prefix + b"%d\x1fshared-rates"
+        yield from (rate % year for year in steps)
+    else:
+        rate = prefix + b"%d\x1f%d\x1frates"
+        for rep in range(config.iterations):
+            yield from (rate % (year, rep) for year in steps)
+    trip = prefix + b"%d\x1f%d\x1ftrip"
+    for rep in range(config.iterations):
+        yield from (trip % (year, rep)
+                    for year in range(config.start_year, config.end_year + 1))
+
+
+class _LaneFeed:
+    """A run's lanes in path order, handed out one phase at a time."""
+
+    def __init__(self, chunks: Iterator[Lanes]):
+        self._chunks = chunks
+        self._rest: Lanes | None = None
+
+    def take(self, n: int) -> Iterator[Lanes]:
+        """The next ``n`` lanes, as blocks cut at the chunk edges and at
+        the end of the phase."""
+        while n:
+            block = self._rest if self._rest is not None else next(
+                self._chunks)
+            self._rest = block[n:] if len(block) > n else None
+            block = block[:n]
+            n -= len(block)
+            yield block
+
+
+def _trajectories(config: ScenarioConfig, registry: ModeRegistry,
+                  blocks: Iterable[Lanes], out: np.ndarray) -> np.ndarray:
+    """Fill and return ``out``, the ``[trajectory, year, mode]`` mean costs
+    of one or more trajectories, each stepped once per year in [start,
+    end).  The steps draw from the lanes of ``blocks``, trajectory by
+    trajectory and year by year: each lane's factors 1 - r are written in
+    their year's slot, then multiplied up from the start year's costs."""
+    steps = out.shape[1] - 1
+    rates = RateModel.from_registry(registry)
+    flat = out.reshape(-1, out.shape[2])
+    done = 0
+    for block in blocks:
+        q = np.arange(done, done + len(block))
+        flat[q + q // steps + 1] = evolve_mode_state(1.0, rates, block)
+        done += len(block)
+    out[:, 0] = [adjust_reference_cost(s.base_cost_mean,
+                                       s.improvement_rate_mean, s.base_year,
+                                       config.start_year) for s in registry]
+    for t in range(steps):
+        np.multiply(out[:, t], out[:, t + 1], out=out[:, t + 1])
+    return out
 
 
 def compute_shared_means(config: ScenarioConfig, registry: ModeRegistry,
-                         streams: Iterator[RngStream]) -> np.ndarray:
+                         blocks: Iterable[Lanes]) -> np.ndarray:
     """The one ``(years, modes)`` cost trajectory all replicates share,
-    drawn from the next ``end_year - start_year`` streams of ``streams``
-    (the ``"shared-rates"`` paths)."""
+    drawn from the next ``end_year - start_year`` lanes of ``blocks`` (the
+    ``"shared-rates"`` paths)."""
     years = config.end_year - config.start_year + 1
-    return _cost_trajectory(config, registry,
-                            RateModel.from_registry(registry), streams,
-                            np.empty((years, len(registry))))
-
-
-def _mode_means(config: ScenarioConfig, registry: ModeRegistry,
-                streams: Iterator[RngStream],
-                out: np.ndarray | None) -> np.ndarray:
-    """The ``[replicate, year, mode]`` trajectories of the evolution policy:
-    each replicate's own, written into ``out``, or under the shared policy
-    (``out`` is None) a read-only broadcast of the one trajectory."""
-    if out is None:
-        shared = compute_shared_means(config, registry, streams)
-        return np.broadcast_to(shared, (config.iterations, *shared.shape))
-    rates = RateModel.from_registry(registry)
-    for means in out:
-        _cost_trajectory(config, registry, rates, streams, means)
-    return out
+    return _trajectories(config, registry, blocks,
+                         np.empty((1, years, len(registry))))[0]
 
 
 def _cost_table(registry: ModeRegistry, means: np.ndarray) -> CostTable:
@@ -258,34 +293,36 @@ def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
                   means: np.ndarray,
                   handling_params: LogNormalParams,
-                  streams: Iterator[RngStream],
+                  lanes: Lanes,
                   table: CostTable | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one replicate across the whole horizon and return its
-    ``cost``, ``n_legs`` and ``frac`` columns, one row per year.
+    """Simulate a block of trips, trip i from lane i of ``lanes`` with the
+    mode means of row i of ``means``, and return their ``cost``, ``n_legs``
+    and ``frac`` columns.
 
-    Year by year, each trip draws from the next stream of ``streams``; then
-    every leg of the replicate is costed at once with the ``(years, modes)``
-    trajectory ``means`` and the run's handling-cost parameters.  ``table``
-    is the parameter table of ``means``, when the caller has built it.
+    A block is any run of trips: one replicate's years, with ``means`` its
+    ``(years, modes)`` trajectory, or a chunk of a run's trip paths.  Every
+    leg of the block is costed at once with the run's handling-cost
+    parameters.  ``table`` is the parameter table of ``means``, when the
+    caller has built it.
     """
     if table is None:
         table = _cost_table(registry, means)
-    handling_drawn = handling_params.sigma != 0.0
-    trips = [simulate_trip(config.trip_distance_km, drawn, handling_drawn,
-                           next(streams), min_leg=config.min_leg_km)
-             for drawn in table.drawn]
+    trips = simulate_trip(config.trip_distance_km, table.drawn,
+                          handling_params.sigma != 0.0, lanes,
+                          min_leg=config.min_leg_km)
     return cost_trips(trips, table, handling_params, config.freight_tonnes)
 
 
 def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
-    """Run every replicate of the config, one after another, into the trip
-    table.  ``workers`` is accepted for old callers and ignored.
+    """Run every replicate of the config into the trip table.  ``workers``
+    is accepted for old callers and ignored.
 
     The trip table and the per-replicate trajectories are allocated before
-    any stream is drawn, so a run too large for memory fails at once.  All
-    streams of the run come from one ``derive_streams`` over
-    ``_scenario_paths(config)``, consumed in that order.
+    any stream is drawn, so a run too large for memory fails at once.  The
+    streams of the run's paths, in ``_scenario_paths(config)`` order, are
+    seeded ``_CHUNK`` at a time as lanes and drawn block by block: first
+    every rate step, then every trip.
     """
     config.validate()
     registry = resolve_registry(config)
@@ -311,15 +348,33 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
             f"iterations x (end_year - start_year + 1) must be small enough "
             f"for the run to fit in memory: {config.iterations} x "
             f"{shape[0]} trips do not") from None
-    streams = derive_streams(config.seed, _scenario_paths(config))
-    mode_means = _mode_means(config, registry, streams, mode_means)
-    # Under the shared policy every replicate is costed with the same
-    # trajectory, so its parameter table is built once for the run.
-    table = _cost_table(registry, mode_means[0]) if shared else None
-    for rep in range(config.iterations):
-        cost[:, rep], n_legs[:, rep], frac[:, rep] = run_replicate(
-            config, registry, mode_means[rep], handling_params, streams,
-            table)
+    lanes = _LaneFeed(seed_chunks(_path_texts(config)))
+    years, reps = shape
+    if shared:
+        trajectory = compute_shared_means(config, registry,
+                                          lanes.take(years - 1))
+        mode_means = np.broadcast_to(trajectory, (reps, *trajectory.shape))
+        # Every replicate is costed with the same trajectory, so its
+        # parameter table is built once for the run.
+        table = _cost_table(registry, trajectory)
+    else:
+        _trajectories(config, registry, lanes.take(reps * (years - 1)),
+                      mode_means)
+        trip_means = mode_means.reshape(-1, len(registry))
+    done = 0
+    for block in lanes.take(reps * years):
+        # Trip path q is replicate q // years in year q % years.
+        q = np.arange(done, done + len(block))
+        rep, t = np.divmod(q, years)
+        done += len(block)
+        if shared:
+            means, block_table = trajectory[t], table.rows(t)
+        else:
+            means, block_table = trip_means[q], None
+        cells = t * reps + rep
+        (cost.reshape(-1)[cells], n_legs.reshape(-1)[cells],
+         frac.reshape(-1, len(registry))[cells]) = run_replicate(
+            config, registry, means, handling_params, block, block_table)
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "

@@ -1,9 +1,10 @@
 """Log-normal moment matching, sampling, and deterministic random substreams.
 
-Every random draw in the simulator comes through an :class:`RngStream`, and
-every stream is fully determined by a master seed plus a label path.  That is
-what makes whole scenario runs reproducible byte-for-byte regardless of how
-replicates are scheduled.
+Every random draw in the simulator comes from a stream fully determined by a
+master seed plus a label path.  That is what makes whole scenario runs
+reproducible byte-for-byte regardless of how replicates are scheduled.  The
+streams of up to ``_CHUNK`` paths are seeded and stepped together as
+:class:`Lanes`; :class:`RngStream` is one lane drawn a value at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from ._ziggurat import KI as _KI, WI as _WI
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,17 @@ def lognormal_arrays(means: np.ndarray,
     return mu, sigma
 
 
+def _path_text(master_seed: int, labels: Sequence[object]) -> bytes:
+    """The text a label path's seed is hashed from: the seed and the
+    labels, each as ``str``, joined by unit separators."""
+    return "\x1f".join([str(int(master_seed)), *map(str, labels)]).encode()
+
+
 def _path_entropy(master_seed: int, labels: Sequence[object]) -> int:
-    # Hash the label path so any mix of strings and integers yields a
-    # well-spread, platform-independent seed.
-    path = "\x1f".join([str(int(master_seed)), *map(str, labels)])
-    return int.from_bytes(hashlib.sha256(path.encode()).digest(), "big")
+    """The path's SeedSequence entropy, as one int: the scalar form of what
+    ``seed_lanes`` reads from each digest."""
+    return int.from_bytes(hashlib.sha256(_path_text(master_seed,
+                                                    labels)).digest(), "big")
 
 
 # The constants of numpy's SeedSequence (pool size 4) and of PCG64's seeding
@@ -97,31 +106,37 @@ _MULT_B = 0x58f38ded
 _MIX_MULT_L = 0xca01f9dd
 _MIX_MULT_R = 0x4973f715
 _MASK32 = 0xFFFFFFFF
+_MASK52 = (1 << 52) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's 128-bit multiplier: its high and low words, and the low word's
+# 32-bit halves for the 64x64 -> 128-bit product.
+_MULT_HI = 0x2360ED051FC65DA4
+_MULT_LO = 0x4385DF649FCCF645
+_MULT_LO_0 = _MULT_LO & _MASK32
+_MULT_LO_1 = _MULT_LO >> 32
 _RANGE32 = 1 << 32
 # numpy's next_double scale: a 53-bit integer times 2**-53 is in [0, 1).
 _TO_UNIT = 1.0 / 9007199254740992.0
 _INF = math.inf
 
-# Label paths whose seeds ``derive_streams`` computes together: enough to
+# Label paths whose streams are seeded and stepped together: enough to
 # amortise numpy's per-call overhead over the array operations, few enough
-# that no run-sized list of paths is held.
+# that no run-sized list of paths or lanes is held.
 _CHUNK = 1024
 
 
-def _state_words(entropies: Sequence[int]) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` of every entropy e
-    in [0, 2**256), one row each.
+def _state_words(digests: bytes) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of the entropy e of
+    every 32-byte big-endian digest in ``digests``, one row each.
 
     An entropy of eight 32-bit words (e >= 2**224) is mixed with numpy's
     ``hashmix``/``mix`` arithmetic, run as uint32 array operations over all
     the entropies at once.  numpy coerces a smaller entropy to fewer words,
     which mixes differently, so those go through ``SeedSequence`` itself.
     """
-    data = np.frombuffer(b"".join(e.to_bytes(32, "little") for e in entropies),
-                         dtype="<u4").reshape(-1, 8).astype(np.uint32)
+    rows = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)
+    # The little-endian bytes of each entropy are its digest reversed.
+    data = rows[:, ::-1].copy().view("<u4").astype(np.uint32)
     hash_const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -152,90 +167,195 @@ def _state_words(entropies: Sequence[int]) -> np.ndarray:
         value = value * hash_const
         state[:, i_dst] = value ^ value >> 16
     words = state.astype("<u4").view("<u8").astype(np.uint64)
-    for i, e in enumerate(entropies):
-        if e >> 224 == 0:
-            words[i] = np.random.SeedSequence(e).generate_state(4, np.uint64)
+    for i in np.flatnonzero(~rows[:, :4].any(axis=1)):
+        entropy = int.from_bytes(rows[i].tobytes(), "big")
+        words[i] = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
     return words
 
 
-def _pcg64_state(words: Iterable[int]) -> tuple[int, int]:
-    """The ``(state, inc)`` that ``PCG64(seed_sequence)`` starts in when the
-    sequence's ``generate_state(4, np.uint64)`` is ``words``: the first two
-    words are the initial state, the last two the stream."""
-    w0, w1, w2, w3 = map(int, words)
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+def _lcg(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+         inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of PCG64's 128-bit LCG, state * MULT + inc mod 2**128, on
+    uint64 (high, low) word arrays.  The low words' 128-bit product is
+    built from 32-bit halves; uint64 arrays wrap silently."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    p00, p01 = a0 * _MULT_LO_0, a0 * _MULT_LO_1
+    p10, p11 = a1 * _MULT_LO_0, a1 * _MULT_LO_1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_hi = carry + hi * _MULT_LO + lo * _MULT_HI
+    new_lo = lo * _MULT_LO + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
 
 
-class RngStream:
-    """An independent pseudo-random substream keyed by (master_seed, labels).
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output for the stepped state: the xor of its halves rotated
+    right by its top six bits."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return x >> rot | x << ((64 - rot) & 63)
 
-    Identical (seed, labels) pairs reproduce identical sequences; distinct
-    label paths give statistically independent sequences.  The draws are
-    those of ``np.random.default_rng(np.random.SeedSequence(entropy))``,
-    with the entropy hashed from the seed and the labels.  ``RngStream``
-    holds no state until ``derive_streams`` seeds it for a label path.
 
-    The stream holds numpy's PCG64 state (O'Neill's XSL-RR generator) as
-    Python ints: the 128-bit ``state`` and ``inc``, and the buffered upper
-    half of a 64-bit output that ``next_uint32`` keeps for its next call.
-    ``uniform`` and most ``integers`` step that state with numpy's own
-    arithmetic, which is cheaper than a scalar numpy call.  ``normal`` runs
-    numpy's ``Generator``: the state moves into the stream's ``PCG64`` at
-    the first normal, and back at the next Python draw.
+class Lanes:
+    """Independent PCG64 streams, stepped together as numpy uint64 lanes.
+
+    Lane i holds the state numpy's ``PCG64`` would: the 128-bit ``state``
+    and ``inc`` as (high, low) word arrays, and the upper half of a 64-bit
+    output that ``next_uint32`` keeps for its next call.  Each lane draws
+    as ``np.random.default_rng(np.random.SeedSequence(entropy))`` of its
+    path would, value for value (O'Neill, HMC-CS-2014-0905).
+
+    The draws act on the lanes an index array ``sel`` names, each lane
+    once: ``uniforms`` and ``indices`` give one value per lane, ``normals``
+    any count per lane.  A normal off numpy's ziggurat fast path hands its
+    lane to numpy's ``Generator``, which draws that lane's remaining normals
+    and hands the state back.  A slice of a ``Lanes`` is a view: drawing
+    from it advances the parent's lanes.
     """
 
-    def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed)
-        # PCG64(0) is a placeholder; _to_numpy sets the stream's state.
-        self._bits = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bits)
-
-    def _reseed(self, labels: tuple, state_inc: tuple[int, int]) -> None:
-        """Become the stream of ``labels``, whose seeded PCG64 ``(state,
-        inc)`` is ``state_inc``."""
+    def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+                 inc_lo: np.ndarray, has_uint32: np.ndarray,
+                 uinteger: np.ndarray, labels: Sequence | None = None):
+        self.hi, self.lo = hi, lo
+        self.inc_hi, self.inc_lo = inc_hi, inc_lo
+        self.has_uint32, self.uinteger = has_uint32, uinteger
         self.labels = labels
-        self._state, self._inc = state_inc
-        self._has_uint32 = self._uinteger = 0
-        self._in_numpy = False
+        self._gen: np.random.Generator | None = None
 
-    def _to_numpy(self) -> None:
-        """Hand the state to the numpy generator, unless it holds it."""
-        if not self._in_numpy:
-            self._bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": self._state, "inc": self._inc},
-                "has_uint32": self._has_uint32, "uinteger": self._uinteger}
-            self._in_numpy = True
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has_uint32,
+                self.uinteger)
 
-    def _from_numpy(self) -> None:
-        """Take the state back from the numpy generator."""
-        st = self._bits.state
-        self._state, self._inc = st["state"]["state"], st["state"]["inc"]
-        self._has_uint32, self._uinteger = st["has_uint32"], st["uinteger"]
-        self._in_numpy = False
+    def __len__(self) -> int:
+        return len(self.hi)
 
-    def _next64(self) -> int:
-        """numpy's ``next_uint64``: step the LCG, then rotate the xor of
-        the new state's halves right by its top six bits."""
-        if self._in_numpy:
-            self._from_numpy()
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        x = ((s >> 64) ^ s) & _MASK64
-        rot = s >> 122
-        return (x >> rot | x << (64 - rot)) & _MASK64
+    def __getitem__(self, index: slice) -> "Lanes":
+        return Lanes(*(a[index] for a in self._arrays()),
+                     labels=None if self.labels is None
+                     else self.labels[index])
 
-    def _next_uint32(self) -> int:
-        """numpy's ``next_uint32``: the low half of a fresh 64-bit output,
-        buffering the high half for the next call."""
-        if self._in_numpy:
-            self._from_numpy()
-        if self._has_uint32:
-            self._has_uint32 = 0
-            return self._uinteger
-        x = self._next64()
-        self._has_uint32, self._uinteger = 1, x >> 32
-        return x & _MASK32
+    def stream(self, i: int) -> "RngStream":
+        """Lane ``i`` as a one-lane stream; its draws advance this lane."""
+        return RngStream(*(a[i:i + 1] for a in self._arrays()),
+                         labels=None if self.labels is None
+                         else self.labels[i])
+
+    def bit_generator_state(self, i: int) -> dict:
+        """Lane ``i``'s state in the form of numpy's ``PCG64.state``."""
+        return {"bit_generator": "PCG64",
+                "state": {"state": int(self.hi[i]) << 64 | int(self.lo[i]),
+                          "inc": int(self.inc_hi[i]) << 64
+                          | int(self.inc_lo[i])},
+                "has_uint32": int(self.has_uint32[i]),
+                "uinteger": int(self.uinteger[i])}
+
+    def _to_numpy(self, i: int) -> np.random.Generator:
+        """numpy's ``Generator`` in lane ``i``'s state; ``_from_numpy``
+        takes the state back after the draws."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(0))
+        self._gen.bit_generator.state = self.bit_generator_state(i)
+        return self._gen
+
+    def _from_numpy(self, i: int) -> None:
+        st = self._gen.bit_generator.state
+        state = st["state"]["state"]
+        self.hi[i], self.lo[i] = state >> 64, state & _MASK64
+        self.has_uint32[i], self.uinteger[i] = st["has_uint32"], st["uinteger"]
+
+    def _next64(self, sel: np.ndarray) -> np.ndarray:
+        """numpy's ``next_uint64`` of every lane of ``sel``."""
+        hi, lo = _lcg(self.hi[sel], self.lo[sel], self.inc_hi[sel],
+                      self.inc_lo[sel])
+        self.hi[sel], self.lo[sel] = hi, lo
+        return _xsl_rr(hi, lo)
+
+    def _next32(self, sel: np.ndarray) -> np.ndarray:
+        """numpy's ``next_uint32`` of every lane of ``sel``: the buffered
+        high half of the lane's last 64-bit output if it holds one, else
+        the low half of a fresh output, whose high half it then holds."""
+        buffered = self.has_uint32[sel]
+        fresh = ~buffered
+        out = self.uinteger[sel]
+        if fresh.any():
+            x = self._next64(sel[fresh])
+            out[fresh] = x & _MASK32
+            self.uinteger[sel[fresh]] = x >> 32
+        self.has_uint32[sel] = fresh
+        return out
+
+    def uniforms(self, sel: np.ndarray, low, high) -> np.ndarray:
+        """``Generator.uniform(low, high)`` on every lane of ``sel``, for
+        float bounds (scalars, or one per lane) with 0 <= high - low < inf:
+        ``low + (high - low) * next_double``."""
+        return low + (high - low) * ((self._next64(sel) >> 11) * _TO_UNIT)
+
+    def indices(self, sel: np.ndarray, n: int) -> np.ndarray:
+        """``Generator.integers(n)`` on every lane of ``sel``, for
+        2 <= n <= 2**32: Lemire's method on 32-bit draws (ACM TOMACS 29(1),
+        2019), redrawing the lanes that land below the threshold."""
+        m = self._next32(sel) * n
+        threshold = (_RANGE32 - n) % n
+        redo = np.flatnonzero(m & _MASK32 < threshold)
+        while redo.size:
+            m[redo] = self._next32(sel[redo]) * n
+            redo = redo[m[redo] & _MASK32 < threshold]
+        return m >> 32
+
+    def normals(self, counts: np.ndarray) -> np.ndarray:
+        """``Generator.normal(size=counts[i])`` of every lane i, concatenated
+        in lane order.
+
+        The k-th normals of all lanes are taken at once, on numpy's
+        ziggurat fast path (Marsaglia and Tsang, J. Stat. Softw. 5(8),
+        2000): a 64-bit output gives a layer (its low byte), a sign and a
+        52-bit ``rabs``, and the normal is ``0.0 + 1.0 * ±rabs * WI[layer]``
+        when ``rabs < KI[layer]``.  A lane off that path goes back to its
+        state before that output and hands it to numpy, which draws the
+        lane's remaining normals.
+        """
+        counts = np.asarray(counts, dtype=np.intp)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        out = np.empty(ends[-1] if counts.size else 0)
+        active = np.flatnonzero(counts)
+        k = 0
+        while active.size:
+            hi0, lo0 = self.hi[active], self.lo[active]
+            hi, lo = _lcg(hi0, lo0, self.inc_hi[active], self.inc_lo[active])
+            self.hi[active], self.lo[active] = hi, lo
+            r = _xsl_rr(hi, lo)
+            layer = (r & 0xFF).astype(np.intp)
+            rabs = r >> 9 & _MASK52
+            x = rabs * _WI[layer]
+            x[(r & 0x100) != 0] *= -1.0
+            out[starts[active] + k] = 0.0 + 1.0 * x
+            fast = rabs < _KI[layer]
+            k += 1
+            if not fast.all():
+                for j in np.flatnonzero(~fast).tolist():
+                    i = active[j]
+                    self.hi[i], self.lo[i] = hi0[j], lo0[j]
+                    out[starts[i] + k - 1:ends[i]] = self._to_numpy(i).normal(
+                        size=counts[i] - k + 1)
+                    self._from_numpy(i)
+                active = active[fast]
+            active = active[counts[active] > k]
+        return out
+
+
+_ONE = np.zeros(1, dtype=np.intp)
+
+
+class RngStream(Lanes):
+    """One lane, drawn one value at a time: the stream of the label path
+    ``labels``.
+
+    ``uniform``, ``integers`` and ``normal`` return what numpy's
+    ``Generator`` of the path returns, and raise its errors.  ``uniform``
+    and ``integers`` step the lane; ``normal``, and ``integers`` past the
+    32-bit range, are numpy's own calls on the handed-off state.
+    """
 
     def uniform(self, low: float, high: float) -> float:
         """``Generator.uniform(low, high)``, with its exceptions."""
@@ -249,66 +369,88 @@ class RngStream:
                 raise OverflowError("high - low range exceeds valid bounds")
             if math.copysign(1.0, span) < 0.0:
                 raise ValueError("high - low < 0")
-        # _next64, inlined: a method call costs about a tenth of the draw.
-        if self._in_numpy:
-            self._from_numpy()
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        x = ((s >> 64) ^ s) & _MASK64
-        rot = s >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        return low + span * ((x >> 11) * _TO_UNIT)
-
-    def normal(self, size: int | None = None):
-        self._to_numpy()
-        out = self._gen.normal(size=size)
-        return float(out) if size is None else out
+        return float(self.uniforms(_ONE, low, high)[0])
 
     def integers(self, n: int) -> int:
         """A uniform integer in [0, n): ``Generator.integers(n)``.
 
-        For 1 <= n <= 2**32 this is numpy's Lemire method on 32-bit
-        draws (Lemire, ACM TOMACS 29(1), 2019); n == 1 draws nothing.
-        Any other n is numpy's, values and errors alike.
+        n == 1 draws nothing; 2 <= n <= 2**32 is ``indices``.  Any other
+        n is numpy's, values and errors alike.
         """
-        if type(n) is not int or not 1 <= n <= _RANGE32:
-            self._to_numpy()
-            return int(self._gen.integers(n))
-        if n == 1:
-            return 0
-        m = self._next_uint32() * n
-        if m & _MASK32 < n:
-            threshold = (_RANGE32 - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next_uint32() * n
-        return m >> 32
+        if type(n) is int and 1 <= n <= _RANGE32:
+            return 0 if n == 1 else int(self.indices(_ONE, n)[0])
+        try:
+            return int(self._to_numpy(0).integers(n))
+        finally:
+            self._from_numpy(0)
+
+    def normal(self, size: int | None = None):
+        """``Generator.normal(size=size)``: a float, or an array."""
+        try:
+            out = self._to_numpy(0).normal(size=size)
+        finally:
+            self._from_numpy(0)
+        return float(out) if size is None else out
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.master_seed}, labels={self.labels!r})"
+        return f"RngStream(labels={self.labels!r})"
 
 
-def derive_stream(master_seed: int, labels: Iterable[object]) -> RngStream:
-    """Derive the substream identified by a label path such as
-    ("scenario", year, replicate, "trip").  The stream owns its generator."""
-    return next(derive_streams(master_seed, [labels]))
+def seed_lanes(texts: Sequence[bytes]) -> Lanes:
+    """The lanes of the label paths whose ``_path_text`` is ``texts``, in
+    order: each seeded as ``PCG64(SeedSequence(entropy))``, the entropy
+    the path's SHA-256 digest read as a big-endian int."""
+    return _seed_words(_state_words(b"".join([hashlib.sha256(t).digest()
+                                              for t in texts])))
+
+
+def _seed_words(words: np.ndarray) -> Lanes:
+    """The lanes ``PCG64`` seeds from SeedSequence state words, one row of
+    ``generate_state(4, np.uint64)`` per lane.
+
+    ``PCG64`` starts in ``(inc + initstate) * MULT + inc`` with ``inc =
+    initseq << 1 | 1``, where the four words are ``initstate`` (the first
+    two) and ``initseq`` (the last two).
+    """
+    w0, w1, w2, w3 = words.T
+    inc_hi = w2 << 1 | w3 >> 63
+    inc_lo = w3 << 1 | 1
+    lo = inc_lo + w1
+    hi, lo = _lcg(inc_hi + w0 + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return Lanes(hi, lo, inc_hi, inc_lo, np.zeros(len(words), dtype=bool),
+                 np.zeros(len(words), dtype=np.uint64))
+
+
+def seed_chunks(texts: Iterable[bytes]) -> Iterator[Lanes]:
+    """``seed_lanes`` of ``texts``, read lazily, ``_CHUNK`` at a time."""
+    texts = iter(texts)
+    while chunk := list(itertools.islice(texts, _CHUNK)):
+        yield seed_lanes(chunk)
+
+
+def derive_lanes(master_seed: int,
+                 paths: Iterable[Iterable[object]]) -> Iterator[Lanes]:
+    """The lanes of the label paths ``paths``, in order, ``_CHUNK`` at a
+    time; lane i of a chunk carries its path as ``labels[i]``."""
+    paths = iter(paths)
+    while chunk := [tuple(p) for p in itertools.islice(paths, _CHUNK)]:
+        lanes = seed_lanes([_path_text(master_seed, p) for p in chunk])
+        lanes.labels = chunk
+        yield lanes
 
 
 def derive_streams(master_seed: int,
                    paths: Iterable[Iterable[object]]) -> Iterator[RngStream]:
-    """Derive the substreams of ``paths`` in order; this is the one place
-    a stream is seeded.
+    """The one-lane stream of each label path of ``paths``, in order."""
+    for lanes in derive_lanes(master_seed, paths):
+        for i in range(len(lanes)):
+            yield lanes.stream(i)
 
-    The paths are read lazily and seeded ``_CHUNK`` at a time.  Every stream
-    yielded is one generator, reseeded for each path, so a stream is valid
-    only until the next one is taken.
-    """
-    stream = RngStream(master_seed)
-    paths = iter(paths)
-    while chunk := [tuple(p) for p in itertools.islice(paths, _CHUNK)]:
-        words = _state_words([_path_entropy(stream.master_seed, p)
-                              for p in chunk])
-        for labels, state_words in zip(chunk, words.tolist()):
-            stream._reseed(labels, _pcg64_state(state_words))
-            yield stream
+
+def derive_stream(master_seed: int, labels: Iterable[object]) -> RngStream:
+    """Derive the substream identified by a label path such as
+    ("scenario", year, replicate, "trip")."""
+    return next(derive_streams(master_seed, [labels]))
 
 
 def sample_lognormal(params: LogNormalParams, stream: RngStream,

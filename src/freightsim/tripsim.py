@@ -3,16 +3,18 @@
 A trip is split into legs by repeatedly drawing a uniform leg length, each leg
 is assigned a mode uniformly at random, and each leg is costed as
 distance * weight * operational_cost + weight * handling_cost with both unit
-costs sampled from log-normal distributions.  Trips are drawn one by one
-(``simulate_trip``); the legs of a replicate's trips are then costed together,
-as columns (``cost_trips``).
+costs sampled from log-normal distributions.  A block of trips is drawn at
+once, one trip per stream lane (``simulate_trip``); their legs are then
+costed together, as columns (``cost_trips``).  ``generate_leg_distances``
+and ``assign_modes`` draw one trip from any stream with ``uniform`` and
+``integers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -74,13 +76,12 @@ class CostTable:
     such as the operational costs of one cost trajectory (a row per year)
     or the improvement rates of a run (one row): ``mu``, ``sigma``,
     ``exp_mu`` (exp(mu) where sigma is 0, the value of a slot that draws
-    nothing) and ``drawn``, the rows of ``sigma != 0`` as lists for
-    ``simulate_trip``."""
+    nothing) and ``drawn``, where sigma is not 0."""
 
     mu: np.ndarray
     sigma: np.ndarray
     exp_mu: np.ndarray
-    drawn: list[list[bool]]
+    drawn: np.ndarray
 
     @classmethod
     def from_means(cls, means: np.ndarray,
@@ -92,41 +93,111 @@ class CostTable:
         fixed = sigma == 0.0
         exp_mu = np.zeros_like(mu)
         exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
-        return cls(mu=mu, sigma=sigma, exp_mu=exp_mu,
-                   drawn=(~fixed).tolist())
+        return cls(mu=mu, sigma=sigma, exp_mu=exp_mu, drawn=~fixed)
+
+    def rows(self, index: np.ndarray) -> "CostTable":
+        """The table of rows ``index`` of this one."""
+        return CostTable(mu=self.mu[index], sigma=self.sigma[index],
+                         exp_mu=self.exp_mu[index], drawn=self.drawn[index])
 
 
-# A trip's draws: leg lengths, leg modes and its cost normals (None when no
-# cost of the trip draws).
-TripDraws = tuple[list[float], list[int], "np.ndarray | None"]
+class TripDraws(NamedTuple):
+    """The draws of a block of trips, as columns: each trip's leg count,
+    every leg's length and mode (trip by trip, in leg order), and every
+    cost normal of the block (trip by trip, in leg order)."""
+
+    n_legs: np.ndarray
+    distances: np.ndarray
+    modes: np.ndarray
+    normals: np.ndarray
 
 
-def simulate_trip(trip_distance: float, drawn: Sequence[bool],
-                  handling_drawn: bool, stream: RngStream,
+def _trip_sums(distances: np.ndarray, starts: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each trip's legs ``distances[starts[i]:ends[i]]``.
+    One leg is its own sum and two legs one correctly rounded addition, as
+    fsum's; longer trips call fsum."""
+    sums = distances[starts]
+    n_legs = ends - starts
+    two = n_legs == 2
+    sums[two] += distances[starts[two] + 1]
+    many = np.flatnonzero(n_legs > 2)
+    if many.size:
+        legs = distances.tolist()
+        sums[many] = [math.fsum(legs[a:b]) for a, b in
+                      zip(starts[many].tolist(), ends[many].tolist())]
+    return sums
+
+
+def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
                   min_leg: float = 100.0) -> TripDraws:
-    """Draw one intermodal trip over modes given in registry order: its leg
-    lengths, each leg's mode, and every cost normal of the trip in one draw.
+    """Draw a block of intermodal trips, trip i from lane i of ``lanes``:
+    its leg lengths, each leg's mode, then every cost normal of the trip.
 
-    ``drawn[m]`` says whether mode m's operational cost has a non-zero
-    log-space spread this year, and ``handling_drawn`` whether the handling
-    cost has one.  The normals are used in (operational, handling) order
-    leg by leg, one per cost that draws; ``cost_trips`` costs the legs.
+    A trip is drawn as ``generate_leg_distances`` and ``assign_modes``
+    draw it, all trips at once: the k-th leg of every trip still at least
+    ``min_leg`` from its end, then the k-th mode of every trip with a k-th
+    leg.  ``trip_distance`` is one float, or one per trip.  ``drawn[m]``
+    (or ``drawn[i, m]``, a row per trip) says whether mode m's operational
+    cost has a non-zero log-space spread, and ``handling_drawn`` whether
+    the handling cost has one.  The normals are used in (operational,
+    handling) order leg by leg, one per cost that draws; ``cost_trips``
+    costs the legs.
     """
-    distances = generate_leg_distances(trip_distance, min_leg, stream)
-    leg_modes = assign_modes(len(distances), range(len(drawn)), stream)
-    n_draws = [drawn[m] for m in leg_modes].count(True)
-    if handling_drawn:
-        n_draws += len(leg_modes)
-    return (distances, leg_modes,
-            stream.normal(size=n_draws) if n_draws else None)
+    n = len(lanes)
+    distance = np.broadcast_to(np.asarray(trip_distance, dtype=float), n)
+    drawn = np.broadcast_to(np.asarray(drawn, dtype=bool),
+                            (n, np.shape(drawn)[-1]))
+    remaining = distance.copy()
+    rounds = []
+    active = np.flatnonzero(remaining >= min_leg)
+    while active.size:
+        d = lanes.uniforms(active, min_leg, remaining[active])
+        rounds.append((active, d))
+        remaining[active] -= d
+        active = active[remaining[active] >= min_leg]
+
+    # A trip shorter than min_leg is one leg of the whole distance.
+    n_drawn = np.zeros(n, dtype=np.intp)
+    for active, _ in rounds:
+        n_drawn[active] += 1
+    n_legs = np.maximum(n_drawn, 1)
+    ends = np.cumsum(n_legs)
+    starts = ends - n_legs
+    distances = np.empty(ends[-1] if n else 0)
+    whole = n_drawn == 0
+    distances[starts[whole]] = distance[whole]
+    for k, (active, d) in enumerate(rounds):
+        distances[starts[active] + k] = d
+    # The remainder joins the last leg, which then takes up the rounding
+    # of the legs' sum.
+    split = np.flatnonzero(~whole)
+    last = ends[split] - 1
+    rest = remaining[split]
+    distances[last] = np.where(rest > 0, distances[last] + rest,
+                               distances[last])
+    distances[last] += distance[split] - _trip_sums(distances, starts[split],
+                                                    ends[split])
+
+    n_modes = drawn.shape[1]
+    modes = np.zeros(len(distances), dtype=np.intp)
+    if n_modes > 1:
+        active = np.arange(n)
+        for k in range(int(n_legs.max(initial=0))):
+            active = active[n_legs[active] > k]
+            modes[starts[active] + k] = lanes.indices(active, n_modes)
+    trip = np.repeat(np.arange(n), n_legs)
+    slots = drawn[trip, modes] + np.intp(handling_drawn)
+    counts = np.add.reduceat(slots, starts) if n else slots
+    return TripDraws(n_legs, distances, modes, lanes.normals(counts))
 
 
-def cost_trips(trips: Sequence[TripDraws], table: CostTable,
+def cost_trips(trips: TripDraws, table: CostTable,
                handling_params: LogNormalParams, weight: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost the trips ``simulate_trip`` drew, trip i with row i of ``table``
-    and its ``drawn`` flags; return each trip's cost, leg count and
-    per-mode distance fractions (registry order).
+    """Cost the trips ``simulate_trip`` drew, trip i with row i of ``table``;
+    return each trip's cost, leg count and per-mode distance fractions
+    (registry order).
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
@@ -137,11 +208,9 @@ def cost_trips(trips: Sequence[TripDraws], table: CostTable,
     order, where numpy's pairwise reductions would round a trip of 8 or
     more legs differently.
     """
-    n_legs = np.array([len(trip_legs) for trip_legs, _, _ in trips])
-    distances = np.array([d for trip_legs, _, _ in trips for d in trip_legs])
-    modes = np.array([m for _, leg_modes, _ in trips for m in leg_modes])
+    n_legs, distances, modes, z = trips
     n_modes = table.sigma.shape[1]
-    trip = np.repeat(np.arange(len(trips)), n_legs)
+    trip = np.repeat(np.arange(len(n_legs)), n_legs)
     cell = trip * n_modes + modes
     sigma = table.sigma.take(cell)
     drawn = sigma != 0.0
@@ -149,8 +218,6 @@ def cost_trips(trips: Sequence[TripDraws], table: CostTable,
     # The first of each leg's normals in the trips' concatenated draws.
     slots = drawn.astype(np.intp) + handling_drawn
     first = np.cumsum(slots) - slots
-    normals = [z for _, _, z in trips if z is not None]
-    z = np.concatenate(normals) if normals else None
 
     # A cost that overflows is inf, as in Python float arithmetic; the
     # caller rejects it.
@@ -162,9 +229,10 @@ def cost_trips(trips: Sequence[TripDraws], table: CostTable,
         h = handling_params
         handling = (np.exp(h.mu + h.sigma * z[first + drawn])
                     if handling_drawn else math.exp(h.mu))
-        cost = np.zeros(len(trips))
+        cost = np.zeros(len(n_legs))
         np.add.at(cost, trip, leg_cost(distances, weight, op_cost, handling))
     per_mode_km = np.zeros(table.sigma.shape)
     np.add.at(per_mode_km.reshape(-1), cell, distances)
-    span = np.array([math.fsum(trip_legs) for trip_legs, _, _ in trips])
+    ends = np.cumsum(n_legs)
+    span = _trip_sums(distances, ends - n_legs, ends)
     return cost, n_legs, per_mode_km / span[:, None]

@@ -26,6 +26,24 @@ class StubStream:
             return next(self._normals)
         return np.array([next(self._normals) for _ in range(size)])
 
+    # The block interface of a one-lane ``Lanes``, each draw taken from the
+    # scalar calls above.
+    def __len__(self):
+        return 1
+
+    def stream(self, i):
+        return self
+
+    def uniforms(self, sel, low, high):
+        return np.array([self.uniform(low, h)
+                         for h in np.broadcast_to(high, len(sel)).tolist()])
+
+    def indices(self, sel, n):
+        return np.array([self.integers(n) for _ in sel], dtype=np.intp)
+
+    def normals(self, counts):
+        return np.array([z for c in counts if c for z in self.normal(size=c)])
+
 
 class MidpointStream(StubStream):
     """Uniform draws always land on the interval midpoint."""

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
-from freightsim.evolution import (RateModel, _scenario_paths,
+from freightsim.evolution import (RateModel, _path_texts, _scenario_paths,
                                   compute_shared_means, evolve_mode_state,
                                   run_replicate, run_scenario)
 from freightsim.modes import ModeRegistry, ModeSpec, adjust_reference_cost
-from freightsim.stochastics import (_CHUNK, derive_stream,
-                                    lognormal_from_moments, sample_lognormal)
+from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
+                                    derive_stream, lognormal_from_moments,
+                                    sample_lognormal)
 
 from conftest import StubStream
 
@@ -178,9 +179,10 @@ def handling_params(cfg):
 
 
 def trip_streams(cfg, replicate):
-    """The trip streams of one replicate, derived one by one."""
-    return (derive_stream(cfg.seed, ("scenario", year, replicate, "trip"))
-            for year in range(cfg.start_year, cfg.end_year + 1))
+    """The trip streams of one replicate, as one block of lanes."""
+    return next(derive_lanes(cfg.seed, (
+        ("scenario", year, replicate, "trip")
+        for year in range(cfg.start_year, cfg.end_year + 1))))
 
 
 class TestRunReplicate:
@@ -326,9 +328,9 @@ class TestEvolutionPolicies:
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=19, iterations=2,
                              end_year=2022, evolution_policy="shared")
         reg = resolve_registry(cfg)
-        shared = compute_shared_means(cfg, reg, (
-            derive_stream(cfg.seed, ("scenario", year, "shared-rates"))
-            for year in range(cfg.start_year, cfg.end_year)))
+        shared = compute_shared_means(cfg, reg, derive_lanes(cfg.seed, (
+            ("scenario", year, "shared-rates")
+            for year in range(cfg.start_year, cfg.end_year))))
         results = run_scenario(cfg)
         for means in results.mode_means:
             assert means.tolist() == shared.tolist()
@@ -401,6 +403,13 @@ def stream_by_stream_run(cfg):
 
 
 class TestBatchedStreamsMatchOneByOne:
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    def test_path_texts_are_the_label_paths(self, policy):
+        cfg = ScenarioConfig(enabled_modes=["ocean"], seed=-12, iterations=3,
+                             end_year=2021, evolution_policy=policy)
+        assert list(_path_texts(cfg)) == [_path_text(cfg.seed, p)
+                                          for p in _scenario_paths(cfg)]
+
     # 12 rate steps and 13 trips per replicate: 2,500 paths per-replicate,
     # 2,612 shared.
     @pytest.mark.parametrize("policy,iterations",

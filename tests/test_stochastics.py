@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
 from freightsim.stochastics import (LogNormalParams, _path_entropy,
-                                    _pcg64_state, _state_words, derive_stream,
+                                    _path_text, _seed_words, _state_words, derive_stream,
                                     derive_streams, lognormal_from_moments,
                                     sample_lognormal)
 
@@ -148,12 +148,14 @@ def first_draws(gen):
 
 
 def batched_generator(words):
-    state, inc = _pcg64_state(words)
     bits = np.random.PCG64(0)
-    bits.state = {"bit_generator": "PCG64",
-                  "state": {"state": state, "inc": inc},
-                  "has_uint32": 0, "uinteger": 0}
+    bits.state = _seed_words(np.array([words])).bit_generator_state(0)
     return np.random.Generator(bits)
+
+
+def digests(entropies):
+    """Each entropy as the 32-byte big-endian digest it is read from."""
+    return b"".join(e.to_bytes(32, "big") for e in entropies)
 
 
 # Entropies below 2**224 have a top 32-bit word of 0; numpy coerces them to
@@ -166,7 +168,7 @@ class TestBatchedSeedingMatchesSeedSequence:
     @given(entropies=st.lists(st.integers(0, 2**256 - 1), min_size=1,
                               max_size=8))
     def test_state_words_and_first_draws(self, entropies):
-        words = _state_words(entropies)
+        words = _state_words(digests(entropies))
         assert words.tolist() == [oracle_words(e) for e in entropies]
         for e, w in zip(entropies, words):
             gen = batched_generator(w)
@@ -185,8 +187,8 @@ class TestBatchedSeedingMatchesSeedSequence:
                 super().__init__(entropy, **kw)
 
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        assert _state_words([full, *SHORT_ENTROPIES, full]).tolist() == \
-            expected
+        assert _state_words(digests([full, *SHORT_ENTROPIES, full])).tolist() \
+            == expected
         assert seen == SHORT_ENTROPIES
 
 
@@ -212,6 +214,12 @@ class TestDeriveStreams:
         oracle = np.random.default_rng(np.random.SeedSequence(
             _path_entropy(2018, ("scenario", 2030, 4, "rates"))))
         assert stream.normal(size=4).tolist() == oracle.normal(size=4).tolist()
+
+    def test_labels_are_hashed_as_their_str(self):
+        # A bool label is "True", not the "1" of a %d template.
+        assert _path_text(-3, ["x", True, 2.5]) == b"-3\x1fx\x1fTrue\x1f2.5"
+        assert first_draws(derive_stream(0, [True])) != \
+            first_draws(derive_stream(0, [1]))
 
 
 # n = 2**31 + 1 rejects about half of the first 32-bit draws; 2**32 takes
@@ -251,8 +259,7 @@ def draw(gen, method, args):
 
 def bit_generator_state(stream):
     """The stream's PCG64 state, in numpy's ``bit_generator.state`` form."""
-    stream._to_numpy()
-    return stream._bits.state
+    return stream.bit_generator_state(0)
 
 
 class TestStreamMatchesGenerator:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freightsim.stochastics import (LogNormalParams, derive_stream,
-                                    lognormal_from_moments)
+from freightsim.stochastics import (LogNormalParams, derive_lanes,
+                                    derive_stream, lognormal_from_moments)
 from freightsim.tripsim import (CostTable, assign_modes, cost_trips,
                                 generate_leg_distances, leg_cost,
                                 simulate_trip)
@@ -100,7 +100,7 @@ def simulate_and_cost(trip_distance, weight, mode_cost_means,
                                  np.array(cost_stdev_fractions, dtype=float))
     trip = simulate_trip(trip_distance, table.drawn[0],
                          handling_params.sigma != 0.0, stream, min_leg=min_leg)
-    cost, n_legs, fractions = cost_trips([trip], table, handling_params,
+    cost, n_legs, fractions = cost_trips(trip, table, handling_params,
                                          weight)
     return float(cost[0]), int(n_legs[0]), fractions[0].tolist()
 
@@ -187,7 +187,7 @@ class TestSimulateTrip:
                          exp_mu=np.ones((1, 3)), drawn=[[False] * 3])
         stream = derive_stream(0, ["cache"])
         trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
-        cost, n_legs, _ = cost_trips([trip], ones, self.HANDLING_EXACT,
+        cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
                                      50_000.0)
         assert cost[0] == pytest.approx(n_legs[0] * 50_000.0 * 4.59
                                         + 10_000.0 * 50_000.0, rel=1e-9)
@@ -292,10 +292,10 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
     two agree bit for bit, and return the trips' leg counts."""
     handling = lognormal_from_moments(4.59, handling_fraction * 4.59)
     table = CostTable.from_means(np.array(means), np.array(fractions))
-    trips = [simulate_trip(distance, drawn, handling.sigma != 0.0,
-                           derive_stream(seed, ["oracle", t]), min_leg=1.0)
-             for t, (distance, drawn) in enumerate(zip(trip_distances,
-                                                       table.drawn))]
+    lanes = next(derive_lanes(seed, [["oracle", t]
+                                     for t in range(len(trip_distances))]))
+    trips = simulate_trip(np.array(trip_distances), table.drawn,
+                          handling.sigma != 0.0, lanes, min_leg=1.0)
     cost, n_legs, frac = cost_trips(trips, table, handling, weight)
     for t, (distance, row) in enumerate(zip(trip_distances, means)):
         want = scalar_trip(distance, weight, row, fractions, handling,
