@@ -21,10 +21,10 @@ from .config import (ConfigError, ScenarioConfig, config_fingerprint,
 from .modes import ModeId, ModeRegistry, ModeSpec, adjust_reference_cost
 # derive_stream, which the engine does not call, stays bound here: the
 # benchmark's self-test checks that tracing restores it in this module.
-from .stochastics import (Lanes, LogNormalParams, RngStream,  # noqa: F401
-                          derive_stream, lognormal_arrays,
-                          lognormal_from_moments, sample_lognormal,
-                          seed_chunks)
+from .lanes import Lanes, RngStream
+from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
+                          lognormal_arrays, lognormal_from_moments,
+                          sample_lognormal, seed_chunks)
 from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
@@ -130,7 +130,7 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
     clamped to 0.99 as a last resort, from that lane's stream alone.
     """
     n = len(lanes)
-    r = np.tile(rates.fixed, (n, 1))
+    step = np.tile(1.0 - rates.fixed, (n, 1))
     k = rates.drawn.size
     if k:
         z = lanes.normals(np.full(n, k)).reshape(n, k)
@@ -138,8 +138,8 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
         for i in np.flatnonzero((sampled >= 1.0).any(axis=1)).tolist():
             sampled[i] = _redraw_rates(rates.mu, rates.sigma, z[i],
                                        lanes.stream(i))
-        r[:, rates.drawn] = sampled
-    step = costs * (1.0 - r)
+        step[:, rates.drawn] = 1.0 - sampled
+    step *= costs
     return step.reshape(np.shape(costs)) if np.ndim(costs) == 1 else step
 
 

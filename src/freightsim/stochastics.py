@@ -3,8 +3,8 @@
 Every random draw in the simulator comes from a stream fully determined by a
 master seed plus a label path.  That is what makes whole scenario runs
 reproducible byte-for-byte regardless of how replicates are scheduled.  The
-streams of up to ``_CHUNK`` paths are seeded and stepped together as
-:class:`Lanes`; :class:`RngStream` is one lane drawn a value at a time.
+streams of up to ``_CHUNK`` paths are seeded together, as the numpy uint64
+lanes of ``freightsim.lanes``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._ziggurat import KI as _KI, WI as _WI
+from .lanes import Lanes, RngStream
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def lognormal_arrays(means: np.ndarray,
                              f"its square underflows to 0")
         ratio = np.divide(stdevs * stdevs, mean_sq, out=np.zeros_like(means),
                           where=spread)
-    sigma2 = np.array(list(map(math.log1p, ratio.ravel().tolist())))
-    log_mean = np.array(list(map(math.log, means.ravel().tolist())))
+    sigma2 = np.fromiter(map(math.log1p, ratio.flat), float, ratio.size)
+    log_mean = np.fromiter(map(math.log, means.flat), float, means.size)
     mu = (log_mean - 0.5 * sigma2).reshape(means.shape)
     sigma = np.sqrt(sigma2).reshape(means.shape)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
@@ -96,9 +96,8 @@ def _path_entropy(master_seed: int, labels: Sequence[object]) -> int:
                                                     labels)).digest(), "big")
 
 
-# The constants of numpy's SeedSequence (pool size 4) and of PCG64's seeding
-# step.  They follow O'Neill, "Developing a seed_seq Alternative" (2015), and
-# O'Neill, PCG, HMC-CS-2014-0905.
+# The constants of numpy's SeedSequence (pool size 4), after O'Neill,
+# "Developing a seed_seq Alternative" (2015).
 _INIT_A = 0x43b0d7e5
 _MULT_A = 0x931e8875
 _INIT_B = 0x8b51f9dd
@@ -106,18 +105,6 @@ _MULT_B = 0x58f38ded
 _MIX_MULT_L = 0xca01f9dd
 _MIX_MULT_R = 0x4973f715
 _MASK32 = 0xFFFFFFFF
-_MASK52 = (1 << 52) - 1
-_MASK64 = (1 << 64) - 1
-# PCG64's 128-bit multiplier: its high and low words, and the low word's
-# 32-bit halves for the 64x64 -> 128-bit product.
-_MULT_HI = 0x2360ED051FC65DA4
-_MULT_LO = 0x4385DF649FCCF645
-_MULT_LO_0 = _MULT_LO & _MASK32
-_MULT_LO_1 = _MULT_LO >> 32
-_RANGE32 = 1 << 32
-# numpy's next_double scale: a 53-bit integer times 2**-53 is in [0, 1).
-_TO_UNIT = 1.0 / 9007199254740992.0
-_INF = math.inf
 
 # Label paths whose streams are seeded and stepped together: enough to
 # amortise numpy's per-call overhead over the array operations, few enough
@@ -173,252 +160,12 @@ def _state_words(digests: bytes) -> np.ndarray:
     return words
 
 
-def _lcg(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
-         inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of PCG64's 128-bit LCG, state * MULT + inc mod 2**128, on
-    uint64 (high, low) word arrays.  The low words' 128-bit product is
-    built from 32-bit halves; uint64 arrays wrap silently."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    p00, p01 = a0 * _MULT_LO_0, a0 * _MULT_LO_1
-    p10, p11 = a1 * _MULT_LO_0, a1 * _MULT_LO_1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_hi = carry + hi * _MULT_LO + lo * _MULT_HI
-    new_lo = lo * _MULT_LO + inc_lo
-    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
-
-
-def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """PCG64's output for the stepped state: the xor of its halves rotated
-    right by its top six bits."""
-    x = hi ^ lo
-    rot = hi >> 58
-    return x >> rot | x << ((64 - rot) & 63)
-
-
-class Lanes:
-    """Independent PCG64 streams, stepped together as numpy uint64 lanes.
-
-    Lane i holds the state numpy's ``PCG64`` would: the 128-bit ``state``
-    and ``inc`` as (high, low) word arrays, and the upper half of a 64-bit
-    output that ``next_uint32`` keeps for its next call.  Each lane draws
-    as ``np.random.default_rng(np.random.SeedSequence(entropy))`` of its
-    path would, value for value (O'Neill, HMC-CS-2014-0905).
-
-    The draws act on the lanes an index array ``sel`` names, each lane
-    once: ``uniforms`` and ``indices`` give one value per lane, ``normals``
-    any count per lane.  A normal off numpy's ziggurat fast path hands its
-    lane to numpy's ``Generator``, which draws that lane's remaining normals
-    and hands the state back.  A slice of a ``Lanes`` is a view: drawing
-    from it advances the parent's lanes.
-    """
-
-    def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
-                 inc_lo: np.ndarray, has_uint32: np.ndarray,
-                 uinteger: np.ndarray, labels: Sequence | None = None):
-        self.hi, self.lo = hi, lo
-        self.inc_hi, self.inc_lo = inc_hi, inc_lo
-        self.has_uint32, self.uinteger = has_uint32, uinteger
-        self.labels = labels
-        self._gen: np.random.Generator | None = None
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has_uint32,
-                self.uinteger)
-
-    def __len__(self) -> int:
-        return len(self.hi)
-
-    def __getitem__(self, index: slice) -> "Lanes":
-        return Lanes(*(a[index] for a in self._arrays()),
-                     labels=None if self.labels is None
-                     else self.labels[index])
-
-    def stream(self, i: int) -> "RngStream":
-        """Lane ``i`` as a one-lane stream; its draws advance this lane."""
-        return RngStream(*(a[i:i + 1] for a in self._arrays()),
-                         labels=None if self.labels is None
-                         else self.labels[i])
-
-    def bit_generator_state(self, i: int) -> dict:
-        """Lane ``i``'s state in the form of numpy's ``PCG64.state``."""
-        return {"bit_generator": "PCG64",
-                "state": {"state": int(self.hi[i]) << 64 | int(self.lo[i]),
-                          "inc": int(self.inc_hi[i]) << 64
-                          | int(self.inc_lo[i])},
-                "has_uint32": int(self.has_uint32[i]),
-                "uinteger": int(self.uinteger[i])}
-
-    def _to_numpy(self, i: int) -> np.random.Generator:
-        """numpy's ``Generator`` in lane ``i``'s state; ``_from_numpy``
-        takes the state back after the draws."""
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.PCG64(0))
-        self._gen.bit_generator.state = self.bit_generator_state(i)
-        return self._gen
-
-    def _from_numpy(self, i: int) -> None:
-        st = self._gen.bit_generator.state
-        state = st["state"]["state"]
-        self.hi[i], self.lo[i] = state >> 64, state & _MASK64
-        self.has_uint32[i], self.uinteger[i] = st["has_uint32"], st["uinteger"]
-
-    def _next64(self, sel: np.ndarray) -> np.ndarray:
-        """numpy's ``next_uint64`` of every lane of ``sel``."""
-        hi, lo = _lcg(self.hi[sel], self.lo[sel], self.inc_hi[sel],
-                      self.inc_lo[sel])
-        self.hi[sel], self.lo[sel] = hi, lo
-        return _xsl_rr(hi, lo)
-
-    def _next32(self, sel: np.ndarray) -> np.ndarray:
-        """numpy's ``next_uint32`` of every lane of ``sel``: the buffered
-        high half of the lane's last 64-bit output if it holds one, else
-        the low half of a fresh output, whose high half it then holds."""
-        buffered = self.has_uint32[sel]
-        fresh = ~buffered
-        out = self.uinteger[sel]
-        if fresh.any():
-            x = self._next64(sel[fresh])
-            out[fresh] = x & _MASK32
-            self.uinteger[sel[fresh]] = x >> 32
-        self.has_uint32[sel] = fresh
-        return out
-
-    def uniforms(self, sel: np.ndarray, low, high) -> np.ndarray:
-        """``Generator.uniform(low, high)`` on every lane of ``sel``, for
-        float bounds (scalars, or one per lane) with 0 <= high - low < inf:
-        ``low + (high - low) * next_double``."""
-        return low + (high - low) * ((self._next64(sel) >> 11) * _TO_UNIT)
-
-    def indices(self, sel: np.ndarray, n: int) -> np.ndarray:
-        """``Generator.integers(n)`` on every lane of ``sel``, for
-        2 <= n <= 2**32: Lemire's method on 32-bit draws (ACM TOMACS 29(1),
-        2019), redrawing the lanes that land below the threshold."""
-        m = self._next32(sel) * n
-        threshold = (_RANGE32 - n) % n
-        redo = np.flatnonzero(m & _MASK32 < threshold)
-        while redo.size:
-            m[redo] = self._next32(sel[redo]) * n
-            redo = redo[m[redo] & _MASK32 < threshold]
-        return m >> 32
-
-    def normals(self, counts: np.ndarray) -> np.ndarray:
-        """``Generator.normal(size=counts[i])`` of every lane i, concatenated
-        in lane order.
-
-        The k-th normals of all lanes are taken at once, on numpy's
-        ziggurat fast path (Marsaglia and Tsang, J. Stat. Softw. 5(8),
-        2000): a 64-bit output gives a layer (its low byte), a sign and a
-        52-bit ``rabs``, and the normal is ``0.0 + 1.0 * ±rabs * WI[layer]``
-        when ``rabs < KI[layer]``.  A lane off that path goes back to its
-        state before that output and hands it to numpy, which draws the
-        lane's remaining normals.
-        """
-        counts = np.asarray(counts, dtype=np.intp)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        out = np.empty(ends[-1] if counts.size else 0)
-        active = np.flatnonzero(counts)
-        k = 0
-        while active.size:
-            hi0, lo0 = self.hi[active], self.lo[active]
-            hi, lo = _lcg(hi0, lo0, self.inc_hi[active], self.inc_lo[active])
-            self.hi[active], self.lo[active] = hi, lo
-            r = _xsl_rr(hi, lo)
-            layer = (r & 0xFF).astype(np.intp)
-            rabs = r >> 9 & _MASK52
-            x = rabs * _WI[layer]
-            x[(r & 0x100) != 0] *= -1.0
-            out[starts[active] + k] = 0.0 + 1.0 * x
-            fast = rabs < _KI[layer]
-            k += 1
-            if not fast.all():
-                for j in np.flatnonzero(~fast).tolist():
-                    i = active[j]
-                    self.hi[i], self.lo[i] = hi0[j], lo0[j]
-                    out[starts[i] + k - 1:ends[i]] = self._to_numpy(i).normal(
-                        size=counts[i] - k + 1)
-                    self._from_numpy(i)
-                active = active[fast]
-            active = active[counts[active] > k]
-        return out
-
-
-_ONE = np.zeros(1, dtype=np.intp)
-
-
-class RngStream(Lanes):
-    """One lane, drawn one value at a time: the stream of the label path
-    ``labels``.
-
-    ``uniform``, ``integers`` and ``normal`` return what numpy's
-    ``Generator`` of the path returns, and raise its errors.  ``uniform``
-    and ``integers`` step the lane; ``normal``, and ``integers`` past the
-    32-bit range, are numpy's own calls on the handed-off state.
-    """
-
-    def uniform(self, low: float, high: float) -> float:
-        """``Generator.uniform(low, high)``, with its exceptions."""
-        span = high - low
-        if type(span) is not float or not 0.0 < span < _INF:
-            # numpy subtracts the bounds as doubles; two ints subtract
-            # exactly and would round once, after.
-            low, high = float(low), float(high)
-            span = high - low
-            if not math.isfinite(span):
-                raise OverflowError("high - low range exceeds valid bounds")
-            if math.copysign(1.0, span) < 0.0:
-                raise ValueError("high - low < 0")
-        return float(self.uniforms(_ONE, low, high)[0])
-
-    def integers(self, n: int) -> int:
-        """A uniform integer in [0, n): ``Generator.integers(n)``.
-
-        n == 1 draws nothing; 2 <= n <= 2**32 is ``indices``.  Any other
-        n is numpy's, values and errors alike.
-        """
-        if type(n) is int and 1 <= n <= _RANGE32:
-            return 0 if n == 1 else int(self.indices(_ONE, n)[0])
-        try:
-            return int(self._to_numpy(0).integers(n))
-        finally:
-            self._from_numpy(0)
-
-    def normal(self, size: int | None = None):
-        """``Generator.normal(size=size)``: a float, or an array."""
-        try:
-            out = self._to_numpy(0).normal(size=size)
-        finally:
-            self._from_numpy(0)
-        return float(out) if size is None else out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(labels={self.labels!r})"
-
-
 def seed_lanes(texts: Sequence[bytes]) -> Lanes:
     """The lanes of the label paths whose ``_path_text`` is ``texts``, in
     order: each seeded as ``PCG64(SeedSequence(entropy))``, the entropy
     the path's SHA-256 digest read as a big-endian int."""
-    return _seed_words(_state_words(b"".join([hashlib.sha256(t).digest()
-                                              for t in texts])))
-
-
-def _seed_words(words: np.ndarray) -> Lanes:
-    """The lanes ``PCG64`` seeds from SeedSequence state words, one row of
-    ``generate_state(4, np.uint64)`` per lane.
-
-    ``PCG64`` starts in ``(inc + initstate) * MULT + inc`` with ``inc =
-    initseq << 1 | 1``, where the four words are ``initstate`` (the first
-    two) and ``initseq`` (the last two).
-    """
-    w0, w1, w2, w3 = words.T
-    inc_hi = w2 << 1 | w3 >> 63
-    inc_lo = w3 << 1 | 1
-    lo = inc_lo + w1
-    hi, lo = _lcg(inc_hi + w0 + (lo < inc_lo), lo, inc_hi, inc_lo)
-    return Lanes(hi, lo, inc_hi, inc_lo, np.zeros(len(words), dtype=bool),
-                 np.zeros(len(words), dtype=np.uint64))
+    return Lanes.from_seed_words(_state_words(
+        b"".join([hashlib.sha256(t).digest() for t in texts])))
 
 
 def seed_chunks(texts: Iterable[bytes]) -> Iterator[Lanes]:

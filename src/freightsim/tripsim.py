@@ -18,7 +18,8 @@ from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .stochastics import LogNormalParams, RngStream, lognormal_arrays
+from .lanes import RngStream
+from .stochastics import LogNormalParams, lognormal_arrays
 
 _T = TypeVar("_T")
 
@@ -169,6 +170,7 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
     distances[starts[whole]] = distance[whole]
     for k, (active, d) in enumerate(rounds):
         distances[starts[active] + k] = d
+    del rounds
     # The remainder joins the last leg, which then takes up the rounding
     # of the legs' sum.
     split = np.flatnonzero(~whole)
@@ -186,9 +188,10 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
         for k in range(int(n_legs.max(initial=0))):
             active = active[n_legs[active] > k]
             modes[starts[active] + k] = lanes.indices(active, n_modes)
-    trip = np.repeat(np.arange(n), n_legs)
-    slots = drawn[trip, modes] + np.intp(handling_drawn)
+    slots = drawn[np.repeat(np.arange(n), n_legs), modes] + np.intp(
+        handling_drawn)
     counts = np.add.reduceat(slots, starts) if n else slots
+    del slots
     return TripDraws(n_legs, distances, modes, lanes.normals(counts))
 
 
@@ -211,24 +214,36 @@ def cost_trips(trips: TripDraws, table: CostTable,
     n_legs, distances, modes, z = trips
     n_modes = table.sigma.shape[1]
     trip = np.repeat(np.arange(len(n_legs)), n_legs)
-    cell = trip * n_modes + modes
-    sigma = table.sigma.take(cell)
-    drawn = sigma != 0.0
+    cell = trip * n_modes
+    cell += modes
+    drawn = table.sigma.take(cell) != 0.0
     handling_drawn = handling_params.sigma != 0.0
     # The first of each leg's normals in the trips' concatenated draws.
-    slots = drawn.astype(np.intp) + handling_drawn
-    first = np.cumsum(slots) - slots
+    first = np.cumsum(drawn + np.intp(handling_drawn))
+    first -= drawn
+    first -= handling_drawn
 
     # A cost that overflows is inf, as in Python float arithmetic; the
-    # caller rejects it.
+    # caller rejects it.  exp(mu + sigma * z) is formed in place, in the
+    # array of z.
     with np.errstate(over="ignore"):
         op_cost = table.exp_mu.take(cell)
         if drawn.any():
-            op_cost[drawn] = np.exp(table.mu.take(cell[drawn])
-                                    + sigma[drawn] * z[first[drawn]])
+            at = cell[drawn]
+            x = z[first[drawn]]
+            x *= table.sigma.take(at)
+            x += table.mu.take(at)
+            op_cost[drawn] = np.exp(x, out=x)
         h = handling_params
-        handling = (np.exp(h.mu + h.sigma * z[first + drawn])
-                    if handling_drawn else math.exp(h.mu))
+        if handling_drawn:
+            first += drawn
+            handling = z[first]
+            handling *= h.sigma
+            handling += h.mu
+            np.exp(handling, out=handling)
+        else:
+            handling = math.exp(h.mu)
+        del first
         cost = np.zeros(len(n_legs))
         np.add.at(cost, trip, leg_cost(distances, weight, op_cost, handling))
     per_mode_km = np.zeros(table.sigma.shape)

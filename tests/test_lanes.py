@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from freightsim import _ziggurat
-from freightsim.stochastics import Lanes
+from freightsim.lanes import Lanes
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1

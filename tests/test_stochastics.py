@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
+from freightsim.lanes import Lanes
 from freightsim.stochastics import (LogNormalParams, _path_entropy,
-                                    _path_text, _seed_words, _state_words, derive_stream,
+                                    _path_text, _state_words, derive_stream,
                                     derive_streams, lognormal_from_moments,
                                     sample_lognormal)
 
@@ -149,7 +150,8 @@ def first_draws(gen):
 
 def batched_generator(words):
     bits = np.random.PCG64(0)
-    bits.state = _seed_words(np.array([words])).bit_generator_state(0)
+    bits.state = Lanes.from_seed_words(
+        np.array([words])).bit_generator_state(0)
     return np.random.Generator(bits)
 
 
