@@ -134,11 +134,14 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
     k = rates.drawn.size
     if k:
         z = lanes.normals(np.full(n, k)).reshape(n, k)
-        sampled = np.exp(rates.mu + rates.sigma * z)
+        # exp(mu + sigma * z), formed in place.
+        sampled = rates.sigma * z
+        sampled += rates.mu
+        np.exp(sampled, out=sampled)
         for i in np.flatnonzero((sampled >= 1.0).any(axis=1)).tolist():
             sampled[i] = _redraw_rates(rates.mu, rates.sigma, z[i],
                                        lanes.stream(i))
-        step[:, rates.drawn] = 1.0 - sampled
+        step[:, rates.drawn] = np.subtract(1.0, sampled, out=sampled)
     step *= costs
     return step.reshape(np.shape(costs)) if np.ndim(costs) == 1 else step
 

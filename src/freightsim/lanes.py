@@ -67,6 +67,20 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return x >> rot | x << ((64 - rot) & 63)
 
 
+# numpy keeps freed arrays of under 1 KiB for reuse, up to seven of each
+# byte size.  Lockstep loops whose lane sets shrink one lane at a time would
+# leave arrays of every small size held, so they draw sets padded to a
+# multiple of this many lanes.
+_PAD = 128
+
+
+def padded(sel: np.ndarray) -> np.ndarray:
+    """``sel`` repeated to the next multiple of ``_PAD`` lanes.  A repeated
+    lane takes the same draws from the same state and writes the same
+    values again, so drawing a padded set draws each lane once."""
+    return np.resize(sel, -(-sel.size // _PAD) * _PAD)
+
+
 class Lanes:
     """Independent PCG64 streams, stepped together as numpy uint64 lanes.
 
@@ -151,14 +165,14 @@ class Lanes:
         self.hi[i], self.lo[i] = state >> 64, state & _MASK64
         self.has_uint32[i], self.uinteger[i] = st["has_uint32"], st["uinteger"]
 
-    def _next64(self, sel: np.ndarray) -> np.ndarray:
+    def _draw64(self, sel: np.ndarray) -> np.ndarray:
         """numpy's ``next_uint64`` of every lane of ``sel``."""
         hi, lo = _lcg(self.hi[sel], self.lo[sel], self.inc_hi[sel],
                       self.inc_lo[sel])
         self.hi[sel], self.lo[sel] = hi, lo
         return _xsl_rr(hi, lo)
 
-    def _next32(self, sel: np.ndarray) -> np.ndarray:
+    def _draw32(self, sel: np.ndarray) -> np.ndarray:
         """numpy's ``next_uint32`` of every lane of ``sel``: the buffered
         high half of the lane's last 64-bit output if it holds one, else
         the low half of a fresh output, whose high half it then holds."""
@@ -166,7 +180,7 @@ class Lanes:
         fresh = ~buffered
         out = self.uinteger[sel]
         if fresh.any():
-            x = self._next64(sel[fresh])
+            x = self._draw64(sel[fresh])
             out[fresh] = x & _MASK32
             self.uinteger[sel[fresh]] = x >> 32
         self.has_uint32[sel] = fresh
@@ -176,17 +190,17 @@ class Lanes:
         """``Generator.uniform(low, high)`` on every lane of ``sel``, for
         float bounds (scalars, or one per lane) with 0 <= high - low < inf:
         ``low + (high - low) * next_double``."""
-        return low + (high - low) * ((self._next64(sel) >> 11) * _TO_UNIT)
+        return low + (high - low) * ((self._draw64(sel) >> 11) * _TO_UNIT)
 
     def indices(self, sel: np.ndarray, n: int) -> np.ndarray:
         """``Generator.integers(n)`` on every lane of ``sel``, for
         2 <= n <= 2**32: Lemire's method on 32-bit draws (ACM TOMACS 29(1),
         2019), redrawing the lanes that land below the threshold."""
-        m = self._next32(sel) * n
+        m = self._draw32(sel) * n
         threshold = (_RANGE32 - n) % n
         redo = np.flatnonzero(m & _MASK32 < threshold)
         while redo.size:
-            m[redo] = self._next32(sel[redo]) * n
+            m[redo] = self._draw32(sel[redo]) * n
             redo = redo[m[redo] & _MASK32 < threshold]
         return m >> 32
 
@@ -209,6 +223,7 @@ class Lanes:
         active = np.flatnonzero(counts)
         k = 0
         while active.size:
+            active = padded(active)
             hi0, lo0 = self.hi[active], self.lo[active]
             hi, lo = _lcg(hi0, lo0, self.inc_hi[active], self.inc_lo[active])
             self.hi[active], self.lo[active] = hi, lo
@@ -221,7 +236,9 @@ class Lanes:
             fast = rabs < _KI[layer]
             k += 1
             if not fast.all():
-                for j in np.flatnonzero(~fast).tolist():
+                slow = np.flatnonzero(~fast)
+                _, first = np.unique(active[slow], return_index=True)
+                for j in slow[first].tolist():
                     i = active[j]
                     self.hi[i], self.lo[i] = hi0[j], lo0[j]
                     out[starts[i] + k - 1:ends[i]] = self._to_numpy(i).normal(

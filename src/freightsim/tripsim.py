@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .lanes import RngStream
+from .lanes import RngStream, padded
 from .stochastics import LogNormalParams, lognormal_arrays
 
 _T = TypeVar("_T")
@@ -153,6 +153,7 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
     rounds = []
     active = np.flatnonzero(remaining >= min_leg)
     while active.size:
+        active = padded(active)
         d = lanes.uniforms(active, min_leg, remaining[active])
         rounds.append((active, d))
         remaining[active] -= d
@@ -186,7 +187,7 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
     if n_modes > 1:
         active = np.arange(n)
         for k in range(int(n_legs.max(initial=0))):
-            active = active[n_legs[active] > k]
+            active = padded(active[n_legs[active] > k])
             modes[starts[active] + k] = lanes.indices(active, n_modes)
     slots = drawn[np.repeat(np.arange(n), n_legs), modes] + np.intp(
         handling_drawn)

@@ -27,7 +27,8 @@ class StubStream:
         return np.array([next(self._normals) for _ in range(size)])
 
     # The block interface of a one-lane ``Lanes``, each draw taken from the
-    # scalar calls above.
+    # scalar calls above.  Every entry of ``sel`` is lane 0 (a padded set
+    # repeats it), so each call takes one draw.
     def __len__(self):
         return 1
 
@@ -35,11 +36,11 @@ class StubStream:
         return self
 
     def uniforms(self, sel, low, high):
-        return np.array([self.uniform(low, h)
-                         for h in np.broadcast_to(high, len(sel)).tolist()])
+        high = np.broadcast_to(high, len(sel))[0].item()
+        return np.full(len(sel), self.uniform(low, high))
 
     def indices(self, sel, n):
-        return np.array([self.integers(n) for _ in sel], dtype=np.intp)
+        return np.full(len(sel), self.integers(n), dtype=np.intp)
 
     def normals(self, counts):
         return np.array([z for c in counts if c for z in self.normal(size=c)])

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from freightsim import _ziggurat
-from freightsim.lanes import Lanes
+from freightsim.lanes import Lanes, padded
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
@@ -142,15 +142,18 @@ class TestLaneUniformsAndIndicesMatchGenerator:
         lanes = lanes_of(states)
         gens = [generator_of(*s) for s in states]
         for kind, n, chosen in rounds:
-            sel = np.flatnonzero(chosen[:len(states)])
+            # A padded set repeats lanes; each lane still draws once.
+            lanes_drawn = np.flatnonzero(chosen[:len(states)])
+            sel = padded(lanes_drawn)
             if kind == "uniform":
-                high = np.linspace(1.0, 1e9, len(sel))
+                high = 1.0 + sel * 1e8
                 got = lanes.uniforms(sel, 0.5, high).tolist()
-                want = [gens[i].uniform(0.5, h)
-                        for i, h in zip(sel, high.tolist())]
+                want = {i: gens[i].uniform(0.5, 1.0 + i * 1e8)
+                        for i in lanes_drawn.tolist()}
             else:
                 got = lanes.indices(sel, n).tolist()
-                want = [int(gens[i].integers(n)) for i in sel]
-            assert got == want
+                want = {i: int(gens[i].integers(n))
+                        for i in lanes_drawn.tolist()}
+            assert got == [want[i] for i in sel.tolist()]
         for i, gen in enumerate(gens):
             assert lanes.bit_generator_state(i) == gen.bit_generator.state
