@@ -78,7 +78,8 @@ def padded(sel: np.ndarray) -> np.ndarray:
     """``sel`` repeated to the next multiple of ``_PAD`` lanes.  A repeated
     lane takes the same draws from the same state and writes the same
     values again, so drawing a padded set draws each lane once."""
-    return np.resize(sel, -(-sel.size // _PAD) * _PAD)
+    size = -(-sel.size // _PAD) * _PAD
+    return sel if size == sel.size else np.resize(sel, size)
 
 
 class Lanes:
