@@ -3,7 +3,9 @@
 A :class:`Lanes` holds many independent streams, each in the state numpy's
 ``PCG64`` would hold, and takes the k-th draw of all of them at once with
 numpy's own arithmetic; :class:`RngStream` is one lane drawn a value at a
-time.  ``freightsim.stochastics`` seeds them from label paths.
+time.  Normals are drawn flat: every normal a call needs, from the state
+jump-ahead gives for its output, with numpy's whole ziggurat on the lanes.
+``freightsim.stochastics`` seeds the lanes from label paths.
 """
 
 from __future__ import annotations
@@ -13,50 +15,113 @@ from typing import Sequence
 
 import numpy as np
 
-from ._ziggurat import KI as _KI, WI as _WI
+from ._ziggurat import FI as _FI, KI as _KI, WI as _WI
 
 _MASK32 = 0xFFFFFFFF
 _MASK52 = (1 << 52) - 1
 _MASK64 = (1 << 64) - 1
-# PCG64's 128-bit multiplier: its high and low words, and the low word's
-# 32-bit halves for the 64x64 -> 128-bit product.
-_MULT_HI = 0x2360ED051FC65DA4
-_MULT_LO = 0x4385DF649FCCF645
-_MULT_LO_0 = _MULT_LO & _MASK32
-_MULT_LO_1 = _MULT_LO >> 32
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit multiplier.
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _RANGE32 = 1 << 32
 # numpy's next_double scale: a 53-bit integer times 2**-53 is in [0, 1).
 _TO_UNIT = 1.0 / 9007199254740992.0
 _INF = math.inf
+# Where the ziggurat's tail starts, and its inverse, as numpy's C source
+# writes them.
+_TAIL_R = 3.6541528853610087963519472518
+_TAIL_INV_R = 0.27366123732975827203338247596
+# Outputs that a pass of ``Lanes.normals`` draws at once: the pass's work
+# arrays stay at tens of KiB however many normals a call takes.
+_SLICE = 2048
+
+
+def _words(value: int) -> tuple[int, int, int, int]:
+    """A 128-bit int as ``_mul`` takes a multiplier: its high word, its
+    low word and the low word's 32-bit halves."""
+    return (value >> 64, value & _MASK64, value & _MASK32,
+            value >> 32 & _MASK32)
+
+
+_MULT_WORDS = _words(_MULT)
+
+
+def _mul(a, b_hi: np.ndarray, b_lo: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b mod 2**128`` on (high, low) uint64 words, with ``a`` in the
+    form of ``_words`` (Python ints, or arrays like ``b``'s).  The low
+    words' 128-bit product is built from 32-bit halves; uint64 arrays wrap
+    silently."""
+    a_hi, a_lo, a0, a1 = a
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    # The high word of the low words' product: p11 + the high halves of
+    # t = p01 + (p00 >> 32) and of u = p10 + the low half of t, none of
+    # which can wrap.  In place, to keep few arrays alive.
+    t = a0 * b1
+    t += a0 * b0 >> 32
+    u = a1 * b0
+    u += t & _MASK32
+    high = a1 * b1
+    high += t >> 32
+    high += u >> 32
+    high += a_lo * b_hi
+    high += a_hi * b_lo
+    return high, a_lo * b_lo
 
 
 def _lcg(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
          inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step of PCG64's 128-bit LCG, state * MULT + inc mod 2**128, on
-    uint64 (high, low) word arrays.  The low words' 128-bit product is
-    built from 32-bit halves; uint64 arrays wrap silently."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    p01, p10 = a0 * _MULT_LO_1, a1 * _MULT_LO_0
-    # mid = (p00 >> 32) + low halves of p01 and p10; high = p11 + high
-    # halves of p01, p10 and mid.  In place, to keep few arrays alive.
-    mid = a0
-    mid *= _MULT_LO_0
-    mid >>= 32
-    mid += p01 & _MASK32
-    mid += p10 & _MASK32
-    high = a1
-    high *= _MULT_LO_1
-    high += p01 >> 32
-    high += p10 >> 32
-    mid >>= 32
-    high += mid
-    high += hi * _MULT_LO
-    high += lo * _MULT_HI
-    new_lo = lo * _MULT_LO
-    new_lo += inc_lo
-    high += inc_hi
-    high += new_lo < inc_lo
-    return high, new_lo
+    uint64 (high, low) word arrays."""
+    hi, lo = _mul(_MULT_WORDS, hi, lo)
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    return hi, lo
+
+
+# Row k of the first table holds the words of MULT**k, and of the second
+# those of C_k = 1 + MULT + ... + MULT**(k-1), mod 2**128: k steps of the
+# LCG take a state s with increment inc to MULT**k * s + C_k * inc (Brown,
+# Trans. Am. Nucl. Soc. 71, 1994).  Grown on demand by _jump.
+_JUMPS = np.empty((2, 0, 4), dtype=np.uint64)
+
+
+def _jump(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+          inc_lo: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LCG states ``k[i]`` steps after state i, for uint64 (high, low)
+    word arrays and an array of step counts."""
+    global _JUMPS
+    if k.size and k.max() >= _JUMPS.shape[1]:
+        size = max(int(k.max()) + 1, 2 * _JUMPS.shape[1], 64)
+        powers, sums, power, total = [], [], 1, 0
+        for _ in range(size):
+            powers.append(_words(power))
+            sums.append(_words(total))
+            power, total = power * _MULT & _MASK128, (total + power) & _MASK128
+        _JUMPS = np.array([powers, sums], dtype=np.uint64)
+    # Each table's rows are taken as they are used, to keep few alive.
+    hi, lo = _mul(_JUMPS[0].take(k, axis=0).T, hi, lo)
+    c_hi, c_lo = _mul(_JUMPS[1].take(k, axis=0).T, inc_hi, inc_lo)
+    lo += c_lo
+    hi += c_hi
+    hi += lo < c_lo
+    return hi, lo
+
+
+def _signed(x: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """The floats ``x`` (none of them negative) with the sign bit of each
+    set to bit 8 of ``word``: ``-x`` where that bit is set, in place."""
+    sign = word & 0x100
+    sign <<= 55
+    x.view(np.uint64)[...] |= sign
+    return x
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f``, a ``math`` function, of every float of ``x``: the C library's
+    result, which numpy's vector routines do not always reproduce."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
 def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -93,10 +158,11 @@ class Lanes:
 
     The draws act on the lanes an index array ``sel`` names, each lane
     once: ``uniforms`` and ``indices`` give one value per lane, ``normals``
-    any count per lane.  A normal off numpy's ziggurat fast path hands its
-    lane to numpy's ``Generator``, which draws that lane's remaining normals
-    and hands the state back.  A slice of a ``Lanes`` is a view: drawing
-    from it advances the parent's lanes.
+    any count per lane.  ``normals`` takes all of a call's normals in flat
+    passes over (lane, k) positions, each state found by jump-ahead, and
+    draws the rare normal off the ziggurat's fast path on the lane itself,
+    as numpy's C code does; no lane is handed to numpy.  A slice of a
+    ``Lanes`` is a view: drawing from it advances the parent's lanes.
     """
 
     def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
@@ -207,47 +273,144 @@ class Lanes:
 
     def normals(self, counts: np.ndarray) -> np.ndarray:
         """``Generator.normal(size=counts[i])`` of every lane i, concatenated
-        in lane order.
+        in lane order: numpy's ziggurat (Marsaglia and Tsang, J. Stat.
+        Softw. 5(8), 2000), each lane on its own stream.
 
-        The k-th normals of all lanes are taken at once, on numpy's
-        ziggurat fast path (Marsaglia and Tsang, J. Stat. Softw. 5(8),
-        2000): a 64-bit output gives a layer (its low byte), a sign and a
-        52-bit ``rabs``, and the normal is ``0.0 + 1.0 * ±rabs * WI[layer]``
-        when ``rabs < KI[layer]``.  A lane off that path goes back to its
-        state before that output and hands it to numpy, which draws the
-        lane's remaining normals.
+        A pass takes every normal that lanes still need at once, from the
+        state each lane's k-th output is drawn in, found by jump-ahead
+        (``_jump``).  An output gives a layer (its low byte), a sign and a
+        52-bit ``rabs``, and the normal is ``0.0 + 1.0 * ±rabs * WI[layer]``.
+        A lane stops at its first output with ``rabs >= KI[layer]``, off
+        the fast path; ``_off_path`` finishes that normal on all stopped
+        lanes together, and their remaining normals go to the next pass.
         """
         counts = np.asarray(counts, dtype=np.intp)
         ends = np.cumsum(counts)
-        starts = ends - counts
         out = np.empty(ends[-1] if counts.size else 0)
-        active = np.flatnonzero(counts)
-        k = 0
-        while active.size:
-            active = padded(active)
-            hi0, lo0 = self.hi[active], self.lo[active]
-            hi, lo = _lcg(hi0, lo0, self.inc_hi[active], self.inc_lo[active])
-            self.hi[active], self.lo[active] = hi, lo
+        lanes = np.flatnonzero(counts)
+        need = counts[lanes]
+        first = ends[lanes] - need
+        while lanes.size:
+            stopped, k, r = self._pass(lanes, need, first, out)
+            if not k.size:
+                break
+            lanes, slot = lanes[stopped], first[stopped] + k - 1
+            z, done = self._off_path(lanes, r)
+            z += 0.0
+            out[slot[done]] = z[done]
+            # A rejected draw starts again from a fresh output: the slot
+            # goes to the next pass with the lane's remaining normals.
+            need = need[stopped] - k + ~done
+            more = need > 0
+            lanes, need, first = lanes[more], need[more], (slot + done)[more]
+        return out
+
+    def _pass(self, lanes: np.ndarray, need: np.ndarray, first: np.ndarray,
+              out: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Write ``need[i]`` fast-path normals of each lane ``lanes[i]`` to
+        ``out[first[i]:]``, ``_SLICE`` outputs at a time, and leave each
+        lane in the state of its last output, or of its first output off
+        the fast path.  Returns which lanes stopped there, after how many
+        outputs, and those outputs; the slots past a stop hold values
+        that the next pass writes again."""
+        m = lanes.size
+        # Each lane's state and increment words, a row per lane, to gather
+        # at once.
+        words = np.stack((self.hi[lanes], self.lo[lanes], self.inc_hi[lanes],
+                          self.inc_lo[lanes]), axis=1)
+        ends = np.cumsum(need)
+        starts = ends - need
+        total = int(ends[-1])
+        slot = first - 1
+        new_hi, new_lo = np.empty((2, m), dtype=np.uint64)
+        stopped = np.zeros(m, dtype=bool)
+        stop_k = np.empty(m, dtype=np.intp)
+        stop_r = np.empty(m, dtype=np.uint64)
+        for a in range(0, total, _SLICE):
+            b = min(a + _SLICE, total)
+            # Outputs a to b are those of lanes l0 to l1, the first and the
+            # last perhaps in part; lanes l0 to l_end end in the slice.
+            l0, l1, l_end = ends.searchsorted((a, b - 1, b), "right")
+            n = need[l0:l1 + 1].copy()
+            n[0] -= a - starts[l0]
+            n[-1] -= ends[l1] - b
+            j = np.repeat(np.arange(l0, l1 + 1), n)
+            k = np.arange(a + 1, b + 1) - starts[j]
+            hi, lo = _jump(*words.take(j, axis=0).T, k)
             r = _xsl_rr(hi, lo)
             layer = (r & 0xFF).astype(np.intp)
             rabs = r >> 9 & _MASK52
-            x = rabs * _WI[layer]
-            x[(r & 0x100) != 0] *= -1.0
-            out[starts[active] + k] = 0.0 + 1.0 * x
-            fast = rabs < _KI[layer]
-            k += 1
-            if not fast.all():
-                slow = np.flatnonzero(~fast)
-                _, first = np.unique(active[slow], return_index=True)
-                for j in slow[first].tolist():
-                    i = active[j]
-                    self.hi[i], self.lo[i] = hi0[j], lo0[j]
-                    out[starts[i] + k - 1:ends[i]] = self._to_numpy(i).normal(
-                        size=counts[i] - k + 1)
-                    self._from_numpy(i)
-                active = active[fast]
-            active = active[counts[active] > k]
-        return out
+            x = _signed(rabs * _WI[layer], r)
+            # numpy returns 0.0 + 1.0 * x, which only turns -0.0 into 0.0.
+            x += 0.0
+            out[slot[j] + k] = x
+            # Lane l0 may have stopped in an earlier slice; it keeps that
+            # state.
+            spans = a and stopped[l0]
+            at = ends[l0 + spans:l_end] - (a + 1)
+            new_hi[l0 + spans:l_end], new_lo[l0 + spans:l_end] = hi[at], lo[at]
+            slow = np.flatnonzero(rabs >= _KI[layer])
+            if slow.size:
+                js = j[slow]
+                head = np.ones(slow.size, dtype=bool)
+                np.not_equal(js[1:], js[:-1], out=head[1:])
+                if spans:
+                    head &= js != l0
+                slow, js = slow[head], js[head]
+                stopped[js] = True
+                stop_k[js], stop_r[js] = k[slow], r[slow]
+                new_hi[js], new_lo[js] = hi[slow], lo[slow]
+            # Free this slice's arrays before the next slice builds its own.
+            del j, k, hi, lo, r, layer, rabs, x
+        self.hi[lanes], self.lo[lanes] = new_hi, new_lo
+        return stopped, stop_k[stopped], stop_r[stopped]
+
+    def _off_path(self, sel: np.ndarray, r: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The normals that lanes ``sel`` were drawing when their last
+        outputs, ``r``, missed the ziggurat's fast path, carried on as
+        numpy's ``random_standard_normal`` does, and whether each was
+        decided.
+
+        A layer above 0 keeps ``x`` when ``(FI[l-1] - FI[l]) * u + FI[l] <
+        exp(-0.5 * x * x)`` for ``u = next_double``; otherwise the normal
+        is undecided and numpy starts again from a fresh output.  Layer 0
+        is decided by ``_tail``.  ``exp`` is ``math``'s, the C library's,
+        as numpy's is.
+        """
+        layer = (r & 0xFF).astype(np.intp)
+        rabs = r >> 9 & _MASK52
+        z = _signed(rabs * _WI[layer], r)
+        done = np.ones(sel.size, dtype=bool)
+        tail = layer == 0
+        if tail.any():
+            z[tail] = self._tail(sel[tail], rabs[tail])
+        wedge = np.flatnonzero(~tail)
+        if wedge.size:
+            layer, x = layer[wedge], z[wedge]
+            bound = _libm(math.exp, -0.5 * x * x)
+            u = self._doubles(sel[wedge])
+            fi = _FI[layer]
+            done[wedge] = (_FI[layer - 1] - fi) * u + fi < bound
+        return z, done
+
+    def _tail(self, sel: np.ndarray, rabs: np.ndarray) -> np.ndarray:
+        """The tail draws of numpy's ziggurat past ``_TAIL_R``, one per
+        lane of ``sel``, signed by bit 8 of each lane's ``rabs``."""
+        z = np.empty(sel.size)
+        at = np.arange(sel.size)
+        while at.size:
+            xx = _libm(math.log1p, -self._doubles(sel[at]))
+            xx *= -_TAIL_INV_R
+            yy = -_libm(math.log1p, -self._doubles(sel[at]))
+            done = yy + yy > xx * xx
+            z[at[done]] = _TAIL_R + xx[done]
+            at = at[~done]
+        return _signed(z, rabs)
+
+    def _doubles(self, sel: np.ndarray) -> np.ndarray:
+        """numpy's ``next_double`` of every lane of ``sel``."""
+        return (self._draw64(sel) >> 11) * _TO_UNIT
 
 
 _ONE = np.zeros(1, dtype=np.intp)

@@ -112,48 +112,68 @@ _MASK32 = 0xFFFFFFFF
 _CHUNK = 1024
 
 
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The constants of n successive ``hashmix`` calls, one row per call:
+    the one it xors in, then the one it multiplies by (the next in turn).
+    They do not depend on the data mixed."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32).T.copy()
+
+
+# The 32 hashmix calls that mix eight entropy words into the pool, and the
+# 8 that draw the output words from it.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 32)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix`` of each row of ``values`` with its own constants,
+    a row of ``consts``."""
+    values = values ^ consts[:, :1]
+    values *= consts[:, 1:]
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of ``x`` and ``y``."""
+    result = x * _MIX_MULT_L
+    result -= y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
 def _state_words(digests: bytes) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` of the entropy e of
     every 32-byte big-endian digest in ``digests``, one row each.
 
     An entropy of eight 32-bit words (e >= 2**224) is mixed with numpy's
-    ``hashmix``/``mix`` arithmetic, run as uint32 array operations over all
-    the entropies at once.  numpy coerces a smaller entropy to fewer words,
-    which mixes differently, so those go through ``SeedSequence`` itself.
+    ``hashmix``/``mix`` arithmetic, a pool or entropy word as a uint32 row
+    of all the entropies at once.  A call's constants do not depend on the
+    data, so the calls that do not feed each other run as one operation.
+    numpy coerces a smaller entropy to fewer words, which mixes
+    differently, so those go through ``SeedSequence`` itself.
     """
     rows = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)
     # The little-endian bytes of each entropy are its digest reversed.
-    data = rows[:, ::-1].copy().view("<u4").astype(np.uint32)
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ result >> 16
-
-    pool = [hashmix(data[:, i]) for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(4, 8):
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(data[:, i_src]))
-
-    state = np.empty_like(data)
-    hash_const = _INIT_B
-    for i_dst in range(8):
-        value = pool[i_dst % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, i_dst] = value ^ value >> 16
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    data = np.ascontiguousarray(rows[:, ::-1].copy().view("<u4").T,
+                                dtype=np.uint32)
+    pool = _hashmix(data[:4], _HASH_A[:4])
+    # Each pool word mixes a hash of itself into the other three, in turn.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashes = _hashmix(pool[src], _HASH_A[4 + 3 * src:7 + 3 * src])
+        pool[dst] = _mix(pool[dst], hashes)
+    # Entropy words 4 to 7 each mix a hash of themselves into all four.
+    hashes = _hashmix(np.repeat(data[4:], 4, axis=0), _HASH_A[16:])
+    for src in range(4):
+        pool = _mix(pool, hashes[4 * src:4 * src + 4])
+    state = _hashmix(np.concatenate((pool, pool)), _HASH_B)
+    # Output words 2i and 2i + 1 are the low and high halves of uint64 i.
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64)
     for i in np.flatnonzero(~rows[:, :4].any(axis=1)):
         entropy = int.from_bytes(rows[i].tobytes(), "big")
         words[i] = np.random.SeedSequence(entropy).generate_state(4, np.uint64)

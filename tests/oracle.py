@@ -96,17 +96,16 @@ def leg_distances(trip_distance, min_leg, gen):
     return legs
 
 
-def trip(cfg, specs, means, handling, gen):
-    """One trip: its cost, leg count and per-mode distance fractions."""
-    legs = leg_distances(cfg.trip_distance_km, cfg.min_leg_km, gen)
-    modes = [int(gen.integers(len(specs))) for _ in legs]
-    weight = cfg.freight_tonnes
+def trip(distance, min_leg, weight, means, fractions, handling, gen):
+    """One trip of ``distance`` km carrying ``weight`` tonnes, mode m's
+    operational cost with mean ``means[m]`` and stdev ``fractions[m]`` of
+    it: the trip's cost, leg count and per-mode distance fractions."""
+    legs = leg_distances(distance, min_leg, gen)
+    modes = [int(gen.integers(len(means))) for _ in legs]
     cost = 0.0
-    km = [0.0] * len(specs)
+    km = [0.0] * len(means)
     for d, m in zip(legs, modes):
-        spec = specs[m]
-        op = sample(lognormal(means[m], spec.cost_stdev_fraction * means[m]),
-                    gen)
+        op = sample(lognormal(means[m], fractions[m] * means[m]), gen)
         h = sample(handling, gen)
         cost += d * weight * op + weight * h
         km[m] += d
@@ -130,7 +129,9 @@ def run(cfg: ScenarioConfig):
                                  lambda year: ("scenario", year, rep, "rates"))
                       for rep in range(cfg.iterations)]
     years = range(cfg.start_year, cfg.end_year + 1)
-    trips = [[trip(cfg, specs, mode_means[rep][t], handling,
+    fractions = [s.cost_stdev_fraction for s in specs]
+    trips = [[trip(cfg.trip_distance_km, cfg.min_leg_km, cfg.freight_tonnes,
+                   mode_means[rep][t], fractions, handling,
                    generator(cfg.seed, ("scenario", year, rep, "trip")))
               for rep in range(cfg.iterations)]
              for t, year in enumerate(years)]

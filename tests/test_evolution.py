@@ -10,11 +10,11 @@ from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
 from freightsim.evolution import (RateModel, _path_texts, _scenario_paths,
                                   compute_shared_means, evolve_mode_state,
                                   run_replicate, run_scenario)
-from freightsim.modes import ModeRegistry, ModeSpec, adjust_reference_cost
+from freightsim.modes import ModeRegistry, ModeSpec
 from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
-                                    derive_stream, lognormal_from_moments,
-                                    sample_lognormal)
+                                    derive_stream, lognormal_from_moments)
 
+import oracle
 from conftest import StubStream
 
 
@@ -54,24 +54,6 @@ class TestEvolveModeState:
             assert 0 < evolve_one(1.0, rates, stream) <= 1.0
 
 
-def scalar_evolve(cost, spec, stream):
-    """The per-mode scalar step the vector step replaced: the reference the
-    vector step must match bit for bit, draw for draw."""
-    if spec.improvement_rate_mean == 0.0:
-        return cost
-    params = lognormal_from_moments(
-        spec.improvement_rate_mean,
-        spec.rate_stdev_fraction * spec.improvement_rate_mean)
-    r = sample_lognormal(params, stream)
-    attempts = 0
-    while r >= 1.0 and attempts < 100:
-        r = sample_lognormal(params, stream)
-        attempts += 1
-    if r >= 1.0:
-        r = 0.99
-    return cost * (1.0 - r)
-
-
 mode_specs = st.lists(
     st.builds(
         ModeSpec,
@@ -94,8 +76,7 @@ class TestVectorStepMatchesScalarReference:
             vector_stream = derive_stream(seed, ["step", step])
             scalar_stream = derive_stream(seed, ["step", step])
             costs = evolve_mode_state(costs, rates, vector_stream)
-            expected = [scalar_evolve(c, s, scalar_stream)
-                        for c, s in zip(expected, specs)]
+            expected = oracle.rate_step(expected, specs, scalar_stream)
             assert costs.tolist() == expected
             assert vector_stream.normal() == scalar_stream.normal()
 
@@ -371,37 +352,6 @@ class TestInitialStates:
             run_scenario(cfg)
 
 
-def stream_by_stream_run(cfg):
-    """cost, n_legs, frac and mode_means of ``cfg``, each stream derived on
-    its own with derive_stream and every replicate with its own parameter
-    table."""
-    reg = resolve_registry(cfg)
-    rates = RateModel.from_registry(reg)
-    start = np.array([adjust_reference_cost(
-        s.base_cost_mean, s.improvement_rate_mean, s.base_year,
-        cfg.start_year) for s in reg])
-
-    def trajectory(rate_labels):
-        means = [start]
-        for year in range(cfg.start_year, cfg.end_year):
-            means.append(evolve_mode_state(
-                means[-1], rates, derive_stream(cfg.seed, rate_labels(year))))
-        return np.array(means)
-
-    if cfg.evolution_policy == "shared":
-        shared = trajectory(lambda y: ("scenario", y, "shared-rates"))
-        mode_means = [shared] * cfg.iterations
-    else:
-        mode_means = [trajectory(lambda y: ("scenario", y, rep, "rates"))
-                      for rep in range(cfg.iterations)]
-    trips = [run_replicate(cfg, reg, mode_means[rep], handling_params(cfg),
-                           trip_streams(cfg, rep))
-             for rep in range(cfg.iterations)]
-    cost, n_legs, frac = (np.array([rep_trips[i] for rep_trips in trips])
-                          .swapaxes(0, 1) for i in range(3))
-    return cost, n_legs, frac, np.array(mode_means)
-
-
 class TestBatchedStreamsMatchOneByOne:
     @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
     def test_path_texts_are_the_label_paths(self, policy):
@@ -426,7 +376,7 @@ class TestBatchedStreamsMatchOneByOne:
         assert all(len(paths[e]) == 4 and paths[e - 1][2:] == paths[e][2:]
                    for e in edges)
         results = run_scenario(cfg)
-        expected = stream_by_stream_run(cfg)
+        expected = oracle.run(cfg)
         for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
                               expected):
             assert np.array_equal(getattr(results, name), want), name

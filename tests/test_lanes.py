@@ -2,11 +2,18 @@
 ziggurat tables, normals on the fast path and off it, uniforms and
 Lemire indices."""
 
+import struct
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from freightsim import _ziggurat
-from freightsim.lanes import Lanes, padded
+from freightsim.config import ScenarioConfig
+from freightsim.evolution import run_scenario
+from freightsim.lanes import _SLICE, Lanes, _jump, _lcg, padded
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
@@ -157,3 +164,171 @@ class TestLaneUniformsAndIndicesMatchGenerator:
             assert got == [want[i] for i in sel.tolist()]
         for i, gen in enumerate(gens):
             assert lanes.bit_generator_state(i) == gen.bit_generator.state
+
+
+# The flat normals: jump-ahead, slices, the slow path on the lanes, and the
+# tables it reads.
+
+MASK64 = 2**64 - 1
+
+
+def output_after(state, inc=1):
+    """PCG64's next 64-bit output from ``state``, and the state it leaves."""
+    state = (state * MULT + inc) & MASK128
+    hi, lo = state >> 64, state & MASK64
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot | x << (64 - rot)) & MASK64, state
+
+
+def random_states(n, seed):
+    """n lane states drawn from a seeded generator."""
+    gen = np.random.default_rng(seed)
+    return [(int.from_bytes(gen.bytes(16), "big"),
+             int.from_bytes(gen.bytes(16), "big") | 1,
+             int(gen.integers(2)), int(gen.integers(2**32)))
+            for _ in range(n)]
+
+
+def assert_normals_match(states, counts):
+    lanes = lanes_of(states)
+    got = lanes.normals(counts)
+    want = []
+    for i, (s, n) in enumerate(zip(states, counts)):
+        z, after = numpy_normal(*s, size=n)
+        want.extend(z.tolist())
+        assert lanes.bit_generator_state(i) == after
+    assert got.tolist() == want
+
+
+def tail_rejection():
+    """A state whose first normal takes the tail of layer 0 and rejects
+    its first tail try (yy + yy <= xx * xx), so it draws a second."""
+    for rabs in range((1 << 52) - 1, int(_ziggurat.KI[0]), -(1 << 32)):
+        state = forced(0, rabs)
+        _, after = numpy_normal(state)
+        three_steps = state
+        for _ in range(3):
+            _, three_steps = output_after(three_steps)
+        if after["state"]["state"] != three_steps:
+            return state
+    raise AssertionError("no tail rejection found")
+
+
+def wedge_rejection_into_tail():
+    """A state whose first normal fails the ``fi`` test of layer 200 and
+    whose fresh output then lands in layer 0 off the fast path."""
+    for rabs in range((1 << 52) - 1, int(_ziggurat.KI[200]), -(1 << 24)):
+        state = forced(200, rabs)
+        _, s = output_after(state)
+        _, s = output_after(s)
+        fresh, _ = output_after(s)
+        if fresh & 0xFF or fresh >> 9 & ((1 << 52) - 1) < _ziggurat.KI[0]:
+            continue
+        _, after = numpy_normal(state)
+        if after["state"]["state"] != s:
+            return state
+    raise AssertionError("no wedge rejection into the tail found")
+
+
+class TestFlatNormals:
+    def test_no_lane_is_handed_to_numpy(self, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError("a lane was handed to numpy")
+
+        monkeypatch.setattr(Lanes, "_to_numpy", refuse)
+        assert_normals_match(FORCED, [3, 2, 4])
+        assert_normals_match([(fi_rejection(), 1, 0, 0)], [2])
+        # A scenario 1 run of 32 replicates: one full trip block of 1,024
+        # trips, and rate blocks of all ten modes.
+        cfg = ScenarioConfig(
+            enabled_modes=["air", "ocean", "truck", "rail", "iwt", "auto_air",
+                           "auto_ocean", "auto_truck", "auto_rail",
+                           "auto_iwt"],
+            seed=2018, iterations=32, start_year=2018, end_year=2050)
+        results = run_scenario(cfg)
+        for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
+                              oracle.run(cfg)):
+            assert np.array_equal(getattr(results, name), want), name
+
+    def test_tail_rejection_draws_a_second_try(self):
+        state = tail_rejection()
+        assert_normals_match([(state, 1, 0, 0), *random_states(2, 1)],
+                             [3, 2, 1])
+
+    def test_wedge_rejection_redraws_into_the_tail(self):
+        state = wedge_rejection_into_tail()
+        assert_normals_match([(state, 1, 1, 7), *random_states(2, 2)],
+                             [1, 4, 2])
+        assert_normals_match([(state, 1, 0, 0)], [3])
+
+    @pytest.mark.parametrize("counts", [
+        [0, 5000, 0, 3],
+        [_SLICE - 1, 2, 1],
+        [_SLICE, _SLICE + 1, 0],
+        [1] * (_SLICE + 5),
+    ])
+    def test_counts_across_the_slice_edge(self, counts):
+        assert_normals_match(random_states(len(counts), len(counts)), counts)
+
+    def test_jump_is_k_lcg_steps(self):
+        ks = [0, 1, 2, 63, 64, 65, 2049]
+        states = random_states(len(ks), 3)
+        words = np.array([[s >> 64, s & MASK64, i >> 64, i & MASK64]
+                          for s, i, _, _ in states], dtype=np.uint64).T
+        hi, lo = _jump(*words, np.array(ks))
+        for j, k in enumerate(ks):
+            step_hi, step_lo = words[0, j:j + 1], words[1, j:j + 1]
+            for _ in range(k):
+                step_hi, step_lo = _lcg(step_hi, step_lo, words[2, j:j + 1],
+                                        words[3, j:j + 1])
+            assert (hi[j], lo[j]) == (step_hi[0], step_lo[0]), k
+
+
+def archive_members(path):
+    """The members of a GNU ``ar`` archive, by name."""
+    data = path.read_bytes()
+    assert data[:8] == b"!<arch>\n"
+    members, names, at = {}, b"", 8
+    while at < len(data):
+        header = data[at:at + 60]
+        name, size = header[:16].decode().rstrip(), int(header[48:58])
+        body = data[at + 60:at + 60 + size]
+        if name == "//":
+            names = body
+        elif name[:1] == "/" and name[1:].isdigit():
+            start = int(name[1:])
+            name = names[start:names.index(b"/\n", start)].decode()
+        members[name.rstrip("/")] = body
+        at += 60 + size + size % 2
+    return members
+
+
+def elf_symbols(obj, wanted):
+    """The bytes of the named symbols of a little-endian ELF64 object."""
+    assert obj[:4] == b"\x7fELF" and obj[4] == 2 and obj[5] == 1
+    shoff, = struct.unpack_from("<Q", obj, 0x28)
+    shnum, = struct.unpack_from("<H", obj, 0x3C)
+    sections = [struct.unpack_from("<IIQQQQIIQQ", obj, shoff + 64 * i)
+                for i in range(shnum)]
+    symtab = next(s for s in sections if s[1] == 2)  # SHT_SYMTAB
+    strtab = sections[symtab[6]][4]
+    found = {}
+    for at in range(symtab[4], symtab[4] + symtab[5], 24):
+        name_at, _, _, shndx, value, size = struct.unpack_from("<IBBHQQ",
+                                                               obj, at)
+        name = obj[strtab + name_at:obj.index(b"\0", strtab + name_at)]
+        if name.decode() in wanted:
+            start = sections[shndx][4] + value
+            found[name.decode()] = obj[start:start + size]
+    return found
+
+
+def test_committed_tables_are_numpys_fi_wi_ki():
+    archive = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not archive.exists():
+        pytest.skip("numpy ships no libnpyrandom.a here")
+    obj = archive_members(archive)["src_distributions_distributions.c.o"]
+    tables = elf_symbols(obj, {"fi_double", "wi_double", "ki_double"})
+    assert tables["fi_double"] == _ziggurat.FI.tobytes()
+    assert tables["wi_double"] == _ziggurat.WI.tobytes()
+    assert tables["ki_double"] == _ziggurat.KI.tobytes()

@@ -10,6 +10,7 @@ from freightsim.tripsim import (CostTable, assign_modes, cost_trips,
                                 generate_leg_distances, leg_cost,
                                 simulate_trip)
 
+import oracle
 from conftest import FullLegStream, MidpointStream, StubStream
 
 
@@ -247,45 +248,6 @@ class TestSimulateTripDrawOrder:
         assert stream.normal_sizes == []
 
 
-def scalar_lognormal(mean, stdev):
-    """``lognormal_from_moments`` in scalar ``math`` arithmetic: the
-    reference for the parameter table."""
-    if stdev == 0:
-        return LogNormalParams(mu=math.log(mean), sigma=0.0)
-    sigma2 = math.log1p((stdev * stdev) / (mean * mean))
-    return LogNormalParams(mu=math.log(mean) - 0.5 * sigma2,
-                           sigma=math.sqrt(sigma2))
-
-
-def scalar_trip(trip_distance, weight, mode_cost_means, cost_stdev_fractions,
-                handling_params, stream, min_leg):
-    """One trip drawn and costed leg by leg, the costing loop the columnar
-    costing replaced: the reference it must match bit for bit, draw for
-    draw."""
-    distances = generate_leg_distances(trip_distance, min_leg, stream)
-    n_modes = len(mode_cost_means)
-    leg_modes = assign_modes(len(distances), range(n_modes), stream)
-    op_params = [scalar_lognormal(mean, f * mean)
-                 for mean, f in zip(mode_cost_means, cost_stdev_fractions)]
-    n_draws = sum(op_params[m].sigma != 0.0 for m in leg_modes)
-    if handling_params.sigma != 0.0:
-        n_draws += len(leg_modes)
-    z = iter(stream.normal(size=n_draws).tolist() if n_draws else ())
-    h = handling_params
-    total = 0.0
-    per_mode_km = [0.0] * n_modes
-    for d, m in zip(distances, leg_modes):
-        p = op_params[m]
-        op = (float(np.exp(p.mu + p.sigma * next(z))) if p.sigma != 0.0
-              else math.exp(p.mu))
-        handling = (float(np.exp(h.mu + h.sigma * next(z))) if h.sigma != 0.0
-                    else math.exp(h.mu))
-        total += leg_cost(d, weight, op, handling)
-        per_mode_km[m] += d
-    span = math.fsum(distances)
-    return total, len(distances), [km / span for km in per_mode_km]
-
-
 def check_columnar_costing(seed, trip_distances, means, fractions,
                            handling_fraction, weight):
     """Draw and cost one trip per row of ``means`` both ways, assert the
@@ -298,8 +260,9 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
                           handling.sigma != 0.0, lanes, min_leg=1.0)
     cost, n_legs, frac = cost_trips(trips, table, handling, weight)
     for t, (distance, row) in enumerate(zip(trip_distances, means)):
-        want = scalar_trip(distance, weight, row, fractions, handling,
-                           derive_stream(seed, ["oracle", t]), min_leg=1.0)
+        want = oracle.trip(distance, 1.0, weight, row, fractions,
+                           (handling.mu, handling.sigma),
+                           derive_stream(seed, ["oracle", t]))
         assert (cost[t].hex(), n_legs[t], frac[t].tolist()) == (
             want[0].hex(), want[1], want[2])
     return n_legs.tolist()
@@ -354,7 +317,8 @@ class TestCostTable:
         fractions = np.array([0.0, 0.25, 0.3])
         table = CostTable.from_means(means, fractions)
         for (t, m), mean in np.ndenumerate(means):
-            want = scalar_lognormal(mean, fractions[m] * mean)
+            want = LogNormalParams(*oracle.lognormal(mean,
+                                                     fractions[m] * mean))
             assert (table.mu[t, m], table.sigma[t, m]) == (want.mu,
                                                            want.sigma)
             assert lognormal_from_moments(mean, fractions[m] * mean) == want
