@@ -23,7 +23,7 @@ from .modes import ModeId, ModeRegistry, ModeSpec, adjust_reference_cost
 # benchmark's self-test checks that tracing restores it in this module.
 from .lanes import Lanes, RngStream
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
-                          lognormal_arrays, lognormal_from_moments,
+                          lognormal_from_moments, lognormal_ratios,
                           sample_lognormal, seed_chunks)
 from .tripsim import CostTable, cost_trips, simulate_trip
 
@@ -50,7 +50,7 @@ def _param_table(specs: Sequence[ModeSpec], means: np.ndarray,
         # Find the mode: the error path alone pays for a call per mode.
         for spec, fraction, column in zip(specs, fractions, means.T):
             try:
-                lognormal_arrays(column, fraction * column)
+                lognormal_ratios(column, fraction * column)
             except ValueError as exc:
                 raise _unmatched(f"modes[{spec.id!r}]: {mean_field} and "
                                  f"{fraction_field}", exc) from None
@@ -81,14 +81,14 @@ class RateModel:
         table = _param_table(
             specs, np.array([[s.improvement_rate_mean for s in specs]]),
             "improvement_rate_mean", "rate_stdev_fraction")
-        spread = table.sigma[0] != 0.0
+        mu, sigma, exp_mu = table.at(np.arange(len(specs)))
+        spread = table.drawn[0]
         fixed = np.zeros(len(registry))
         # A redraw of a fixed rate gives the same value, so a rate >= 1
         # ends at the clamp; exp_mu is 0 for the modes that draw.
-        fixed[rated] = np.where(table.exp_mu[0] < 1.0, table.exp_mu[0],
-                                _RATE_CLAMP)
+        fixed[rated] = np.where(exp_mu < 1.0, exp_mu, _RATE_CLAMP)
         return cls(fixed=fixed, drawn=np.flatnonzero(rated)[spread],
-                   mu=table.mu[0, spread], sigma=table.sigma[0, spread])
+                   mu=mu[spread], sigma=sigma[spread])
 
 
 def _redraw_rates(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray,
@@ -218,20 +218,22 @@ def _scenario_paths(config: ScenarioConfig) -> Iterator[tuple]:
 
 def _path_texts(config: ScenarioConfig) -> Iterator[bytes]:
     """The ``_path_text`` of every path of ``_scenario_paths(config)``, in
-    order, each formatted by one template of its kind of path."""
+    order: each the concatenation of its year's head, formatted once per
+    year, and its replicate's tail, formatted once per replicate."""
     prefix = b"%d\x1fscenario\x1f" % config.seed
     steps = range(config.start_year, config.end_year)
     if config.evolution_policy == "shared":
-        rate = prefix + b"%d\x1fshared-rates"
-        yield from (rate % year for year in steps)
+        yield from (prefix + b"%d\x1fshared-rates" % year for year in steps)
     else:
-        rate = prefix + b"%d\x1f%d\x1frates"
+        heads = [prefix + b"%d\x1f" % year for year in steps]
         for rep in range(config.iterations):
-            yield from (rate % (year, rep) for year in steps)
-    trip = prefix + b"%d\x1f%d\x1ftrip"
+            tail = b"%d\x1frates" % rep
+            yield from (head + tail for head in heads)
+    heads = [prefix + b"%d\x1f" % year
+             for year in range(config.start_year, config.end_year + 1)]
     for rep in range(config.iterations):
-        yield from (trip % (year, rep)
-                    for year in range(config.start_year, config.end_year + 1))
+        tail = b"%d\x1ftrip" % rep
+        yield from (head + tail for head in heads)
 
 
 class _LaneFeed:
@@ -294,27 +296,29 @@ def _cost_table(registry: ModeRegistry, means: np.ndarray) -> CostTable:
 
 def run_replicate(config: ScenarioConfig,
                   registry: ModeRegistry,
-                  means: np.ndarray,
+                  table: CostTable | np.ndarray,
                   handling_params: LogNormalParams,
                   lanes: Lanes,
-                  table: CostTable | None = None
+                  rows: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a block of trips, trip i from lane i of ``lanes`` with the
-    mode means of row i of ``means``, and return their ``cost``, ``n_legs``
-    and ``frac`` columns.
+    mode means of row ``rows[i]`` of ``table`` (row i if ``rows`` is None),
+    and return their ``cost``, ``n_legs`` and ``frac`` columns.
 
-    A block is any run of trips: one replicate's years, with ``means`` its
-    ``(years, modes)`` trajectory, or a chunk of a run's trip paths.  Every
-    leg of the block is costed at once with the run's handling-cost
-    parameters.  ``table`` is the parameter table of ``means``, when the
-    caller has built it.
+    A block is any run of trips: one replicate's years, with ``table`` its
+    ``(years, modes)`` trajectory, or a chunk of a run's trip paths.
+    ``table`` is the ``CostTable`` of the mode means, or the means it is
+    built from.  Every leg of the block is costed at once with the run's
+    handling-cost parameters.
     """
-    if table is None:
-        table = _cost_table(registry, means)
-    trips = simulate_trip(config.trip_distance_km, table.drawn,
+    if not isinstance(table, CostTable):
+        table = _cost_table(registry, table)
+    drawn = table.drawn if rows is None else table.drawn[rows]
+    trips = simulate_trip(config.trip_distance_km, drawn,
                           handling_params.sigma != 0.0, lanes,
                           min_leg=config.min_leg_km)
-    return cost_trips(trips, table, handling_params, config.freight_tonnes)
+    return cost_trips(trips, table, handling_params, config.freight_tonnes,
+                      rows)
 
 
 def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
@@ -358,7 +362,8 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
                                           lanes.take(years - 1))
         mode_means = np.broadcast_to(trajectory, (reps, *trajectory.shape))
         # Every replicate is costed with the same trajectory, so its
-        # parameter table is built once for the run.
+        # parameter table is built once for the run and keeps the cells
+        # the blocks have costed.
         table = _cost_table(registry, trajectory)
     else:
         _trajectories(config, registry, lanes.take(reps * (years - 1)),
@@ -369,15 +374,19 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
         # Trip path q is replicate q // years in year q % years.
         q = np.arange(done, done + len(block))
         rep, t = np.divmod(q, years)
-        done += len(block)
         if shared:
-            means, block_table = trajectory[t], table.rows(t)
+            block_table, rows = table, t
         else:
-            means, block_table = trip_means[q], None
+            block_table, rows = _cost_table(
+                registry, trip_means[done:done + len(block)]), None
+        done += len(block)
         cells = t * reps + rep
         (cost.reshape(-1)[cells], n_legs.reshape(-1)[cells],
          frac.reshape(-1, len(registry))[cells]) = run_replicate(
-            config, registry, means, handling_params, block, block_table)
+            config, registry, block_table, handling_params, block, rows)
+        # A per-replicate block's table is freed before the next block's
+        # lanes are seeded.
+        del block_table
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "

@@ -71,6 +71,14 @@ def cost_axis_value(cost_usd: float) -> float:
     return math.log10(cost_usd / 1e6)
 
 
+def cost_axis_values(costs_usd: np.ndarray) -> np.ndarray:
+    """``cost_axis_value`` of every entry of a 2-D float array, bit for
+    bit: numpy's division rounds as Python's does.  A row at a time, so no
+    more than a row's Python floats are held at once."""
+    return np.array([np.fromiter(map(math.log10, row.tolist()), float,
+                                 row.size) for row in costs_usd / 1e6])
+
+
 # Scatter chart layout, in SVG user units.
 _WIDTH = 960
 _HEIGHT = 600
@@ -106,8 +114,7 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     if plot.focus_mode not in results.registry:
         raise ValueError(f"focus mode {plot.focus_mode!r} not in scenario")
 
-    y_vals = np.array([np.fromiter(map(cost_axis_value, costs.tolist()), float)
-                       for costs in results.cost])
+    y_vals = cost_axis_values(results.cost)
     y_lo = math.floor(y_vals.min())
     y_hi = math.ceil(y_vals.max())
     if y_hi == y_lo:

@@ -41,21 +41,20 @@ def lognormal_from_moments(mean: float, stdev: float) -> LogNormalParams:
     The round trip exp(mu + sigma^2/2) == mean holds to machine precision.
     A mean whose square underflows to 0 with a non-zero stdev is rejected.
     """
-    (mu,), (sigma,) = lognormal_arrays(np.array([mean], dtype=float),
-                                       np.array([stdev], dtype=float))
+    means = np.array([mean], dtype=float)
+    ratios = lognormal_ratios(means, np.array([stdev], dtype=float))
+    (mu,), (sigma,) = lognormal_params(means, ratios)
     return LogNormalParams(mu=float(mu), sigma=float(sigma))
 
 
-def lognormal_arrays(means: np.ndarray,
-                     stdevs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lognormal_from_moments`` elementwise: the ``(mu, sigma)`` arrays
-    matching float arrays of means and stdevs, with its ``ValueError`` for
-    the first entry that cannot be matched.
+def lognormal_ratios(means: np.ndarray, stdevs: np.ndarray) -> np.ndarray:
+    """The ratios v/m^2 of ``lognormal_from_moments`` elementwise, for
+    float arrays of means and stdevs, with its ``ValueError`` for the first
+    entry that cannot be matched; 0 where the stdev is 0.
 
-    Products, quotients and square roots are numpy's, correctly rounded as
-    Python's are; ``log`` and ``log1p`` are ``math``'s, whose results numpy's
-    vector routines do not always reproduce.  A zero stdev gives
-    mu = ln(m) and sigma = 0.
+    Every check is made here, with no libm call: ``lognormal_params`` of
+    finite positive means and finite ratios is finite.  Products and
+    quotients are numpy's, correctly rounded as Python's are.
     """
     if not (np.isfinite(means).all() and np.isfinite(stdevs).all()):
         raise ValueError("mean and stdev must be finite")
@@ -66,21 +65,39 @@ def lognormal_arrays(means: np.ndarray,
         raise ValueError(
             f"stdev must be >= 0, got {stdevs[stdevs < 0][0].item()}")
     spread = stdevs != 0
-    with np.errstate(over="ignore"):
+    # A square that overflows gives an infinite or NaN ratio (inf / inf),
+    # rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
         mean_sq = means * means
         tiny = spread & (mean_sq == 0.0)
         if tiny.any():
             raise ValueError(f"mean {means[tiny][0].item()!r} is too small: "
                              f"its square underflows to 0")
-        ratio = np.divide(stdevs * stdevs, mean_sq, out=np.zeros_like(means),
-                          where=spread)
-    sigma2 = np.fromiter(map(math.log1p, ratio.flat), float, ratio.size)
+        ratios = np.divide(stdevs * stdevs, mean_sq,
+                           out=np.zeros_like(means), where=spread)
+    if not np.isfinite(ratios).all():
+        raise ValueError("log-normal parameters must be finite")
+    return ratios
+
+
+def lognormal_params(means: np.ndarray,
+                     ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(mu, sigma)`` arrays of float arrays of means and their
+    ``lognormal_ratios``: mu = ln(m) - sigma^2 / 2, sigma^2 = ln(1 + ratio).
+
+    ``log`` and ``log1p`` are ``math``'s, whose results numpy's vector
+    routines do not always reproduce; ``log1p`` is called once per distinct
+    ratio (by bit pattern).  A zero ratio gives mu = ln(m) and sigma = 0.
+    """
+    keys, inverse = np.unique(ratios.reshape(-1).view(np.uint64),
+                              return_inverse=True)
+    sigma2 = np.fromiter(map(math.log1p, keys.view(float).tolist()), float,
+                         keys.size)[inverse]
+    # One float at a time: a list of every mean's Python float costs
+    # resident memory.
     log_mean = np.fromiter(map(math.log, means.flat), float, means.size)
     mu = (log_mean - 0.5 * sigma2).reshape(means.shape)
-    sigma = np.sqrt(sigma2).reshape(means.shape)
-    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-        raise ValueError("log-normal parameters must be finite")
-    return mu, sigma
+    return mu, np.sqrt(sigma2).reshape(means.shape)
 
 
 def _path_text(master_seed: int, labels: Sequence[object]) -> bytes:

@@ -13,13 +13,12 @@ and ``assign_modes`` draw one trip from any stream with ``uniform`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .lanes import RngStream, padded
-from .stochastics import LogNormalParams, lognormal_arrays
+from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
 _T = TypeVar("_T")
 
@@ -71,18 +70,24 @@ def leg_cost(distance, weight, op_cost, handling):
     return distance * weight * op_cost + weight * handling
 
 
-@dataclass(frozen=True)
 class CostTable:
     """Log-normal parameters of a table of means indexed ``[row, mode]``,
     such as the operational costs of one cost trajectory (a row per year)
-    or the improvement rates of a run (one row): ``mu``, ``sigma``,
-    ``exp_mu`` (exp(mu) where sigma is 0, the value of a slot that draws
-    nothing) and ``drawn``, where sigma is not 0."""
+    or the improvement rates of a run (one row).
 
-    mu: np.ndarray
-    sigma: np.ndarray
-    exp_mu: np.ndarray
-    drawn: np.ndarray
+    Every entry is checked when the table is made, and ``drawn`` says where
+    sigma is not 0.  A cell's ``mu``, ``sigma`` and ``exp_mu`` (exp(mu)
+    where sigma is 0, the value of a slot that draws nothing; 0 elsewhere)
+    are computed the first time ``at`` asks for them, and kept.
+    """
+
+    def __init__(self, means: np.ndarray, ratios: np.ndarray):
+        self.means = means
+        self.ratios = ratios
+        self.drawn = ratios != 0.0
+        self._known = np.zeros(means.size, dtype=bool)
+        # mu, sigma and exp_mu of each cell, written once it is known.
+        self._slots = np.empty((3, means.size))
 
     @classmethod
     def from_means(cls, means: np.ndarray,
@@ -90,16 +95,41 @@ class CostTable:
         """The table of ``(rows, modes)`` means whose stdev is each mode's
         fraction of its mean; raises ``lognormal_from_moments``'
         ``ValueError`` if any entry cannot be matched."""
-        mu, sigma = lognormal_arrays(means, stdev_fractions * means)
-        fixed = sigma == 0.0
-        exp_mu = np.zeros_like(mu)
-        exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
-        return cls(mu=mu, sigma=sigma, exp_mu=exp_mu, drawn=~fixed)
+        return cls(means, lognormal_ratios(means, stdev_fractions * means))
 
-    def rows(self, index: np.ndarray) -> "CostTable":
-        """The table of rows ``index`` of this one."""
-        return CostTable(mu=self.mu[index], sigma=self.sigma[index],
-                         exp_mu=self.exp_mu[index], drawn=self.drawn[index])
+    def at(self, cells: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``mu``, ``sigma`` and ``exp_mu`` of the cells ``cells``, indices
+        into the table's flattened ``[row, mode]`` order."""
+        wanted = np.zeros_like(self._known)
+        wanted[cells] = True
+        new = np.flatnonzero(wanted & ~self._known)
+        if new.size:
+            mu, sigma = lognormal_params(self.means.take(new),
+                                         self.ratios.take(new))
+            exp_mu = np.zeros_like(mu)
+            fixed = sigma == 0.0
+            exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
+            self._slots[:, new] = mu, sigma, exp_mu
+            self._known[new] = True
+        return tuple(slot.take(cells) for slot in self._slots)
+
+    def _every(self, i: int) -> np.ndarray:
+        """Item i of ``at`` of every cell, in the table's shape."""
+        return self.at(np.arange(self.means.size))[i].reshape(
+            self.means.shape)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self._every(0)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._every(1)
+
+    @property
+    def exp_mu(self) -> np.ndarray:
+        return self._every(2)
 
 
 class TripDraws(NamedTuple):
@@ -197,27 +227,30 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
 
 
 def cost_trips(trips: TripDraws, table: CostTable,
-               handling_params: LogNormalParams, weight: float
+               handling_params: LogNormalParams, weight: float,
+               rows: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost the trips ``simulate_trip`` drew, trip i with row i of ``table``;
-    return each trip's cost, leg count and per-mode distance fractions
-    (registry order).
+    """Cost the trips ``simulate_trip`` drew, trip i with row ``rows[i]`` of
+    ``table`` (row i if ``rows`` is None); return each trip's cost, leg
+    count and per-mode distance fractions (registry order).
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
     sigma * z), or exp(mu) for a cost that draws nothing, as in
     ``sample_lognormal``; handling is charged once per leg, including the
-    first.  A trip's cost and each mode's kilometres are summed left to
-    right in leg order: ``np.add.at`` adds one index at a time, in index
-    order, where numpy's pairwise reductions would round a trip of 8 or
-    more legs differently.
+    first.  Only the table cells the legs use are costed.  A trip's cost
+    and each mode's kilometres are summed left to right in leg order:
+    ``np.add.at`` adds one index at a time, in index order, where numpy's
+    pairwise reductions would round a trip of 8 or more legs differently.
     """
     n_legs, distances, modes, z = trips
-    n_modes = table.sigma.shape[1]
+    n_modes = table.means.shape[1]
     trip = np.repeat(np.arange(len(n_legs)), n_legs)
-    cell = trip * n_modes
+    row = trip if rows is None else np.repeat(rows, n_legs)
+    cell = row * n_modes
     cell += modes
-    drawn = table.sigma.take(cell) != 0.0
+    drawn = table.drawn.take(cell)
+    mu, sigma, op_cost = table.at(cell)
     handling_drawn = handling_params.sigma != 0.0
     # The first of each leg's normals in the trips' concatenated draws.
     first = np.cumsum(drawn + np.intp(handling_drawn))
@@ -228,13 +261,12 @@ def cost_trips(trips: TripDraws, table: CostTable,
     # caller rejects it.  exp(mu + sigma * z) is formed in place, in the
     # array of z.
     with np.errstate(over="ignore"):
-        op_cost = table.exp_mu.take(cell)
         if drawn.any():
-            at = cell[drawn]
             x = z[first[drawn]]
-            x *= table.sigma.take(at)
-            x += table.mu.take(at)
+            x *= sigma[drawn]
+            x += mu[drawn]
             op_cost[drawn] = np.exp(x, out=x)
+        del mu, sigma
         h = handling_params
         if handling_drawn:
             first += drawn
@@ -247,8 +279,8 @@ def cost_trips(trips: TripDraws, table: CostTable,
         del first
         cost = np.zeros(len(n_legs))
         np.add.at(cost, trip, leg_cost(distances, weight, op_cost, handling))
-    per_mode_km = np.zeros(table.sigma.shape)
-    np.add.at(per_mode_km.reshape(-1), cell, distances)
+    per_mode_km = np.zeros((len(n_legs), n_modes))
+    np.add.at(per_mode_km.reshape(-1), trip * n_modes + modes, distances)
     ends = np.cumsum(n_legs)
     span = _trip_sums(distances, ends - n_legs, ends)
     return cost, n_legs, per_mode_km / span[:, None]

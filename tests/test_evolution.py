@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freightsim import evolution, stochastics
 from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
 from freightsim.evolution import (RateModel, _path_texts, _scenario_paths,
                                   compute_shared_means, evolve_mode_state,
@@ -16,6 +17,7 @@ from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
 
 import oracle
 from conftest import StubStream
+from test_tripsim import CountingMath
 
 
 def one_mode_rates(rate, rate_stdev_fraction=0.5):
@@ -198,6 +200,33 @@ class TestRunReplicate:
                                 run_scenario(cfg).mode_means[0],
                                 handling_params(cfg), trip_streams(cfg, 0))
         assert all(len(column) == 1 for column in records)
+
+
+class TestSharedTableCostsEachCellOnce:
+    def test_math_log_at_most_once_per_trajectory_cell(self, monkeypatch):
+        # 13 years x 100 replicates: two trip blocks, one fixed-cost mode.
+        cfg = ScenarioConfig(enabled_modes=["ocean", "rail", "auto_ocean"],
+                             evolution_policy="shared", seed=7,
+                             iterations=100, end_year=2030, min_leg_km=10,
+                             modes=[{"id": "rail",
+                                     "cost_stdev_fraction": 0}])
+        shim = CountingMath()
+        monkeypatch.setattr(stochastics, "math", shim)
+        blocks = []
+        real = evolution.run_replicate
+
+        def counted(*args):
+            before = shim.calls["log"]
+            out = real(*args)
+            blocks.append(shim.calls["log"] - before)
+            return out
+
+        monkeypatch.setattr(evolution, "run_replicate", counted)
+        run_scenario(cfg)
+        assert len(blocks) == 2
+        assert sum(blocks) <= 13 * 3
+        # The second block meets no cell the first did not.
+        assert blocks[1] == 0
 
 
 class TestRunScenario:

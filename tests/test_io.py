@@ -15,8 +15,8 @@ from freightsim.config import (ConfigError, ScenarioConfig, config_to_json,
                                load_config, resolve_registry)
 from freightsim.evolution import run_scenario
 from freightsim.report import (PlotSpec, _ramp_rgb, cost_axis_value,
-                               ramp_color, render_scatter_svg,
-                               write_records_csv)
+                               cost_axis_values, ramp_color,
+                               render_scatter_svg, write_records_csv)
 from freightsim import cli
 from test_golden_digest import CONFIGS, GOLDEN
 
@@ -232,6 +232,13 @@ class TestSvg:
         assert cost_axis_value(10_029_500.0) == pytest.approx(
             math.log10(10.0295), rel=1e-12)
         assert cost_axis_value(10_029_500.0) == pytest.approx(1.0013, abs=1e-4)
+
+    def test_cost_axis_values_are_cost_axis_value_bit_for_bit(self):
+        costs = np.geomspace(2.2e-308, 1e300, 200_000).reshape(1000, 200)
+        want = [cost_axis_value(c).hex() for c in costs.ravel().tolist()]
+        got = cost_axis_values(costs)
+        assert got.shape == costs.shape
+        assert [v.hex() for v in got.ravel().tolist()] == want
 
     def test_deterministic_bytes(self):
         first, second = io.StringIO(), io.StringIO()
@@ -466,6 +473,10 @@ MALFORMED_VALUES = [
     ("modes", [{"id": "ocean", "base_cost_mean": 1e-200}]),
     ("handling_mean_usd_per_tonne", 1e-320),
     ("modes", [{"id": "ocean", "improvement_rate_mean": 1e-320}]),
+    # A mean and a stdev whose squares both overflow: inf / inf printed a
+    # numpy RuntimeWarning before the error line.
+    ("handling_mean_usd_per_tonne", 1e308),
+    ("modes", [{"id": "ocean", "base_cost_mean": 1e308}]),
 ]
 
 
@@ -495,6 +506,24 @@ class TestMalformedConfigValues:
                                       "min_leg_km": 50}))
         assert cfg.trip_distance_km == 5000
         assert isinstance(cfg.trip_distance_km, int)
+
+
+class TestOverflowingSquares:
+    # pytest captures warnings, so capsys alone does not see them on stderr.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields", [
+        {"handling_mean_usd_per_tonne": 1e308},
+        {"modes": [{"id": "ocean", "base_cost_mean": 1e308}]}])
+    def test_simulate_warns_nothing(self, tmp_path, capsys, fields):
+        doc = dict(enabled_modes=["ocean"], seed=1, iterations=2,
+                   end_year=2019, **fields)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out-csv", str(tmp_path / "out.csv")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(lines) == 1 and "must be finite" in lines[0]
 
 
 # A mean whose square underflows to 0 once drove lognormal_from_moments into

@@ -1,9 +1,12 @@
+import collections
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from freightsim import stochastics
 from freightsim.stochastics import (LogNormalParams, derive_lanes,
                                     derive_stream, lognormal_from_moments)
 from freightsim.tripsim import (CostTable, assign_modes, cost_trips,
@@ -184,8 +187,7 @@ class TestSimulateTrip:
                 if p.sigma == 0.0:
                     assert table.exp_mu[t, m] == math.exp(p.mu)
         # A table is used as it stands: exp(0) = 1 per tonne-km.
-        ones = CostTable(mu=np.zeros((1, 3)), sigma=np.zeros((1, 3)),
-                         exp_mu=np.ones((1, 3)), drawn=[[False] * 3])
+        ones = CostTable.from_means(np.ones((1, 3)), np.zeros(3))
         stream = derive_stream(0, ["cache"])
         trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
         cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
@@ -327,3 +329,97 @@ class TestCostTable:
         means = np.array([[0.0196, 0.046], [0.018, 1e-200]])
         with pytest.raises(ValueError, match="underflows"):
             CostTable.from_means(means, np.array([0.25, 0.25]))
+
+
+class CountingMath:
+    """Stands in for the ``math`` module, counting the calls of each of its
+    functions in ``calls``."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        function = getattr(math, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+        return counted
+
+
+@st.composite
+def mean_tables(draw):
+    """A table of 1-5 rows over 1-4 modes whose means repeat (each is one
+    of at most six values, tiny ones among them) and whose stdev fractions
+    include 0 and one whose stdev squared underflows at the tiny means,
+    then 1-4 lists of cells to ask for, with repeats."""
+    n_rows, n_modes = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pool = draw(st.lists(st.one_of(
+        st.floats(1e-3, 1e3), st.sampled_from([5e-160, 1e-154, 1.0])),
+        min_size=1, max_size=6))
+    means = draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_modes,
+                          max_size=n_rows * n_modes))
+    fractions = draw(st.lists(st.sampled_from([0.0, 1e-5, 0.25, 0.3, 1.5]),
+                              min_size=n_modes, max_size=n_modes))
+    calls = draw(st.lists(st.lists(st.integers(0, n_rows * n_modes - 1),
+                                   max_size=8), min_size=1, max_size=4))
+    return (np.array(means).reshape(n_rows, n_modes), np.array(fractions),
+            calls)
+
+
+class TestCostTableCostsUsedCells:
+    @settings(max_examples=200, deadline=None)
+    @given(table=mean_tables())
+    def test_any_cells_in_any_order_are_lognormal_from_moments(self, table):
+        means, fractions, calls = table
+        n_modes = means.shape[1]
+        want = [lognormal_from_moments(m, fractions[i % n_modes] * m)
+                for i, m in enumerate(means.ravel().tolist())]
+        table = CostTable.from_means(means, fractions)
+        for cells in calls:
+            mu, sigma, exp_mu = table.at(np.array(cells, dtype=np.intp))
+            for i, c in enumerate(cells):
+                p = want[c]
+                assert (mu[i].hex(), sigma[i].hex()) == (p.mu.hex(),
+                                                         p.sigma.hex())
+                assert exp_mu[i] == (math.exp(p.mu) if p.sigma == 0.0
+                                     else 0.0)
+        assert table.drawn.ravel().tolist() == [p.sigma != 0.0 for p in want]
+
+    def test_a_cell_is_costed_once(self, monkeypatch):
+        means = np.array([[0.0196, 0.046, 0.03], [0.018, 0.045, 0.0291]])
+        table = CostTable.from_means(means, np.array([0.25, 0.0, 0.25]))
+        shim = CountingMath()
+        monkeypatch.setattr(stochastics, "math", shim)
+        cells = np.array([0, 4, 5, 4, 0])
+        first = table.at(cells)
+        # One log per distinct cell; one log1p per distinct ratio.
+        assert shim.calls["log"] == 3
+        assert shim.calls["log1p"] <= 3
+        shim.calls.clear()
+        again = table.at(cells)
+        assert shim.calls["log"] == shim.calls["log1p"] == 0
+        assert all(map(np.array_equal, first, again))
+
+    # The two 1,000-entry tables differ only in their entries; the ratio
+    # f**2 * m**2 / m**2 of each mode takes a handful of values.
+    def test_log1p_once_per_distinct_ratio(self, monkeypatch):
+        means = np.linspace(0.01, 2.0, 1000).reshape(500, 2)
+        table = CostTable.from_means(means, np.array([0.25, 0.3]))
+        distinct = np.unique(table.ratios).size
+        shim = CountingMath()
+        monkeypatch.setattr(stochastics, "math", shim)
+        table.at(np.arange(means.size))
+        assert shim.calls["log"] == 1000
+        assert shim.calls["log1p"] == distinct < 20
+
+    @pytest.mark.parametrize("bad,fraction", [
+        (float("nan"), 0.25), (0.0, 0.25), (-1.0, 0.0), (1.0, -0.5),
+        (1e-200, 0.25), (1e308, 0.25), (1e-160, 1e160)])
+    def test_a_bad_cell_no_leg_uses_is_rejected(self, bad, fraction):
+        means = np.array([[0.0196, bad], [0.018, 0.046]])
+        with pytest.raises(ValueError) as expected:
+            lognormal_from_moments(bad, fraction * bad)
+        with pytest.raises(ValueError, match=re.escape(
+                str(expected.value))):
+            CostTable.from_means(means, np.array([0.25, fraction]))
