@@ -4,32 +4,93 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
 from typing import IO
 
 import numpy as np
 
 from .evolution import ResultSet
 from .modes import ModeId
+from .numtext import (ALL, HEX2, PAD, SLOT_WORDS, WORD, format_f2, format_g17,
+                      four_digits)
+
+
+def _padded(text: bytes, width: int = 0) -> bytes:
+    """``text`` padded with ``PAD`` to at least ``width`` bytes and to a
+    whole number of words: constant text of the uint8 row matrices whose
+    PAD bytes are dropped on writing."""
+    return text.ljust(-(-max(len(text), width) // 8) * 8, bytes([PAD]))
+
+
+# The CSV writer's rows per block; a slot holding "0"; and the bound on the
+# bits of the doubles in [0, 10**4), written by four_digits when integral.
+_BLOCK_ROWS = 128
+_ZERO_SLOT = np.array([ord("0") | ALL << 8 & ALL, ALL, ALL, ALL],
+                      dtype=np.uint64)
+_SMALL = np.array(1e4).view(np.uint64)
 
 
 def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
     """Write the trip table as CSV, one fraction column per mode in registry
-    order, rows in (year, replicate) order, LF line endings.  Floats are
-    written with 17 significant digits, so they read back exactly; each
-    year's rows go to ``sink`` in one write."""
+    order, rows in (year, replicate) order, LF line endings.  Numbers are
+    written as ``"%.17g"`` writes them, so they read back exactly; rows go
+    to ``sink`` in writes of at most ``_BLOCK_ROWS``, none across years."""
     ids = results.registry.ids()
     header = ["scenario", "year", "replicate", "trip_cost_usd", "n_legs"]
     header += [f"frac_{m}" for m in ids]
     sink.write(",".join(header) + "\n")
-    row = "%s,%d,%d,%.17g,%d" + ",%.17g" * len(ids) + "\n"
-    name = results.config.name
-    for t, (costs, legs, frac) in enumerate(zip(
-            results.cost, results.n_legs, results.frac)):
-        year = results.config.start_year + t
-        sink.write("".join(map(row.__mod__, zip(
-            repeat(name), repeat(year), count(), costs.tolist(),
-            legs.tolist(), *frac.T.tolist()))))
+    years, trips = results.cost.shape
+    if not trips:
+        return
+    # A row is "name,year," then a slot and its separator for each of the
+    # replicate, cost, n_legs and fractions.  Zeros are written directly and
+    # other integers below 10**4 by four_digits; the float kernel runs
+    # once a year on the rest (replicate numbers and leg counts are below
+    # 2**53, so exact as doubles, and the kernel writes an integral double
+    # below 1e17 as "%d" does).  Rows are put together and compacted in
+    # blocks of at most _BLOCK_ROWS, so the buffers stay small.
+    first = results.config.start_year
+    heads = [f"{results.config.name},{year},".encode()
+             for year in range(first, first + years)]
+    width = len(_padded(max(heads, key=len)))
+    replicates = format_g17(np.arange(trips, dtype=float))
+    block = min(trips, _BLOCK_ROWS)
+    rows = np.empty((block, width + (len(ids) + 3) * 8 * SLOT_WORDS),
+                    np.uint8)
+    slots = rows.view(WORD)[:, width // 8:].reshape(block, -1, SLOT_WORDS)
+    separators = rows[:, width + 8 * SLOT_WORDS - 2::8 * SLOT_WORDS]
+    values = np.empty((trips, len(ids) + 2))
+    for head, costs, legs, frac in zip(
+            heads, results.cost, results.n_legs, results.frac):
+        values[:, 0] = costs
+        values[:, 1] = legs
+        values[:, 2:] = frac
+        bits = values.view(np.uint64)
+        small = bits < _SMALL  # neither -0.0 nor nan
+        small &= values == np.trunc(values)
+        kernel = ~small
+        small &= bits != 0
+        ints = (four_digits(values[small].astype(np.uint64))
+                | 0xFFFFFFFF << 32)  # padding after the four digits
+        texts = format_g17(values[kernel])
+        rows[:, :width] = np.frombuffer(_padded(head, width), np.uint8)
+        done_ints = done_texts = 0
+        for start in range(0, trips, block):
+            stop = min(start + block, trips)
+            fields = slots[:stop - start, 1:]
+            fields[...] = _ZERO_SLOT
+            part = small[start:stop]
+            count = np.count_nonzero(part)
+            fields[part, 0] = ints[done_ints:done_ints + count]
+            done_ints += count
+            part = kernel[start:stop]
+            count = np.count_nonzero(part)
+            fields[part] = texts[done_texts:done_texts + count]
+            done_texts += count
+            slots[:stop - start, 0] = replicates[start:stop]
+            separators[:stop - start] = ord(",")
+            separators[:stop - start, -1] = ord("\n")
+            text = rows[:stop - start]
+            sink.write(str(text[text != PAD], "utf-8"))
 
 
 # Color ramp anchors: purple at fraction 0, teal-green at 0.5, yellow at 1.
@@ -54,16 +115,16 @@ _RAMP_RGB = np.array([c for _, c in _RAMP], dtype=float)
 
 
 def _ramp_rgb(fractions: np.ndarray) -> np.ndarray:
-    """``ramp_color`` over an array, as 0xRRGGBB ints: the same clamp (NaN
-    to 0, as ``max(0.0, nan)`` gives), segment and arithmetic per element,
-    and ``np.rint`` rounds half to even as ``round`` does."""
+    """``ramp_color`` over an array, as (red, green, blue) int rows: the
+    same clamp (NaN to 0, as ``max(0.0, nan)`` gives), segment and
+    arithmetic per element, and ``np.rint`` rounds half to even as
+    ``round`` does."""
     f = np.fmin(np.fmax(fractions, 0.0), 1.0)
     seg = np.searchsorted(_RAMP_F[1:], f)  # the first f1 >= f
     f0, f1 = _RAMP_F[seg], _RAMP_F[seg + 1]
     c0, c1 = _RAMP_RGB[seg], _RAMP_RGB[seg + 1]
     t = ((f - f0) / (f1 - f0))[:, None]
-    r, g, b = np.rint(c0 + t * (c1 - c0)).astype(np.int64).T
-    return r << 16 | g << 8 | b
+    return np.rint(c0 + t * (c1 - c0)).astype(np.int64)
 
 
 def cost_axis_value(cost_usd: float) -> float:
@@ -178,11 +239,24 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     sink.write("\n".join(out) + "\n")
 
     focus = results.frac[..., results.registry.ids().index(plot.focus_mode)]
-    # One write per year: cy and the fill computed over the year's trips.
-    for t, (ys, fracs) in enumerate(zip(y_vals, focus)):
-        circle = (f'<circle cx="{sx(results.config.start_year + t):.2f}" '
-                  f'cy="%.2f" r="{_POINT_RADIUS:g}" fill="#%06X" '
-                  f'fill-opacity="0.6"/>\n')
-        sink.write("".join(map(circle.__mod__, zip(
-            sy(ys).tolist(), _ramp_rgb(fracs).tolist()))))
+    # One row of bytes per trip, written a year at a time: cx is the year's
+    # constant text, then come the word of cy, constant text, the word of
+    # the fill (with the two bytes after it) and constant text.
+    first = results.config.start_year
+    heads = [f'<circle cx="{sx(year):.2f}" cy="'.encode()
+             for year in range(first, first + len(y_vals))]
+    width = len(_padded(max(heads, key=len)))
+    middle = _padded(f'" r="{_POINT_RADIUS:g}" fill="#'.encode())
+    tail = middle + bytes(8) + _padded(b'fill-opacity="0.6"/>\n')
+    rows = np.empty((y_vals.shape[1], width + 8 + len(tail)), np.uint8)
+    rows[:, width + 8:] = np.frombuffer(tail, np.uint8)
+    words = rows.view(WORD)
+    cy, fill = width // 8, (width + 8 + len(middle)) // 8
+    for head, ys, fracs in zip(heads, y_vals, focus):
+        rows[:, :width] = np.frombuffer(_padded(head, width), np.uint8)
+        words[:, cy] = format_f2(sy(ys))
+        rgb = HEX2[_ramp_rgb(fracs)]
+        words[:, fill] = (rgb[:, 0] | rgb[:, 1] << 16 | rgb[:, 2] << 32
+                          | int.from_bytes(b'" ', "little") << 48)
+        sink.write(str(rows[rows != PAD], "utf-8"))
     sink.write("</svg>\n")

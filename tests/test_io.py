@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from freightsim.config import (ConfigError, ScenarioConfig, config_to_json,
                                load_config, resolve_registry)
 from freightsim.evolution import run_scenario
+from freightsim.numtext import _FAST, format_f2, format_g17
 from freightsim.report import (PlotSpec, _ramp_rgb, cost_axis_value,
                                cost_axis_values, ramp_color,
                                render_scatter_svg, write_records_csv)
@@ -180,6 +181,100 @@ class TestCsv:
                 assert float(text) == want
                 assert text == format(want, ".17g")
 
+    def test_empty_table_is_the_header_alone(self):
+        buf = io.StringIO()
+        write_records_csv(one_year([], []), buf)
+        assert buf.getvalue() == ("scenario,year,replicate,trip_cost_usd,"
+                                  "n_legs,frac_ocean,frac_rail\n")
+
+    def test_name_with_nul_and_non_ascii_keeps_the_row_format(self):
+        # Rows are built as bytes whose unused slots hold 0xFF, which UTF-8
+        # never uses, so a NUL or a multi-byte character in the name stays.
+        results = small_results(name="fr\u00e9ight\x00\u4e2d")
+        buf = io.StringIO()
+        write_records_csv(results, buf)
+        cfg = results.config
+        row = "%s,%d,%d,%.17g,%d" + ",%.17g" * len(cfg.enabled_modes) + "\n"
+        want = "".join(
+            row % (cfg.name, cfg.start_year + t, r, results.cost[t, r].item(),
+                   results.n_legs[t, r].item(), *results.frac[t, r].tolist())
+            for t in range(results.cost.shape[0])
+            for r in range(results.cost.shape[1]))
+        assert buf.getvalue().split("\n", 1)[1] == want
+
+
+def g17_texts(values):
+    """What the CSV writer's number kernel writes for each of ``values``."""
+    text = format_g17(np.array(values, dtype=float)).view(np.uint8)
+    text[..., -2] = ord("\n")  # a slot's separator byte
+    return str(text[text != 0xFF], "ascii").split("\n")[:-1]
+
+
+def f2_texts(values):
+    """What the SVG writer's cy kernel writes for each of ``values``."""
+    words = np.stack([format_f2(np.array(values, dtype=float)),
+                      np.full(len(values), 0xFFFFFFFFFFFFFF0A, np.uint64)], axis=-1)
+    text = words.view(np.uint8)
+    return str(text[text != 0xFF], "ascii").split("\n")[:-1]
+
+
+def _neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Each power of ten from 1e-12 to 1e16 and the edges of the kernel's fast
+# range, with their neighbours; the exact ties 1 + 2**-17 (...53125) and
+# 1 + 3 * 2**-17 (...59375) of the 17th digit; the least subnormal, the
+# least normal and minus zero.
+G17_EXAMPLES = [y for k in range(-12, 17)
+                for y in _neighbours(float(10 ** k) if k >= 0 else 1 / 10 ** -k)]
+G17_EXAMPLES += [y for edge in _FAST.view(float).tolist()
+                 for y in _neighbours(edge)]
+G17_EXAMPLES += [1 + 2 ** -17, 1 + 3 * 2 ** -17, 5e-324,
+                 2.2250738585072014e-308, -0.0]
+
+
+def with_examples(values):
+    """``hypothesis.example`` for each of ``values``."""
+    def decorate(test):
+        for x in values:
+            test = example(x)(test)
+        return test
+    return decorate
+
+
+class TestNumberKernels:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats())
+    @with_examples(G17_EXAMPLES)
+    def test_float_kernel_writes_percent_17g(self, x):
+        assert g17_texts([x]) == [format(x, ".17g")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(G17_EXAMPLES),
+                              st.just(0.0)), max_size=40))
+    def test_float_kernel_writes_each_value_of_an_array(self, xs):
+        assert g17_texts(xs) == [format(x, ".17g") for x in xs]
+
+    def test_ties_round_half_to_even(self):
+        assert g17_texts([1 + 2 ** -17, 1 + 3 * 2 ** -17]) == [
+            "1.0000076293945312", "1.0000228881835938"]
+        assert f2_texts([30.125, 549.875]) == ["30.12", "549.88"]
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(st.floats(30, 550),
+                     st.integers(30 * 8, 550 * 8).map(lambda k: k / 8)))
+    @example(30.125)
+    @example(549.875)
+    def test_cy_kernel_writes_percent_2f(self, x):
+        assert f2_texts([x]) == [format(x, ".2f")]
+
+    def test_cy_kernel_on_a_dense_grid_and_every_half_cent_tie(self):
+        # Eighths are the only half-cent ties a double holds exactly.
+        x = np.concatenate([np.linspace(30, 550, 520_001),
+                            np.arange(30 * 8, 550 * 8 + 1) / 8])
+        assert f2_texts(x) == [format(v, ".2f") for v in x.tolist()]
+
 
 def svg_fills(fractions):
     """The fill of each circle the SVG draws for trips at ``fractions``."""
@@ -218,7 +313,8 @@ class TestSvg:
         fractions = np.concatenate([
             np.linspace(-1.0, 2.0, 200_001),
             [*edges, 0.5, 5e-324, -0.0, math.nan, math.inf, -math.inf]])
-        assert ["#%06X" % c for c in _ramp_rgb(fractions).tolist()] == [
+        assert ["#%02X%02X%02X" % tuple(c)
+                for c in _ramp_rgb(fractions).tolist()] == [
             ramp_color(f) for f in fractions.tolist()]
 
     def test_full_fraction_record_filled_yellow(self):
