@@ -409,3 +409,39 @@ class TestBatchedStreamsMatchOneByOne:
         for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
                               expected):
             assert np.array_equal(getattr(results, name), want), name
+
+
+# Three modes: a rate mean near 1 with a wide spread (rate redraws), a fixed
+# cost and a rate of 0, and a cost that draws; 12 rate steps and 13 trips per
+# replicate.
+_WIDTH_MODES = [
+    {"id": "m0", "base_cost_mean": 0.02, "base_year": 2018,
+     "improvement_rate_mean": 0.95, "rate_stdev_fraction": 5.0},
+    {"id": "m1", "base_cost_mean": 0.05, "base_year": 2018,
+     "improvement_rate_mean": 0.0, "cost_stdev_fraction": 0.0},
+    {"id": "m2", "base_cost_mean": 0.03, "base_year": 2018,
+     "improvement_rate_mean": 0.02}]
+
+
+class TestBlockWidth:
+    # 360 replicates: 9,000 paths per-replicate; 700: 9,112 shared.  Both
+    # cross two block edges at 4,096 paths and dozens at 128.
+    @pytest.mark.parametrize("policy,iterations",
+                             [("per-replicate", 360), ("shared", 700)])
+    def test_block_width_does_not_change_results(self, monkeypatch, policy,
+                                                 iterations):
+        cfg = ScenarioConfig(
+            enabled_modes=["m0", "m1", "m2"], modes=_WIDTH_MODES, seed=41,
+            iterations=iterations, end_year=2030, min_leg_km=1000.0,
+            evolution_policy=policy)
+        widths = [128, 1024, 4096]
+        assert sum(1 for _ in _scenario_paths(cfg)) > 2 * max(widths)
+        names = ("cost", "n_legs", "frac", "mode_means")
+        runs = []
+        for width in widths:
+            monkeypatch.setattr(stochastics, "_CHUNK", width)
+            results = run_scenario(cfg)
+            runs.append([getattr(results, name).tobytes() for name in names])
+        for width, run in zip(widths[1:], runs[1:]):
+            for name, want, got in zip(names, runs[0], run):
+                assert got == want, (name, width)
