@@ -25,7 +25,7 @@ from .lanes import Lanes, RngStream
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
                           lognormal_from_moments, lognormal_ratios,
                           sample_lognormal, seed_chunks)
-from .tripsim import CostTable, cost_trips, simulate_trip
+from .tripsim import _TRIP_SLICE, CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
 _RATE_CLAMP = 0.99
@@ -253,6 +253,8 @@ class _LaneFeed:
             block = block[:n]
             n -= len(block)
             yield block
+            # The next chunk is seeded with no lanes of this one held.
+            del block
 
 
 def _trajectories(config: ScenarioConfig, registry: ModeRegistry,
@@ -270,6 +272,7 @@ def _trajectories(config: ScenarioConfig, registry: ModeRegistry,
         q = np.arange(done, done + len(block))
         flat[q + q // steps + 1] = evolve_mode_state(1.0, rates, block)
         done += len(block)
+        del block
     out[:, 0] = [adjust_reference_cost(s.base_cost_mean,
                                        s.improvement_rate_mean, s.base_year,
                                        config.start_year) for s in registry]
@@ -308,17 +311,30 @@ def run_replicate(config: ScenarioConfig,
     A block is any run of trips: one replicate's years, with ``table`` its
     ``(years, modes)`` trajectory, or a chunk of a run's trip paths.
     ``table`` is the ``CostTable`` of the mode means, or the means it is
-    built from.  Every leg of the block is costed at once with the run's
-    handling-cost parameters.
+    built from.  The block's legs and modes are drawn at once; its cost
+    normals are then drawn and its legs costed ``_TRIP_SLICE`` trips at a
+    time, each slice with the run's handling-cost parameters and, where
+    ``rows`` is None, a table of its own rows.
     """
     if not isinstance(table, CostTable):
         table = _cost_table(registry, table)
-    drawn = table.drawn if rows is None else table.drawn[rows]
-    trips = simulate_trip(config.trip_distance_km, drawn,
+    trips = simulate_trip(config.trip_distance_km,
+                          table.drawn if rows is None else table.drawn[rows],
                           handling_params.sigma != 0.0, lanes,
                           min_leg=config.min_leg_km)
-    return cost_trips(trips, table, handling_params, config.freight_tonnes,
-                      rows)
+    n = len(lanes)
+    cost, n_legs = np.empty(n), np.empty(n, dtype=np.intp)
+    frac = np.empty((n, len(registry)))
+    for a in range(0, n, _TRIP_SLICE):
+        b = a + _TRIP_SLICE
+        if rows is None:
+            part_table, part_rows = table.rows(a, b), None
+        else:
+            part_table, part_rows = table, rows[a:b]
+        cost[a:b], n_legs[a:b], frac[a:b] = cost_trips(
+            trips.part(a, b), part_table, handling_params,
+            config.freight_tonnes, part_rows)
+    return cost, n_legs, frac
 
 
 def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
@@ -384,9 +400,9 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
         (cost.reshape(-1)[cells], n_legs.reshape(-1)[cells],
          frac.reshape(-1, len(registry))[cells]) = run_replicate(
             config, registry, block_table, handling_params, block, rows)
-        # A per-replicate block's table is freed before the next block's
-        # lanes are seeded.
-        del block_table
+        # A block's lanes and, per-replicate, its table are freed before
+        # the next block's lanes are seeded.
+        del block, block_table
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "

@@ -197,7 +197,7 @@ def _state_words(digests: bytes) -> np.ndarray:
     return words
 
 
-def seed_lanes(texts: Sequence[bytes]) -> Lanes:
+def seed_lanes(texts: Iterable[bytes]) -> Lanes:
     """The lanes of the label paths whose ``_path_text`` is ``texts``, in
     order: each seeded as ``PCG64(SeedSequence(entropy))``, the entropy
     the path's SHA-256 digest read as a big-endian int."""
@@ -206,10 +206,13 @@ def seed_lanes(texts: Sequence[bytes]) -> Lanes:
 
 
 def seed_chunks(texts: Iterable[bytes]) -> Iterator[Lanes]:
-    """``seed_lanes`` of ``texts``, read lazily, ``_CHUNK`` at a time."""
+    """``seed_lanes`` of ``texts``, read lazily, ``_CHUNK`` at a time.  A
+    chunk's texts are hashed as they are read, and no chunk is held here
+    while the next is seeded."""
     texts = iter(texts)
-    while chunk := list(itertools.islice(texts, _CHUNK)):
-        yield seed_lanes(chunk)
+    while lanes := seed_lanes(itertools.islice(texts, _CHUNK)):
+        yield lanes
+        del lanes
 
 
 def derive_lanes(master_seed: int,

@@ -22,6 +22,11 @@ from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
 _T = TypeVar("_T")
 
+# Trips whose per-leg work is done together: a block's legs are costed, and
+# turned into Python floats for fsum, this many trips at a time, so the work
+# arrays stay those of this many trips however wide the block.
+_TRIP_SLICE = 1024
+
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
                            stream: RngStream) -> list[float]:
@@ -78,16 +83,17 @@ class CostTable:
     Every entry is checked when the table is made, and ``drawn`` says where
     sigma is not 0.  A cell's ``mu``, ``sigma`` and ``exp_mu`` (exp(mu)
     where sigma is 0, the value of a slot that draws nothing; 0 elsewhere)
-    are computed the first time ``at`` asks for them, and kept.
+    are computed the first time ``at`` asks for them, and kept; a table
+    that ``at`` never asks holds no room for them.
     """
 
     def __init__(self, means: np.ndarray, ratios: np.ndarray):
         self.means = means
         self.ratios = ratios
         self.drawn = ratios != 0.0
-        self._known = np.zeros(means.size, dtype=bool)
+        self._known = None
         # mu, sigma and exp_mu of each cell, written once it is known.
-        self._slots = np.empty((3, means.size))
+        self._slots = None
 
     @classmethod
     def from_means(cls, means: np.ndarray,
@@ -97,10 +103,18 @@ class CostTable:
         ``ValueError`` if any entry cannot be matched."""
         return cls(means, lognormal_ratios(means, stdev_fractions * means))
 
+    def rows(self, a: int, b: int) -> "CostTable":
+        """The table of rows a to b, with the entries this one checked and
+        a cache of its own."""
+        return CostTable(self.means[a:b], self.ratios[a:b])
+
     def at(self, cells: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``mu``, ``sigma`` and ``exp_mu`` of the cells ``cells``, indices
         into the table's flattened ``[row, mode]`` order."""
+        if self._slots is None:
+            self._known = np.zeros(self.means.size, dtype=bool)
+            self._slots = np.empty((3, self.means.size))
         wanted = np.zeros_like(self._known)
         wanted[cells] = True
         new = np.flatnonzero(wanted & ~self._known)
@@ -133,37 +147,53 @@ class CostTable:
 
 
 class TripDraws(NamedTuple):
-    """The draws of a block of trips, as columns: each trip's leg count,
-    every leg's length and mode (trip by trip, in leg order), and every
-    cost normal of the block (trip by trip, in leg order)."""
+    """A block of trips as ``simulate_trip`` draws them, as columns: each
+    trip's leg count, every leg's length and mode (trip by trip, in leg
+    order) and the number of cost normals each trip takes, with ``lanes``,
+    the trips' streams, which ``cost_trips`` draws the normals from."""
 
     n_legs: np.ndarray
     distances: np.ndarray
     modes: np.ndarray
-    normals: np.ndarray
+    counts: np.ndarray
+    lanes: object
+
+    def part(self, a: int, b: int) -> "TripDraws":
+        """Trips a to b, as views: drawing from their lanes advances these
+        lanes."""
+        first = int(self.n_legs[:a].sum())
+        last = first + int(self.n_legs[a:b].sum())
+        return TripDraws(self.n_legs[a:b], self.distances[first:last],
+                         self.modes[first:last], self.counts[a:b],
+                         self.lanes[a:b])
 
 
 def _trip_sums(distances: np.ndarray, starts: np.ndarray,
                ends: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each trip's legs ``distances[starts[i]:ends[i]]``.
-    One leg is its own sum and two legs one correctly rounded addition, as
+    """``math.fsum`` of each trip's legs ``distances[starts[i]:ends[i]]``,
+    for ascending ``starts``.  One leg is its own sum and two legs one correctly rounded addition, as
     fsum's; longer trips call fsum."""
     sums = distances[starts]
     n_legs = ends - starts
     two = n_legs == 2
     sums[two] += distances[starts[two] + 1]
     many = np.flatnonzero(n_legs > 2)
-    if many.size:
-        legs = distances.tolist()
-        sums[many] = [math.fsum(legs[a:b]) for a, b in
-                      zip(starts[many].tolist(), ends[many].tolist())]
+    # The legs as Python floats, ``_TRIP_SLICE`` trips at a time.
+    for i in range(0, many.size, _TRIP_SLICE):
+        part = many[i:i + _TRIP_SLICE]
+        first = starts[part[0]]
+        legs = distances[first:ends[part[-1]]].tolist()
+        sums[part] = [math.fsum(legs[a:b]) for a, b in
+                      zip((starts[part] - first).tolist(),
+                          (ends[part] - first).tolist())]
     return sums
 
 
 def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
                   min_leg: float = 100.0) -> TripDraws:
     """Draw a block of intermodal trips, trip i from lane i of ``lanes``:
-    its leg lengths, each leg's mode, then every cost normal of the trip.
+    its leg lengths and each leg's mode, and count the cost normals each
+    trip then takes.
 
     A trip is drawn as ``generate_leg_distances`` and ``assign_modes``
     draw it, all trips at once: the k-th leg of every trip still at least
@@ -171,36 +201,37 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
     leg.  ``trip_distance`` is one float, or one per trip.  ``drawn[m]``
     (or ``drawn[i, m]``, a row per trip) says whether mode m's operational
     cost has a non-zero log-space spread, and ``handling_drawn`` whether
-    the handling cost has one.  The normals are used in (operational,
-    handling) order leg by leg, one per cost that draws; ``cost_trips``
-    costs the legs.
+    the handling cost has one.  A trip takes one normal per cost that
+    draws, in (operational, handling) order leg by leg; ``cost_trips``
+    draws them and costs the legs.
     """
     n = len(lanes)
     distance = np.broadcast_to(np.asarray(trip_distance, dtype=float), n)
     drawn = np.broadcast_to(np.asarray(drawn, dtype=bool),
                             (n, np.shape(drawn)[-1]))
     remaining = distance.copy()
+    n_drawn = np.zeros(n, dtype=np.intp)
+    # Round k draws the k-th leg of the trips whose n_drawn ends above k,
+    # in lane order, so each round keeps its lengths only.
     rounds = []
     active = np.flatnonzero(remaining >= min_leg)
     while active.size:
-        active = padded(active)
-        d = lanes.uniforms(active, min_leg, remaining[active])
-        rounds.append((active, d))
+        sel = padded(active)
+        d = lanes.uniforms(sel, min_leg, remaining[sel])[:active.size]
+        rounds.append(d)
+        n_drawn[active] += 1
         remaining[active] -= d
         active = active[remaining[active] >= min_leg]
 
     # A trip shorter than min_leg is one leg of the whole distance.
-    n_drawn = np.zeros(n, dtype=np.intp)
-    for active, _ in rounds:
-        n_drawn[active] += 1
     n_legs = np.maximum(n_drawn, 1)
     ends = np.cumsum(n_legs)
     starts = ends - n_legs
     distances = np.empty(ends[-1] if n else 0)
     whole = n_drawn == 0
     distances[starts[whole]] = distance[whole]
-    for k, (active, d) in enumerate(rounds):
-        distances[starts[active] + k] = d
+    for k, d in enumerate(rounds):
+        distances[starts[n_drawn > k] + k] = d
     del rounds
     # The remainder joins the last leg, which then takes up the rounding
     # of the legs' sum.
@@ -213,26 +244,28 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
                                                     ends[split])
 
     n_modes = drawn.shape[1]
-    modes = np.zeros(len(distances), dtype=np.intp)
+    modes = np.zeros(len(distances), dtype=np.min_scalar_type(n_modes - 1))
     if n_modes > 1:
         active = np.arange(n)
         for k in range(int(n_legs.max(initial=0))):
-            active = padded(active[n_legs[active] > k])
-            modes[starts[active] + k] = lanes.indices(active, n_modes)
-    slots = drawn[np.repeat(np.arange(n), n_legs), modes] + np.intp(
-        handling_drawn)
-    counts = np.add.reduceat(slots, starts) if n else slots
-    del slots
-    return TripDraws(n_legs, distances, modes, lanes.normals(counts))
+            active = active[n_legs[active] > k]
+            modes[starts[active] + k] = lanes.indices(padded(active),
+                                                      n_modes)[:active.size]
+    counts = n_legs * np.intp(handling_drawn)
+    if n:
+        counts += np.add.reduceat(drawn[np.repeat(np.arange(n), n_legs),
+                                        modes], starts, dtype=np.intp)
+    return TripDraws(n_legs, distances, modes, counts, lanes)
 
 
 def cost_trips(trips: TripDraws, table: CostTable,
                handling_params: LogNormalParams, weight: float,
                rows: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost the trips ``simulate_trip`` drew, trip i with row ``rows[i]`` of
-    ``table`` (row i if ``rows`` is None); return each trip's cost, leg
-    count and per-mode distance fractions (registry order).
+    """Draw the cost normals of the trips ``simulate_trip`` drew, from their
+    lanes, and cost the trips, trip i with row ``rows[i]`` of ``table``
+    (row i if ``rows`` is None); return each trip's cost, leg count and
+    per-mode distance fractions (registry order).
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
@@ -243,7 +276,8 @@ def cost_trips(trips: TripDraws, table: CostTable,
     ``np.add.at`` adds one index at a time, in index order, where numpy's
     pairwise reductions would round a trip of 8 or more legs differently.
     """
-    n_legs, distances, modes, z = trips
+    n_legs, distances, modes, counts, lanes = trips
+    z = lanes.normals(counts)
     n_modes = table.means.shape[1]
     trip = np.repeat(np.arange(len(n_legs)), n_legs)
     row = trip if rows is None else np.repeat(rows, n_legs)
