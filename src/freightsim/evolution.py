@@ -25,7 +25,7 @@ from .lanes import Lanes, RngStream
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
                           lognormal_from_moments, lognormal_ratios,
                           sample_lognormal, seed_chunks)
-from .tripsim import _TRIP_SLICE, CostTable, cost_trips, simulate_trip
+from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
 _RATE_CLAMP = 0.99
@@ -130,7 +130,6 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
     clamped to 0.99 as a last resort, from that lane's stream alone.
     """
     n = len(lanes)
-    step = np.tile(1.0 - rates.fixed, (n, 1))
     k = rates.drawn.size
     if k:
         z = lanes.normals(np.full(n, k)).reshape(n, k)
@@ -141,6 +140,10 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
         for i in np.flatnonzero((sampled >= 1.0).any(axis=1)).tolist():
             sampled[i] = _redraw_rates(rates.mu, rates.sigma, z[i],
                                        lanes.stream(i))
+        # The normals are freed before the steps are laid out.
+        del z
+    step = np.tile(1.0 - rates.fixed, (n, 1))
+    if k:
         step[:, rates.drawn] = np.subtract(1.0, sampled, out=sampled)
     step *= costs
     return step.reshape(np.shape(costs)) if np.ndim(costs) == 1 else step
@@ -302,19 +305,22 @@ def run_replicate(config: ScenarioConfig,
                   table: CostTable | np.ndarray,
                   handling_params: LogNormalParams,
                   lanes: Lanes,
-                  rows: np.ndarray | None = None
+                  rows: np.ndarray | None = None,
+                  out: tuple[np.ndarray, ...] | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a block of trips, trip i from lane i of ``lanes`` with the
     mode means of row ``rows[i]`` of ``table`` (row i if ``rows`` is None),
-    and return their ``cost``, ``n_legs`` and ``frac`` columns.
+    and return their ``cost``, ``n_legs`` and ``frac`` columns.  With
+    ``out``, ``(cost, n_legs, frac, at)``, trip i is written at index
+    ``at[i]`` of those arrays instead, and they are returned.
 
     A block is any run of trips: one replicate's years, with ``table`` its
     ``(years, modes)`` trajectory, or a chunk of a run's trip paths.
     ``table`` is the ``CostTable`` of the mode means, or the means it is
     built from.  The block's legs and modes are drawn at once; its cost
-    normals are then drawn and its legs costed ``_TRIP_SLICE`` trips at a
-    time, each slice with the run's handling-cost parameters and, where
-    ``rows`` is None, a table of its own rows.
+    normals are then drawn and its legs costed one run of trips at a time
+    (``TripDraws.cuts``), with the run's handling-cost parameters and,
+    where ``rows`` is None, a table of the run's own rows.
     """
     if not isinstance(table, CostTable):
         table = _cost_table(registry, table)
@@ -323,15 +329,17 @@ def run_replicate(config: ScenarioConfig,
                           handling_params.sigma != 0.0, lanes,
                           min_leg=config.min_leg_km)
     n = len(lanes)
-    cost, n_legs = np.empty(n), np.empty(n, dtype=np.intp)
-    frac = np.empty((n, len(registry)))
-    for a in range(0, n, _TRIP_SLICE):
-        b = a + _TRIP_SLICE
+    if out is None:
+        out = (np.empty(n), np.empty(n, dtype=np.intp),
+               np.empty((n, len(registry))), np.arange(n))
+    cost, n_legs, frac, at = out
+    cuts = trips.cuts()
+    for a, b in zip(cuts, cuts[1:]):
         if rows is None:
             part_table, part_rows = table.rows(a, b), None
         else:
             part_table, part_rows = table, rows[a:b]
-        cost[a:b], n_legs[a:b], frac[a:b] = cost_trips(
+        cost[at[a:b]], n_legs[at[a:b]], frac[at[a:b]] = cost_trips(
             trips.part(a, b), part_table, handling_params,
             config.freight_tonnes, part_rows)
     return cost, n_legs, frac
@@ -396,10 +404,9 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
             block_table, rows = _cost_table(
                 registry, trip_means[done:done + len(block)]), None
         done += len(block)
-        cells = t * reps + rep
-        (cost.reshape(-1)[cells], n_legs.reshape(-1)[cells],
-         frac.reshape(-1, len(registry))[cells]) = run_replicate(
-            config, registry, block_table, handling_params, block, rows)
+        run_replicate(config, registry, block_table, handling_params, block,
+                      rows, (cost.reshape(-1), n_legs.reshape(-1),
+                             frac.reshape(-1, len(registry)), t * reps + rep))
         # A block's lanes and, per-replicate, its table are freed before
         # the next block's lanes are seeded.
         del block, block_table

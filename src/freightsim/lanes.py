@@ -314,10 +314,6 @@ class Lanes:
         outputs, and those outputs; the slots past a stop hold values
         that the next pass writes again."""
         m = lanes.size
-        # Each lane's state and increment words, a row per lane, to gather
-        # at once.
-        words = np.stack((self.hi[lanes], self.lo[lanes], self.inc_hi[lanes],
-                          self.inc_lo[lanes]), axis=1)
         ends = np.cumsum(need)
         starts = ends - need
         total = int(ends[-1])
@@ -336,7 +332,11 @@ class Lanes:
             n[-1] -= ends[l1] - b
             j = np.repeat(np.arange(l0, l1 + 1), n)
             k = np.arange(a + 1, b + 1) - starts[j]
-            hi, lo = _jump(*words.take(j, axis=0).T, k)
+            # Each output's lane state and increment words, gathered per
+            # slice: no array of every lane's words is held.
+            lane = lanes.take(j)
+            hi, lo = _jump(self.hi.take(lane), self.lo.take(lane),
+                           self.inc_hi.take(lane), self.inc_lo.take(lane), k)
             r = _xsl_rr(hi, lo)
             layer = (r & 0xFF).astype(np.intp)
             rabs = r >> 9 & _MASK52
@@ -361,7 +361,7 @@ class Lanes:
                 stop_k[js], stop_r[js] = k[slow], r[slow]
                 new_hi[js], new_lo[js] = hi[slow], lo[slow]
             # Free this slice's arrays before the next slice builds its own.
-            del j, k, hi, lo, r, layer, rabs, x
+            del j, k, lane, hi, lo, r, layer, rabs, x
         self.hi[lanes], self.lo[lanes] = new_hi, new_lo
         return stopped, stop_k[stopped], stop_r[stopped]
 

@@ -123,10 +123,13 @@ _MIX_MULT_L = 0xca01f9dd
 _MIX_MULT_R = 0x4973f715
 _MASK32 = 0xFFFFFFFF
 
-# Label paths whose streams are seeded and stepped together: enough to
-# amortise numpy's per-call overhead over the array operations, few enough
-# that no run-sized list of paths or lanes is held.
-_CHUNK = 1024
+# Label paths whose streams are seeded and stepped together, the engine's
+# one block width: rate blocks and trip blocks are cut from these chunks.
+# Wide enough to amortise numpy's fixed cost per call over the array
+# operations; the work done per leg is bounded apart from it
+# (``tripsim._LEG_SLICE``), so the width costs little resident memory.  No
+# run-sized list of paths or lanes is held.
+_CHUNK = 4096
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -174,9 +177,10 @@ def _state_words(digests: bytes) -> np.ndarray:
     differently, so those go through ``SeedSequence`` itself.
     """
     rows = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)
-    # The little-endian bytes of each entropy are its digest reversed.
-    data = np.ascontiguousarray(rows[:, ::-1].copy().view("<u4").T,
-                                dtype=np.uint32)
+    # The little-endian bytes of each entropy are its digest reversed, so
+    # entropy word i is the digest's big-endian word 7 - i.
+    data = np.frombuffer(digests, dtype=">u4").reshape(-1, 8)[:, ::-1].T.astype(
+        np.uint32, order="C")
     pool = _hashmix(data[:4], _HASH_A[:4])
     # Each pool word mixes a hash of itself into the other three, in turn.
     for src in range(4):
@@ -184,13 +188,14 @@ def _state_words(digests: bytes) -> np.ndarray:
         hashes = _hashmix(pool[src], _HASH_A[4 + 3 * src:7 + 3 * src])
         pool[dst] = _mix(pool[dst], hashes)
     # Entropy words 4 to 7 each mix a hash of themselves into all four.
-    hashes = _hashmix(np.repeat(data[4:], 4, axis=0), _HASH_A[16:])
     for src in range(4):
-        pool = _mix(pool, hashes[4 * src:4 * src + 4])
+        pool = _mix(pool, _hashmix(data[4 + src],
+                                   _HASH_A[16 + 4 * src:20 + 4 * src]))
+    del data
     state = _hashmix(np.concatenate((pool, pool)), _HASH_B)
     # Output words 2i and 2i + 1 are the low and high halves of uint64 i.
     words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
-        np.uint64)
+        np.uint64, copy=False)
     for i in np.flatnonzero(~rows[:, :4].any(axis=1)):
         entropy = int.from_bytes(rows[i].tobytes(), "big")
         words[i] = np.random.SeedSequence(entropy).generate_state(4, np.uint64)

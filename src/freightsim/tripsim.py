@@ -22,10 +22,13 @@ from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
 _T = TypeVar("_T")
 
-# Trips whose per-leg work is done together: a block's legs are costed, and
-# turned into Python floats for fsum, this many trips at a time, so the work
-# arrays stay those of this many trips however wide the block.
-_TRIP_SLICE = 1024
+# Legs whose work arrays are alive together: a block's legs are costed, and
+# a cost table's cells checked, about this many at a time, so those arrays
+# stay the same size however wide the block.
+_LEG_SLICE = 8192
+# Trips whose legs are Python floats at once, for fsum: a float object
+# takes four times the room of a float in an array.
+_FSUM_TRIPS = 256
 
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
@@ -80,17 +83,31 @@ class CostTable:
     such as the operational costs of one cost trajectory (a row per year)
     or the improvement rates of a run (one row).
 
-    Every entry is checked when the table is made, and ``drawn`` says where
-    sigma is not 0.  A cell's ``mu``, ``sigma`` and ``exp_mu`` (exp(mu)
-    where sigma is 0, the value of a slot that draws nothing; 0 elsewhere)
-    are computed the first time ``at`` asks for them, and kept; a table
-    that ``at`` never asks holds no room for them.
+    Every entry is checked when the table is made, ``_LEG_SLICE`` cells
+    at a time, and ``drawn`` says where sigma is not 0.  A cell's ``mu``,
+    ``sigma`` and ``exp_mu`` (exp(mu) where sigma is 0, the value of a slot
+    that draws nothing; 0 elsewhere) are computed the first time ``at``
+    asks for them, and kept; a table that ``at`` never asks holds no room
+    for them.  The ratios v/m^2 of the log-normals are not kept either, so
+    a table holds one byte per cell until it is asked.
     """
 
-    def __init__(self, means: np.ndarray, ratios: np.ndarray):
+    def __init__(self, means: np.ndarray, stdev_fractions: np.ndarray,
+                 drawn: np.ndarray | None = None):
+        """The table of ``(rows, modes)`` means whose stdev is each mode's
+        fraction of its mean; raises ``lognormal_from_moments``'
+        ``ValueError`` if any entry cannot be matched.  ``drawn``, where
+        given, is that of these means, which are then not checked again."""
         self.means = means
-        self.ratios = ratios
-        self.drawn = ratios != 0.0
+        self.stdev_fractions = stdev_fractions
+        if drawn is None:
+            drawn = np.empty(means.shape, dtype=bool)
+            step = _LEG_SLICE // max(1, means.shape[-1])
+            for a in range(0, len(means), step):
+                rows = means[a:a + step]
+                np.not_equal(lognormal_ratios(rows, stdev_fractions * rows),
+                             0.0, out=drawn[a:a + step])
+        self.drawn = drawn
         self._known = None
         # mu, sigma and exp_mu of each cell, written once it is known.
         self._slots = None
@@ -98,15 +115,19 @@ class CostTable:
     @classmethod
     def from_means(cls, means: np.ndarray,
                    stdev_fractions: np.ndarray) -> "CostTable":
-        """The table of ``(rows, modes)`` means whose stdev is each mode's
-        fraction of its mean; raises ``lognormal_from_moments``'
-        ``ValueError`` if any entry cannot be matched."""
-        return cls(means, lognormal_ratios(means, stdev_fractions * means))
+        """``CostTable(means, stdev_fractions)``."""
+        return cls(means, stdev_fractions)
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """The ratio v/m^2 of every cell, in the table's shape."""
+        return lognormal_ratios(self.means, self.stdev_fractions * self.means)
 
     def rows(self, a: int, b: int) -> "CostTable":
         """The table of rows a to b, with the entries this one checked and
         a cache of its own."""
-        return CostTable(self.means[a:b], self.ratios[a:b])
+        return CostTable(self.means[a:b], self.stdev_fractions,
+                         self.drawn[a:b])
 
     def at(self, cells: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,8 +140,10 @@ class CostTable:
         wanted[cells] = True
         new = np.flatnonzero(wanted & ~self._known)
         if new.size:
-            mu, sigma = lognormal_params(self.means.take(new),
-                                         self.ratios.take(new))
+            means = self.means.take(new)
+            fractions = self.stdev_fractions.take(new % self.means.shape[-1])
+            mu, sigma = lognormal_params(
+                means, lognormal_ratios(means, fractions * means))
             exp_mu = np.zeros_like(mu)
             fixed = sigma == 0.0
             exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
@@ -158,6 +181,16 @@ class TripDraws(NamedTuple):
     counts: np.ndarray
     lanes: object
 
+    def cuts(self) -> list[int]:
+        """The first trip of each run of trips that ``cost_trips`` takes at
+        once, then the trip count: a trip whose first leg is leg k of the
+        block is in run k // ``_LEG_SLICE``."""
+        firsts = np.cumsum(self.n_legs)
+        firsts -= self.n_legs
+        total = int(firsts[-1] + self.n_legs[-1]) if len(firsts) else 0
+        starts = np.searchsorted(firsts, np.arange(0, total, _LEG_SLICE))
+        return [*sorted(set(starts.tolist())), len(firsts)]
+
     def part(self, a: int, b: int) -> "TripDraws":
         """Trips a to b, as views: drawing from their lanes advances these
         lanes."""
@@ -178,9 +211,9 @@ def _trip_sums(distances: np.ndarray, starts: np.ndarray,
     two = n_legs == 2
     sums[two] += distances[starts[two] + 1]
     many = np.flatnonzero(n_legs > 2)
-    # The legs as Python floats, ``_TRIP_SLICE`` trips at a time.
-    for i in range(0, many.size, _TRIP_SLICE):
-        part = many[i:i + _TRIP_SLICE]
+    # The legs as Python floats, ``_FSUM_TRIPS`` trips at a time.
+    for i in range(0, many.size, _FSUM_TRIPS):
+        part = many[i:i + _FSUM_TRIPS]
         first = starts[part[0]]
         legs = distances[first:ends[part[-1]]].tolist()
         sums[part] = [math.fsum(legs[a:b]) for a, b in
@@ -189,26 +222,12 @@ def _trip_sums(distances: np.ndarray, starts: np.ndarray,
     return sums
 
 
-def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
-                  min_leg: float = 100.0) -> TripDraws:
-    """Draw a block of intermodal trips, trip i from lane i of ``lanes``:
-    its leg lengths and each leg's mode, and count the cost normals each
-    trip then takes.
-
-    A trip is drawn as ``generate_leg_distances`` and ``assign_modes``
-    draw it, all trips at once: the k-th leg of every trip still at least
-    ``min_leg`` from its end, then the k-th mode of every trip with a k-th
-    leg.  ``trip_distance`` is one float, or one per trip.  ``drawn[m]``
-    (or ``drawn[i, m]``, a row per trip) says whether mode m's operational
-    cost has a non-zero log-space spread, and ``handling_drawn`` whether
-    the handling cost has one.  A trip takes one normal per cost that
-    draws, in (operational, handling) order leg by leg; ``cost_trips``
-    draws them and costs the legs.
-    """
+def _legs(distance: np.ndarray, min_leg: float,
+          lanes) -> tuple[np.ndarray, np.ndarray]:
+    """Each trip's leg count and every leg's length, trip by trip, as
+    ``simulate_trip`` draws them: trip i, of length ``distance[i]``, from
+    lane i of ``lanes``."""
     n = len(lanes)
-    distance = np.broadcast_to(np.asarray(trip_distance, dtype=float), n)
-    drawn = np.broadcast_to(np.asarray(drawn, dtype=bool),
-                            (n, np.shape(drawn)[-1]))
     remaining = distance.copy()
     n_drawn = np.zeros(n, dtype=np.intp)
     # Round k draws the k-th leg of the trips whose n_drawn ends above k,
@@ -242,6 +261,33 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
                                distances[last])
     distances[last] += distance[split] - _trip_sums(distances, starts[split],
                                                     ends[split])
+    return n_legs, distances
+
+
+def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
+                  min_leg: float = 100.0) -> TripDraws:
+    """Draw a block of intermodal trips, trip i from lane i of ``lanes``:
+    its leg lengths and each leg's mode, and count the cost normals each
+    trip then takes.
+
+    A trip is drawn as ``generate_leg_distances`` and ``assign_modes``
+    draw it, all trips at once: the k-th leg of every trip still at least
+    ``min_leg`` from its end, then the k-th mode of every trip with a k-th
+    leg.  ``trip_distance`` is one float, or one per trip.  ``drawn[m]``
+    (or ``drawn[i, m]``, a row per trip) says whether mode m's operational
+    cost has a non-zero log-space spread, and ``handling_drawn`` whether
+    the handling cost has one.  A trip takes one normal per cost that
+    draws, in (operational, handling) order leg by leg; ``cost_trips``
+    draws them and costs the legs.
+    """
+    n = len(lanes)
+    drawn = np.broadcast_to(np.asarray(drawn, dtype=bool),
+                            (n, np.shape(drawn)[-1]))
+    n_legs, distances = _legs(
+        np.broadcast_to(np.asarray(trip_distance, dtype=float), n), min_leg,
+        lanes)
+    starts = np.cumsum(n_legs)
+    starts -= n_legs
 
     n_modes = drawn.shape[1]
     modes = np.zeros(len(distances), dtype=np.min_scalar_type(n_modes - 1))
@@ -280,11 +326,11 @@ def cost_trips(trips: TripDraws, table: CostTable,
     z = lanes.normals(counts)
     n_modes = table.means.shape[1]
     trip = np.repeat(np.arange(len(n_legs)), n_legs)
-    row = trip if rows is None else np.repeat(rows, n_legs)
-    cell = row * n_modes
+    cell = (trip if rows is None else np.repeat(rows, n_legs)) * n_modes
     cell += modes
     drawn = table.drawn.take(cell)
     mu, sigma, op_cost = table.at(cell)
+    del cell
     handling_drawn = handling_params.sigma != 0.0
     # The first of each leg's normals in the trips' concatenated draws.
     first = np.cumsum(drawn + np.intp(handling_drawn))
@@ -293,13 +339,14 @@ def cost_trips(trips: TripDraws, table: CostTable,
 
     # A cost that overflows is inf, as in Python float arithmetic; the
     # caller rejects it.  exp(mu + sigma * z) is formed in place, in the
-    # array of z.
+    # array of z.  Each leg-sized array is freed once it is used.
     with np.errstate(over="ignore"):
         if drawn.any():
             x = z[first[drawn]]
             x *= sigma[drawn]
             x += mu[drawn]
             op_cost[drawn] = np.exp(x, out=x)
+            del x
         del mu, sigma
         h = handling_params
         if handling_drawn:
@@ -310,11 +357,15 @@ def cost_trips(trips: TripDraws, table: CostTable,
             np.exp(handling, out=handling)
         else:
             handling = math.exp(h.mu)
-        del first
+        del first, z
         cost = np.zeros(len(n_legs))
         np.add.at(cost, trip, leg_cost(distances, weight, op_cost, handling))
+        del op_cost, handling
     per_mode_km = np.zeros((len(n_legs), n_modes))
-    np.add.at(per_mode_km.reshape(-1), trip * n_modes + modes, distances)
+    trip *= n_modes
+    trip += modes
+    np.add.at(per_mode_km.reshape(-1), trip, distances)
+    del trip
     ends = np.cumsum(n_legs)
-    span = _trip_sums(distances, ends - n_legs, ends)
-    return cost, n_legs, per_mode_km / span[:, None]
+    per_mode_km /= _trip_sums(distances, ends - n_legs, ends)[:, None]
+    return cost, n_legs, per_mode_km

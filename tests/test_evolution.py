@@ -204,10 +204,12 @@ class TestRunReplicate:
 
 class TestSharedTableCostsEachCellOnce:
     def test_math_log_at_most_once_per_trajectory_cell(self, monkeypatch):
-        # 13 years x 100 replicates: two trip blocks, one fixed-cost mode.
+        # 13 years x 100 replicates per 1,024 paths of block width: two
+        # trip blocks, one fixed-cost mode.
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail", "auto_ocean"],
                              evolution_policy="shared", seed=7,
-                             iterations=100, end_year=2030, min_leg_km=10,
+                             iterations=100 * _CHUNK // 1024, end_year=2030,
+                             min_leg_km=10,
                              modes=[{"id": "rail",
                                      "cost_stdev_fraction": 0}])
         shim = CountingMath()
@@ -389,14 +391,14 @@ class TestBatchedStreamsMatchOneByOne:
         assert list(_path_texts(cfg)) == [_path_text(cfg.seed, p)
                                           for p in _scenario_paths(cfg)]
 
-    # 12 rate steps and 13 trips per replicate: 2,500 paths per-replicate,
-    # 2,612 shared.
+    # 12 rate steps and 13 trips per replicate: 2,500 paths per-replicate
+    # and 2,612 shared per 1,024 paths of block width.
     @pytest.mark.parametrize("policy,iterations",
                              [("per-replicate", 100), ("shared", 200)])
     def test_chunk_edges_inside_replicates(self, policy, iterations):
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail", "air"], seed=29,
-                             iterations=iterations, end_year=2030,
-                             evolution_policy=policy)
+                             iterations=iterations * _CHUNK // 1024,
+                             end_year=2030, evolution_policy=policy)
         paths = list(_scenario_paths(cfg))
         edges = range(_CHUNK, len(paths), _CHUNK)
         assert len(edges) >= 2

@@ -14,6 +14,7 @@ from freightsim import _ziggurat
 from freightsim.config import ScenarioConfig
 from freightsim.evolution import run_scenario
 from freightsim.lanes import _SLICE, Lanes, _jump, _lcg, padded
+from freightsim.stochastics import _CHUNK
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
@@ -238,13 +239,15 @@ class TestFlatNormals:
         monkeypatch.setattr(Lanes, "_to_numpy", refuse)
         assert_normals_match(FORCED, [3, 2, 4])
         assert_normals_match([(fi_rejection(), 1, 0, 0)], [2])
-        # A scenario 1 run of 32 replicates: one full trip block of 1,024
-        # trips, and rate blocks of all ten modes.
+        # A scenario 1 run of 32 replicates per 1,024 paths of block width:
+        # its 32 rate steps per replicate fill whole blocks, so its trips
+        # start with one full trip block, and rate blocks of all ten modes.
         cfg = ScenarioConfig(
             enabled_modes=["air", "ocean", "truck", "rail", "iwt", "auto_air",
                            "auto_ocean", "auto_truck", "auto_rail",
                            "auto_iwt"],
-            seed=2018, iterations=32, start_year=2018, end_year=2050)
+            seed=2018, iterations=32 * _CHUNK // 1024, start_year=2018,
+            end_year=2050)
         results = run_scenario(cfg)
         for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
                               oracle.run(cfg)):

@@ -32,10 +32,12 @@ def modes(draw):
 @st.composite
 def configs(draw):
     """Small configs of either policy.  Most are a few replicates; some run
-    past the first seeding chunk of label paths."""
+    past the first seeding chunk of label paths, whose width scales them."""
     specs = draw(modes())
     years = draw(st.integers(0, 4))
-    iterations = draw(st.one_of(st.integers(1, 4), st.integers(200, 260)))
+    iterations = draw(st.one_of(
+        st.integers(1, 4),
+        st.integers(200 * _CHUNK // 1024, 260 * _CHUNK // 1024)))
     return ScenarioConfig(
         enabled_modes=[m["id"] for m in specs], modes=specs,
         seed=draw(st.integers(0, 2**32 - 1)), iterations=iterations,
@@ -72,9 +74,12 @@ class TestRunScenarioMatchesOracle:
     def test_bit_for_bit(self, cfg):
         assert_matches_oracle(cfg)
 
+    # EDGE's 300 replicates, scaled with the block width: 7 paths a
+    # replicate per-replicate and 4 shared, so more than one block either way.
     @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
     def test_runs_across_the_chunk_edge(self, policy):
-        cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy})
+        cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
+                                "iterations": 300 * _CHUNK // 1024})
         assert sum(1 for _ in _scenario_paths(cfg)) > _CHUNK
         assert_matches_oracle(cfg)
 

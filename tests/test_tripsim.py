@@ -250,6 +250,30 @@ class TestSimulateTripDrawOrder:
         assert stream.normal_sizes == []
 
 
+class TestLegSumsAfterTheCorrection:
+    # The last leg takes up the rounding of the legs' sum: last += D -
+    # fsum(legs).  That does not make the legs sum to D.
+    LEGS = [94.09234225345777, 5.59040196356456, 1227.1243881562368]
+    DISTANCE = 1326.807132373259
+
+    def test_corrected_legs_can_sum_one_ulp_below_the_trip(self):
+        table = CostTable.from_means(np.array([[0.0196, 0.046, 0.03]]),
+                                     np.zeros(3))
+        stream = StubStream(uniforms=self.LEGS, integers=[0, 1, 2])
+        trips = simulate_trip(self.DISTANCE, table.drawn[0], False, stream,
+                              min_leg=1.0)
+        legs = trips.distances.tolist()
+        assert legs == [*self.LEGS[:2], 1227.1243881562366]
+        span = math.fsum(legs)
+        assert span == 1326.8071323732588 == np.nextafter(self.DISTANCE, 0)
+        # So the fractions' denominator is the legs' sum, not the trip's
+        # distance, which would give other bits.
+        _, _, frac = cost_trips(trips, table, TestSimulateTrip.HANDLING_EXACT,
+                                50_000.0)
+        assert frac[0].tolist() == [d / span for d in legs]
+        assert frac[0].tolist() != [d / self.DISTANCE for d in legs]
+
+
 def check_columnar_costing(seed, trip_distances, means, fractions,
                            handling_fraction, weight):
     """Draw and cost one trip per row of ``means`` both ways, assert the
