@@ -352,8 +352,12 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     The trip table and the per-replicate trajectories are allocated before
     any stream is drawn, so a run too large for memory fails at once.  The
     streams of the run's paths, in ``_scenario_paths(config)`` order, are
-    seeded ``_CHUNK`` at a time as lanes and drawn block by block: first
-    every rate step, then every trip.
+    seeded ``stochastics._CHUNK`` (4,096) at a time as lanes and drawn block
+    by block: first every rate step, then every trip.  A block is cut at
+    the chunk edges and at the end of a phase; each trip block's legs are
+    costed in runs of about ``tripsim._LEG_SLICE`` legs
+    (``run_replicate``), and each block's results are written into the trip
+    table as they are costed.
     """
     config.validate()
     registry = resolve_registry(config)

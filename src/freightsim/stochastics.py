@@ -3,8 +3,10 @@
 Every random draw in the simulator comes from a stream fully determined by a
 master seed plus a label path.  That is what makes whole scenario runs
 reproducible byte-for-byte regardless of how replicates are scheduled.  The
-streams of up to ``_CHUNK`` paths are seeded together, as the numpy uint64
-lanes of ``freightsim.lanes``.
+streams of up to ``_CHUNK`` (4,096) paths are seeded together, as the numpy
+uint64 lanes of ``freightsim.lanes``; that chunk is the engine's one block
+width, and since a stream is keyed by its path, not by its chunk, the width
+never changes what a stream draws.
 """
 
 from __future__ import annotations
@@ -205,9 +207,13 @@ def _state_words(digests: bytes) -> np.ndarray:
 def seed_lanes(texts: Iterable[bytes]) -> Lanes:
     """The lanes of the label paths whose ``_path_text`` is ``texts``, in
     order: each seeded as ``PCG64(SeedSequence(entropy))``, the entropy
-    the path's SHA-256 digest read as a big-endian int."""
-    return Lanes.from_seed_words(_state_words(
-        b"".join([hashlib.sha256(t).digest() for t in texts])))
+    the path's SHA-256 digest read as a big-endian int.  The digests are
+    joined 256 at a time, so few digest objects are alive at once."""
+    texts, digests = iter(texts), bytearray()
+    while part := [hashlib.sha256(t).digest()
+                   for t in itertools.islice(texts, 256)]:
+        digests += b"".join(part)
+    return Lanes.from_seed_words(_state_words(digests))
 
 
 def seed_chunks(texts: Iterable[bytes]) -> Iterator[Lanes]:

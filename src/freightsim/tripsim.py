@@ -4,10 +4,10 @@ A trip is split into legs by repeatedly drawing a uniform leg length, each leg
 is assigned a mode uniformly at random, and each leg is costed as
 distance * weight * operational_cost + weight * handling_cost with both unit
 costs sampled from log-normal distributions.  A block of trips is drawn at
-once, one trip per stream lane (``simulate_trip``); their legs are then
-costed together, as columns (``cost_trips``).  ``generate_leg_distances``
-and ``assign_modes`` draw one trip from any stream with ``uniform`` and
-``integers``.
+once, one trip per stream lane (``simulate_trip``); their cost normals are
+then drawn and their legs costed together, as columns, a run of trips at a
+time (``cost_trips``).  ``generate_leg_distances`` and ``assign_modes``
+draw one trip from any stream with ``uniform`` and ``integers``.
 """
 
 from __future__ import annotations
