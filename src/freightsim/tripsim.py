@@ -185,10 +185,9 @@ class TripDraws(NamedTuple):
         """The first trip of each run of trips that ``cost_trips`` takes at
         once, then the trip count: a trip whose first leg is leg k of the
         block is in run k // ``_LEG_SLICE``."""
-        firsts = np.cumsum(self.n_legs)
-        firsts -= self.n_legs
-        total = int(firsts[-1] + self.n_legs[-1]) if len(firsts) else 0
-        starts = np.searchsorted(firsts, np.arange(0, total, _LEG_SLICE))
+        firsts = np.cumsum(self.n_legs) - self.n_legs
+        starts = np.searchsorted(firsts, np.arange(0, self.n_legs.sum(),
+                                                   _LEG_SLICE))
         return [*sorted(set(starts.tolist())), len(firsts)]
 
     def part(self, a: int, b: int) -> "TripDraws":
