@@ -400,8 +400,7 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     done = 0
     for block in lanes.take(reps * years):
         # Trip path q is replicate q // years in year q % years.
-        q = np.arange(done, done + len(block))
-        rep, t = np.divmod(q, years)
+        rep, t = np.divmod(np.arange(done, done + len(block)), years)
         if shared:
             block_table, rows = table, t
         else:

@@ -290,6 +290,7 @@ class Lanes:
         lanes = np.flatnonzero(counts)
         need = counts[lanes]
         first = ends[lanes] - need
+        del ends
         while lanes.size:
             stopped, k, r = self._pass(lanes, need, first, out)
             if not k.size:
@@ -315,9 +316,7 @@ class Lanes:
         that the next pass writes again."""
         m = lanes.size
         ends = np.cumsum(need)
-        starts = ends - need
         total = int(ends[-1])
-        slot = first - 1
         new_hi, new_lo = np.empty((2, m), dtype=np.uint64)
         stopped = np.zeros(m, dtype=bool)
         stop_k = np.empty(m, dtype=np.intp)
@@ -328,10 +327,16 @@ class Lanes:
             # last perhaps in part; lanes l0 to l_end end in the slice.
             l0, l1, l_end = ends.searchsorted((a, b - 1, b), "right")
             n = need[l0:l1 + 1].copy()
-            n[0] -= a - starts[l0]
+            # Output g of the pass is output k = g + 1 - starts of its lane,
+            # written to out[first + k - 1]; only the slice's lanes' starts
+            # are formed.
+            starts = ends[l0:l1 + 1] - n
+            n[0] -= a - starts[0]
             n[-1] -= ends[l1] - b
             j = np.repeat(np.arange(l0, l1 + 1), n)
-            k = np.arange(a + 1, b + 1) - starts[j]
+            g = np.arange(a, b)
+            k = g + 1
+            k -= np.repeat(starts, n)
             # Each output's lane state and increment words, gathered per
             # slice: no array of every lane's words is held.
             lane = lanes.take(j)
@@ -343,7 +348,8 @@ class Lanes:
             x = _signed(rabs * _WI[layer], r)
             # numpy returns 0.0 + 1.0 * x, which only turns -0.0 into 0.0.
             x += 0.0
-            out[slot[j] + k] = x
+            g += np.repeat(first[l0:l1 + 1] - starts, n)
+            out[g] = x
             # Lane l0 may have stopped in an earlier slice; it keeps that
             # state.
             spans = a and stopped[l0]
@@ -361,7 +367,7 @@ class Lanes:
                 stop_k[js], stop_r[js] = k[slow], r[slow]
                 new_hi[js], new_lo[js] = hi[slow], lo[slow]
             # Free this slice's arrays before the next slice builds its own.
-            del j, k, lane, hi, lo, r, layer, rabs, x
+            del j, g, k, lane, hi, lo, r, layer, rabs, x
         self.hi[lanes], self.lo[lanes] = new_hi, new_lo
         return stopped, stop_k[stopped], stop_r[stopped]
 
