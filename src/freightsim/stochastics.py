@@ -181,8 +181,8 @@ def _state_words(digests: bytes) -> np.ndarray:
     rows = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)
     # The little-endian bytes of each entropy are its digest reversed, so
     # entropy word i is the digest's big-endian word 7 - i.
-    data = np.frombuffer(digests, dtype=">u4").reshape(-1, 8)[:, ::-1].T.astype(
-        np.uint32, order="C")
+    words_be = np.frombuffer(digests, dtype=">u4").reshape(-1, 8)
+    data = words_be[:, ::-1].T.astype(np.uint32, order="C")
     pool = _hashmix(data[:4], _HASH_A[:4])
     # Each pool word mixes a hash of itself into the other three, in turn.
     for src in range(4):

@@ -203,8 +203,8 @@ class TripDraws(NamedTuple):
 def _trip_sums(distances: np.ndarray, starts: np.ndarray,
                ends: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each trip's legs ``distances[starts[i]:ends[i]]``,
-    for ascending ``starts``.  One leg is its own sum and two legs one correctly rounded addition, as
-    fsum's; longer trips call fsum."""
+    for ascending ``starts``.  One leg is its own sum and two legs one
+    correctly rounded addition, as fsum's; longer trips call fsum."""
     sums = distances[starts]
     n_legs = ends - starts
     two = n_legs == 2
