@@ -32,12 +32,10 @@ def modes(draw):
 @st.composite
 def configs(draw):
     """Small configs of either policy.  Most are a few replicates; some run
-    past the first seeding chunk of label paths, whose width scales them."""
+    past the first seeding chunk of label paths."""
     specs = draw(modes())
     years = draw(st.integers(0, 4))
-    iterations = draw(st.one_of(
-        st.integers(1, 4),
-        st.integers(200 * _CHUNK // 1024, 260 * _CHUNK // 1024)))
+    iterations = draw(st.one_of(st.integers(1, 4), st.integers(200, 260)))
     return ScenarioConfig(
         enabled_modes=[m["id"] for m in specs], modes=specs,
         seed=draw(st.integers(0, 2**32 - 1)), iterations=iterations,
