@@ -45,7 +45,7 @@ def _param_table(specs: Sequence[ModeSpec], means: np.ndarray,
     first such mode and its ``mean_field`` and ``fraction_field``."""
     fractions = np.array([getattr(s, fraction_field) for s in specs])
     try:
-        return CostTable.from_means(means, fractions)
+        return CostTable(means, fractions)
     except ValueError:
         # Find the mode: the error path alone pays for a call per mode.
         for spec, fraction, column in zip(specs, fractions, means.T):
@@ -305,14 +305,11 @@ def run_replicate(config: ScenarioConfig,
                   table: CostTable | np.ndarray,
                   handling_params: LogNormalParams,
                   lanes: Lanes,
-                  rows: np.ndarray | None = None,
-                  out: tuple[np.ndarray, ...] | None = None
+                  rows: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a block of trips, trip i from lane i of ``lanes`` with the
     mode means of row ``rows[i]`` of ``table`` (row i if ``rows`` is None),
-    and return their ``cost``, ``n_legs`` and ``frac`` columns.  With
-    ``out``, ``(cost, n_legs, frac, at)``, trip i is written at index
-    ``at[i]`` of those arrays instead, and they are returned.
+    and return their ``cost``, ``n_legs`` and ``frac`` columns.
 
     A block is any run of trips: one replicate's years, with ``table`` its
     ``(years, modes)`` trajectory, or a chunk of a run's trip paths.
@@ -329,17 +326,15 @@ def run_replicate(config: ScenarioConfig,
                           handling_params.sigma != 0.0, lanes,
                           min_leg=config.min_leg_km)
     n = len(lanes)
-    if out is None:
-        out = (np.empty(n), np.empty(n, dtype=np.intp),
-               np.empty((n, len(registry))), np.arange(n))
-    cost, n_legs, frac, at = out
+    cost, n_legs, frac = (np.empty(n), np.empty(n, dtype=np.intp),
+                          np.empty((n, len(registry))))
     cuts = trips.cuts()
     for a, b in zip(cuts, cuts[1:]):
         if rows is None:
             part_table, part_rows = table.rows(a, b), None
         else:
             part_table, part_rows = table, rows[a:b]
-        cost[at[a:b]], n_legs[at[a:b]], frac[at[a:b]] = cost_trips(
+        cost[a:b], n_legs[a:b], frac[a:b] = cost_trips(
             trips.part(a, b), part_table, handling_params,
             config.freight_tonnes, part_rows)
     return cost, n_legs, frac
@@ -356,8 +351,7 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     by block: first every rate step, then every trip.  A block is cut at
     the chunk edges and at the end of a phase; each trip block's legs are
     costed in runs of about ``tripsim._LEG_SLICE`` legs
-    (``run_replicate``), and each block's results are written into the trip
-    table as they are costed.
+    (``run_replicate``).
     """
     config.validate()
     registry = resolve_registry(config)
@@ -407,9 +401,10 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
             block_table, rows = _cost_table(
                 registry, trip_means[done:done + len(block)]), None
         done += len(block)
-        run_replicate(config, registry, block_table, handling_params, block,
-                      rows, (cost.reshape(-1), n_legs.reshape(-1),
-                             frac.reshape(-1, len(registry)), t * reps + rep))
+        cells = t * reps + rep
+        (cost.reshape(-1)[cells], n_legs.reshape(-1)[cells],
+         frac.reshape(-1, len(registry))[cells]) = run_replicate(
+            config, registry, block_table, handling_params, block, rows)
         # A block's lanes and, per-replicate, its table are freed before
         # the next block's lanes are seeded.
         del block, block_table

@@ -26,9 +26,9 @@ _T = TypeVar("_T")
 # a cost table's cells checked, about this many at a time, so those arrays
 # stay the same size however wide the block.
 _LEG_SLICE = 8192
-# Trips whose legs are Python floats at once, for fsum: a float object
-# takes four times the room of a float in an array.
-_FSUM_TRIPS = 256
+# Legs that are Python floats at once, for fsum: a float object takes four
+# times the room of a float in an array.
+_FSUM_LEGS = 1024
 
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
@@ -102,7 +102,7 @@ class CostTable:
         self.stdev_fractions = stdev_fractions
         if drawn is None:
             drawn = np.empty(means.shape, dtype=bool)
-            step = _LEG_SLICE // max(1, means.shape[-1])
+            step = max(1, _LEG_SLICE // max(1, means.shape[-1]))
             for a in range(0, len(means), step):
                 rows = means[a:a + step]
                 np.not_equal(lognormal_ratios(rows, stdev_fractions * rows),
@@ -111,17 +111,6 @@ class CostTable:
         self._known = None
         # mu, sigma and exp_mu of each cell, written once it is known.
         self._slots = None
-
-    @classmethod
-    def from_means(cls, means: np.ndarray,
-                   stdev_fractions: np.ndarray) -> "CostTable":
-        """``CostTable(means, stdev_fractions)``."""
-        return cls(means, stdev_fractions)
-
-    @property
-    def ratios(self) -> np.ndarray:
-        """The ratio v/m^2 of every cell, in the table's shape."""
-        return lognormal_ratios(self.means, self.stdev_fractions * self.means)
 
     def rows(self, a: int, b: int) -> "CostTable":
         """The table of rows a to b, with the entries this one checked and
@@ -184,11 +173,13 @@ class TripDraws(NamedTuple):
     def cuts(self) -> list[int]:
         """The first trip of each run of trips that ``cost_trips`` takes at
         once, then the trip count: a trip whose first leg is leg k of the
-        block is in run k // ``_LEG_SLICE``."""
+        block is in run k // ``_LEG_SLICE``, and a run that no trip starts
+        in is left out."""
         firsts = np.cumsum(self.n_legs) - self.n_legs
         starts = np.searchsorted(firsts, np.arange(0, self.n_legs.sum(),
                                                    _LEG_SLICE))
-        return [*sorted(set(starts.tolist())), len(firsts)]
+        # A multiple of _LEG_SLICE inside the last trip finds no trip.
+        return sorted({*starts.tolist(), len(firsts)})
 
     def part(self, a: int, b: int) -> "TripDraws":
         """Trips a to b, as views: drawing from their lanes advances these
@@ -204,20 +195,25 @@ def _trip_sums(distances: np.ndarray, starts: np.ndarray,
                ends: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each trip's legs ``distances[starts[i]:ends[i]]``,
     for ascending ``starts``.  One leg is its own sum and two legs one
-    correctly rounded addition, as fsum's; longer trips call fsum."""
+    correctly rounded addition, as fsum's; longer trips call fsum, on
+    their legs as Python floats, those of the trips that start within
+    ``_FSUM_LEGS`` legs of each other at a time."""
     sums = distances[starts]
     n_legs = ends - starts
     two = n_legs == 2
     sums[two] += distances[starts[two] + 1]
     many = np.flatnonzero(n_legs > 2)
-    # The legs as Python floats, ``_FSUM_TRIPS`` trips at a time.
-    for i in range(0, many.size, _FSUM_TRIPS):
-        part = many[i:i + _FSUM_TRIPS]
-        first = starts[part[0]]
+    firsts = starts[many]
+    i = 0
+    while i < many.size:
+        first = firsts[i]
+        j = np.searchsorted(firsts, first + _FSUM_LEGS)
+        part = many[i:j]
         legs = distances[first:ends[part[-1]]].tolist()
         sums[part] = [math.fsum(legs[a:b]) for a, b in
                       zip((starts[part] - first).tolist(),
                           (ends[part] - first).tolist())]
+        i = j
     return sums
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from freightsim import tripsim
 from freightsim.config import ScenarioConfig
 from freightsim.evolution import _scenario_paths, run_scenario
 from freightsim.stochastics import _CHUNK
@@ -79,6 +80,18 @@ class TestRunScenarioMatchesOracle:
         cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
                                 "iterations": 300 * _CHUNK // 1024})
         assert sum(1 for _ in _scenario_paths(cfg)) > _CHUNK
+        assert_matches_oracle(cfg)
+
+    # Cost runs and fsum's groups of legs a few legs long, so most of their
+    # edges fall inside a trip, some inside a block's last trip.
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    @pytest.mark.parametrize("size", [1, 4, 7])
+    def test_cost_runs_cut_inside_trips(self, monkeypatch, policy, size):
+        monkeypatch.setattr(tripsim, "_LEG_SLICE", size)
+        monkeypatch.setattr(tripsim, "_FSUM_LEGS", size)
+        cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
+                                "iterations": 40})
+        assert (run_scenario(cfg).n_legs > size).any()
         assert_matches_oracle(cfg)
 
     def test_short_trips_are_one_leg(self):

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
 from freightsim.stochastics import (LogNormalParams, derive_lanes,
-                                    derive_stream, lognormal_from_moments)
-from freightsim.tripsim import (CostTable, assign_modes, cost_trips,
-                                generate_leg_distances, leg_cost,
+                                    derive_stream, lognormal_from_moments,
+                                    lognormal_ratios)
+from freightsim import tripsim
+from freightsim.tripsim import (CostTable, TripDraws, assign_modes,
+                                cost_trips, generate_leg_distances, leg_cost,
                                 simulate_trip)
 
 import oracle
@@ -100,8 +102,8 @@ def simulate_and_cost(trip_distance, weight, mode_cost_means,
                       min_leg=100.0):
     """Draw one trip with ``simulate_trip`` and cost it with ``cost_trips``:
     its cost, leg count and per-mode distance fractions."""
-    table = CostTable.from_means(np.array([mode_cost_means], dtype=float),
-                                 np.array(cost_stdev_fractions, dtype=float))
+    table = CostTable(np.array([mode_cost_means], dtype=float),
+                      np.array(cost_stdev_fractions, dtype=float))
     trip = simulate_trip(trip_distance, table.drawn[0],
                          handling_params.sigma != 0.0, stream, min_leg=min_leg)
     cost, n_legs, fractions = cost_trips(trip, table, handling_params,
@@ -178,7 +180,7 @@ class TestSimulateTrip:
             self):
         means = np.array([[0.0196, 0.046, 0.03], [0.018, 0.045, 0.0291]])
         fractions = np.array([0.25, 0.0, 0.5])
-        table = CostTable.from_means(means, fractions)
+        table = CostTable(means, fractions)
         for t, row in enumerate(means.tolist()):
             for m, mean in enumerate(row):
                 p = lognormal_from_moments(mean, fractions[m] * mean)
@@ -187,7 +189,7 @@ class TestSimulateTrip:
                 if p.sigma == 0.0:
                     assert table.exp_mu[t, m] == math.exp(p.mu)
         # A table is used as it stands: exp(0) = 1 per tonne-km.
-        ones = CostTable.from_means(np.ones((1, 3)), np.zeros(3))
+        ones = CostTable(np.ones((1, 3)), np.zeros(3))
         stream = derive_stream(0, ["cache"])
         trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
         cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
@@ -257,8 +259,7 @@ class TestLegSumsAfterTheCorrection:
     DISTANCE = 1326.807132373259
 
     def test_corrected_legs_can_sum_one_ulp_below_the_trip(self):
-        table = CostTable.from_means(np.array([[0.0196, 0.046, 0.03]]),
-                                     np.zeros(3))
+        table = CostTable(np.array([[0.0196, 0.046, 0.03]]), np.zeros(3))
         stream = StubStream(uniforms=self.LEGS, integers=[0, 1, 2])
         trips = simulate_trip(self.DISTANCE, table.drawn[0], False, stream,
                               min_leg=1.0)
@@ -274,12 +275,37 @@ class TestLegSumsAfterTheCorrection:
         assert frac[0].tolist() != [d / self.DISTANCE for d in legs]
 
 
+class TestCostRuns:
+    @staticmethod
+    def cuts(n_legs):
+        n_legs = np.array(n_legs, dtype=np.intp)
+        return TripDraws(n_legs, None, None, None, None).cuts()
+
+    # Leg 4 is the second leg of the last trip, which starts no run.
+    def test_a_run_edge_inside_the_last_trip_adds_no_run(self, monkeypatch):
+        monkeypatch.setattr(tripsim, "_LEG_SLICE", 4)
+        assert self.cuts([3, 3]) == [0, 2]
+        assert self.cuts([3, 3, 1]) == [0, 2, 3]
+        assert self.cuts([9]) == [0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_legs=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+           size=st.integers(1, 20))
+    def test_a_trip_is_in_the_run_of_its_first_leg(self, n_legs, size):
+        firsts = np.cumsum(n_legs) - n_legs
+        run = (firsts // size).tolist()
+        want = [i for i in range(len(run)) if i == 0 or run[i] != run[i - 1]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tripsim, "_LEG_SLICE", size)
+            assert self.cuts(n_legs) == [*want, len(n_legs)]
+
+
 def check_columnar_costing(seed, trip_distances, means, fractions,
                            handling_fraction, weight):
     """Draw and cost one trip per row of ``means`` both ways, assert the
     two agree bit for bit, and return the trips' leg counts."""
     handling = lognormal_from_moments(4.59, handling_fraction * 4.59)
-    table = CostTable.from_means(np.array(means), np.array(fractions))
+    table = CostTable(np.array(means), np.array(fractions))
     lanes = next(derive_lanes(seed, [["oracle", t]
                                      for t in range(len(trip_distances))]))
     trips = simulate_trip(np.array(trip_distances), table.drawn,
@@ -341,7 +367,7 @@ class TestCostTable:
     def test_entries_are_the_scalar_math(self):
         means = np.array(LOG_SENSITIVE_MEANS).reshape(2, 3)
         fractions = np.array([0.0, 0.25, 0.3])
-        table = CostTable.from_means(means, fractions)
+        table = CostTable(means, fractions)
         for (t, m), mean in np.ndenumerate(means):
             want = LogNormalParams(*oracle.lognormal(mean,
                                                      fractions[m] * mean))
@@ -352,7 +378,7 @@ class TestCostTable:
     def test_an_unused_entry_that_cannot_be_matched_is_rejected(self):
         means = np.array([[0.0196, 0.046], [0.018, 1e-200]])
         with pytest.raises(ValueError, match="underflows"):
-            CostTable.from_means(means, np.array([0.25, 0.25]))
+            CostTable(means, np.array([0.25, 0.25]))
 
 
 class CountingMath:
@@ -399,7 +425,7 @@ class TestCostTableCostsUsedCells:
         n_modes = means.shape[1]
         want = [lognormal_from_moments(m, fractions[i % n_modes] * m)
                 for i, m in enumerate(means.ravel().tolist())]
-        table = CostTable.from_means(means, fractions)
+        table = CostTable(means, fractions)
         for cells in calls:
             mu, sigma, exp_mu = table.at(np.array(cells, dtype=np.intp))
             for i, c in enumerate(cells):
@@ -412,7 +438,7 @@ class TestCostTableCostsUsedCells:
 
     def test_a_cell_is_costed_once(self, monkeypatch):
         means = np.array([[0.0196, 0.046, 0.03], [0.018, 0.045, 0.0291]])
-        table = CostTable.from_means(means, np.array([0.25, 0.0, 0.25]))
+        table = CostTable(means, np.array([0.25, 0.0, 0.25]))
         shim = CountingMath()
         monkeypatch.setattr(stochastics, "math", shim)
         cells = np.array([0, 4, 5, 4, 0])
@@ -429,8 +455,9 @@ class TestCostTableCostsUsedCells:
     # f**2 * m**2 / m**2 of each mode takes a handful of values.
     def test_log1p_once_per_distinct_ratio(self, monkeypatch):
         means = np.linspace(0.01, 2.0, 1000).reshape(500, 2)
-        table = CostTable.from_means(means, np.array([0.25, 0.3]))
-        distinct = np.unique(table.ratios).size
+        fractions = np.array([0.25, 0.3])
+        table = CostTable(means, fractions)
+        distinct = np.unique(lognormal_ratios(means, fractions * means)).size
         shim = CountingMath()
         monkeypatch.setattr(stochastics, "math", shim)
         table.at(np.arange(means.size))
@@ -446,4 +473,4 @@ class TestCostTableCostsUsedCells:
             lognormal_from_moments(bad, fraction * bad)
         with pytest.raises(ValueError, match=re.escape(
                 str(expected.value))):
-            CostTable.from_means(means, np.array([0.25, fraction]))
+            CostTable(means, np.array([0.25, fraction]))
