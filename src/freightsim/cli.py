@@ -78,6 +78,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     focus = args.focus or cfg.enabled_modes[0]
     if focus not in cfg.enabled_modes:
         raise ValueError(f"focus mode {focus!r} not in scenario")
+    outputs = {"--out-csv": args.out_csv, "--out-svg": args.out_svg}
+    resolved = {flag: Path(path).resolve()
+                for flag, path in outputs.items() if path}
+    if len(set(resolved.values())) < len(resolved):
+        raise ValueError(f"--out-csv and --out-svg name the same file "
+                         f"{args.out_csv}")
+    for flag, path in resolved.items():
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag} {outputs[flag]}: directory "
+                             f"{path.parent} does not exist")
     results = run_scenario(cfg)
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as f:
         write_records_csv(results, f)

@@ -27,6 +27,56 @@ _BLOCK_ROWS = 128
 _ZERO_SLOT = np.array([ord("0") | ALL << 8 & ALL, ALL, ALL, ALL],
                       dtype=np.uint64)
 _SMALL = np.array(1e4).view(np.uint64)
+# A number kernel call costs about the same whatever its size, so the
+# writers call the kernels once per run of whole years, not once a year: a
+# CSV run holds at most _CSV_RUN kernel values (and rows), an SVG run at
+# most _SVG_RUN trips.  A year larger than the bound is a run of its own.
+# A CSV run holds its years' masks and integers until the kernel has run, so
+# its bound is the smaller.
+_CSV_RUN = 6144
+_SVG_RUN = 8192
+
+
+def _compact(rows: np.ndarray) -> str:
+    """The text of a block of row bytes, its ``PAD`` bytes dropped."""
+    return str(rows.tobytes().translate(None, bytes([PAD])), "utf-8")
+
+
+def _csv_years(results: ResultSet, heads: list[bytes]):
+    """Per year, its size in a run (its kernel values, and at least its
+    rows, so a run's masks are bounded too) and what its rows need: the
+    head, the masks of its non-zero integers below 10**4 and of the values
+    the float kernel writes, and those integers and values, in slot order
+    (cost, n_legs, then the fractions)."""
+    values = np.empty(results.cost.shape[1:] + (results.frac.shape[-1] + 2,))
+    for head, costs, legs, frac in zip(
+            heads, results.cost, results.n_legs, results.frac):
+        values[:, 0] = costs
+        values[:, 1] = legs
+        values[:, 2:] = frac
+        bits = values.view(np.uint64)
+        small = bits < _SMALL  # neither -0.0 nor nan
+        small &= values == np.trunc(values)
+        kernel = ~small
+        small &= bits != 0
+        floats = values[kernel]
+        yield (max(floats.size, len(values)),
+               (head, small, kernel, values[small].astype(np.uint64), floats))
+
+
+def _runs(sized, bound: int):
+    """Lists of consecutive items of ``sized``, a sequence of (size, item)
+    pairs, whose sizes add up to at most ``bound``; an item larger than
+    ``bound`` is a list of its own."""
+    run, total = [], 0
+    for size, item in sized:
+        if run and total + size > bound:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
 
 
 def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
@@ -43,11 +93,11 @@ def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
         return
     # A row is "name,year," then a slot and its separator for each of the
     # replicate, cost, n_legs and fractions.  Zeros are written directly and
-    # other integers below 10**4 by four_digits; the float kernel runs
-    # once a year on the rest (replicate numbers and leg counts are below
-    # 2**53, so exact as doubles, and the kernel writes an integral double
-    # below 1e17 as "%d" does).  Rows are put together and compacted in
-    # blocks of at most _BLOCK_ROWS, so the buffers stay small.
+    # other integers below 10**4 by four_digits; the float kernel runs once
+    # per run of years on the rest (replicate numbers and leg counts are
+    # below 2**53, so exact as doubles, and the kernel writes an integral
+    # double below 1e17 as "%d" does).  Rows are put together and compacted
+    # in blocks of at most _BLOCK_ROWS, so the buffers stay small.
     first = results.config.start_year
     heads = [f"{results.config.name},{year},".encode()
              for year in range(first, first + years)]
@@ -58,39 +108,31 @@ def write_records_csv(results: ResultSet, sink: IO[str]) -> None:
                     np.uint8)
     slots = rows.view(WORD)[:, width // 8:].reshape(block, -1, SLOT_WORDS)
     separators = rows[:, width + 8 * SLOT_WORDS - 2::8 * SLOT_WORDS]
-    values = np.empty((trips, len(ids) + 2))
-    for head, costs, legs, frac in zip(
-            heads, results.cost, results.n_legs, results.frac):
-        values[:, 0] = costs
-        values[:, 1] = legs
-        values[:, 2:] = frac
-        bits = values.view(np.uint64)
-        small = bits < _SMALL  # neither -0.0 nor nan
-        small &= values == np.trunc(values)
-        kernel = ~small
-        small &= bits != 0
-        ints = (four_digits(values[small].astype(np.uint64))
+    for run in _runs(_csv_years(results, heads), _CSV_RUN):
+        texts = format_g17(np.concatenate([floats for *_, floats in run]))
+        ints = (four_digits(np.concatenate([small_ints
+                                            for *_, small_ints, _ in run]))
                 | 0xFFFFFFFF << 32)  # padding after the four digits
-        texts = format_g17(values[kernel])
-        rows[:, :width] = np.frombuffer(_padded(head, width), np.uint8)
         done_ints = done_texts = 0
-        for start in range(0, trips, block):
-            stop = min(start + block, trips)
-            fields = slots[:stop - start, 1:]
-            fields[...] = _ZERO_SLOT
-            part = small[start:stop]
-            count = np.count_nonzero(part)
-            fields[part, 0] = ints[done_ints:done_ints + count]
-            done_ints += count
-            part = kernel[start:stop]
-            count = np.count_nonzero(part)
-            fields[part] = texts[done_texts:done_texts + count]
-            done_texts += count
-            slots[:stop - start, 0] = replicates[start:stop]
-            separators[:stop - start] = ord(",")
-            separators[:stop - start, -1] = ord("\n")
-            text = rows[:stop - start]
-            sink.write(str(text[text != PAD], "utf-8"))
+        for head, small, kernel, _, _ in run:
+            rows[:, :width] = np.frombuffer(_padded(head, width), np.uint8)
+            for start in range(0, trips, block):
+                stop = min(start + block, trips)
+                fields = slots[:stop - start, 1:]
+                fields[...] = _ZERO_SLOT
+                part = small[start:stop]
+                count = np.count_nonzero(part)
+                fields[part, 0] = ints[done_ints:done_ints + count]
+                done_ints += count
+                part = kernel[start:stop]
+                count = np.count_nonzero(part)
+                fields[part] = texts[done_texts:done_texts + count]
+                done_texts += count
+                slots[:stop - start, 0] = replicates[start:stop]
+                separators[:stop - start] = ord(",")
+                separators[:stop - start, -1] = ord("\n")
+                sink.write(_compact(rows[:stop - start]))
+        del run, texts, ints  # before the next run is gathered
 
 
 # Color ramp anchors: purple at fraction 0, teal-green at 0.5, yellow at 1.
@@ -118,13 +160,22 @@ def _ramp_rgb(fractions: np.ndarray) -> np.ndarray:
     """``ramp_color`` over an array, as (red, green, blue) int rows: the
     same clamp (NaN to 0, as ``max(0.0, nan)`` gives), segment and
     arithmetic per element, and ``np.rint`` rounds half to even as
-    ``round`` does."""
+    ``round`` does.  A channel at a time, to keep few arrays alive."""
     f = np.fmin(np.fmax(fractions, 0.0), 1.0)
     seg = np.searchsorted(_RAMP_F[1:], f)  # the first f1 >= f
-    f0, f1 = _RAMP_F[seg], _RAMP_F[seg + 1]
-    c0, c1 = _RAMP_RGB[seg], _RAMP_RGB[seg + 1]
-    t = ((f - f0) / (f1 - f0))[:, None]
-    return np.rint(c0 + t * (c1 - c0)).astype(np.int64)
+    f0 = _RAMP_F[seg]
+    t = f - f0
+    t /= _RAMP_F[seg + 1] - f0
+    del f, f0
+    rgb = np.empty(t.shape + (3,), np.int64)
+    for channel, (c0, c1) in enumerate(zip(_RAMP_RGB[:-1].T,
+                                           _RAMP_RGB[1:].T)):
+        c0, c1 = c0[seg], c1[seg]
+        c1 -= c0
+        c1 *= t
+        c1 += c0
+        rgb[:, channel] = np.rint(c1, out=c1)
+    return rgb
 
 
 def cost_axis_value(cost_usd: float) -> float:
@@ -252,11 +303,21 @@ def render_scatter_svg(results: ResultSet, plot: PlotSpec, sink: IO[str]) -> Non
     rows[:, width + 8:] = np.frombuffer(tail, np.uint8)
     words = rows.view(WORD)
     cy, fill = width // 8, (width + 8 + len(middle)) // 8
-    for head, ys, fracs in zip(heads, y_vals, focus):
-        rows[:, :width] = np.frombuffer(_padded(head, width), np.uint8)
-        words[:, cy] = format_f2(sy(ys))
-        rgb = HEX2[_ramp_rgb(fracs)]
-        words[:, fill] = (rgb[:, 0] | rgb[:, 1] << 16 | rgb[:, 2] << 32
-                          | int.from_bytes(b'" ', "little") << 48)
-        sink.write(str(rows[rows != PAD], "utf-8"))
+    quote_space = int.from_bytes(b'" ', "little") << 48
+    step = max(1, _SVG_RUN // len(rows))  # years a run
+    for y0 in range(0, len(y_vals), step):
+        ys = y_vals[y0:y0 + step]
+        cys = format_f2(sy(ys).ravel())
+        rgb = _ramp_rgb(focus[y0:y0 + step].ravel())
+        fills = np.full(len(rgb), quote_space, np.uint64)
+        for channel in range(3):
+            fills |= HEX2[rgb[:, channel]] << 16 * channel
+        del rgb
+        for head, cy_words, fill_words in zip(
+                heads[y0:y0 + step], cys.reshape(ys.shape),
+                fills.reshape(ys.shape)):
+            rows[:, :width] = np.frombuffer(_padded(head, width), np.uint8)
+            words[:, cy] = cy_words
+            words[:, fill] = fill_words
+            sink.write(_compact(rows))
     sink.write("</svg>\n")

@@ -18,7 +18,7 @@ from freightsim.numtext import _FAST, format_f2, format_g17
 from freightsim.report import (PlotSpec, _ramp_rgb, cost_axis_value,
                                cost_axis_values, ramp_color,
                                render_scatter_svg, write_records_csv)
-from freightsim import cli
+from freightsim import cli, report
 from test_golden_digest import CONFIGS, GOLDEN
 
 
@@ -397,6 +397,88 @@ class TestWritesOneYearAtATime:
             for sink in (csv, svg)) == GOLDEN[name]
 
 
+# Configs whose CSV numbers take Python's own "%.17g" in every year, so
+# those values fall in runs after the first: trip costs from 1e17 up (under
+# a non-ASCII name), and distance fractions below 1e-9.
+FALLBACK_CONFIGS = {
+    "costs-from-1e17": dict(
+        name="fr\u00e9ight \u4e2d", enabled_modes=["ocean", "auto_ocean"],
+        seed=9, iterations=20, end_year=2020, trip_distance_km=1e14,
+        min_leg_km=1e9),
+    "fractions-below-1e-9": dict(
+        enabled_modes=CONFIGS["all-modes-shared"]["enabled_modes"], seed=13,
+        iterations=20, end_year=2020, trip_distance_km=1e12, min_leg_km=100),
+}
+
+
+def kernel_counts(results):
+    """The values of each year that the CSV's float kernel writes: all but
+    the integral doubles in [0, 10**4) (-0.0 is not one of them)."""
+    values = np.concatenate([results.cost[..., None],
+                             results.n_legs[..., None], results.frac], -1)
+    small = ((values >= 0) & (values < 1e4) & (values == np.trunc(values))
+             & ~np.signbit(values))
+    return (~small).sum(axis=(1, 2))
+
+
+class TestKernelRuns:
+    """The writers run the number kernels once per run of whole years; where
+    the runs are cut changes no byte, and no call takes more values than
+    the bound unless a single year does."""
+
+    @pytest.fixture(scope="class",
+                    params=sorted(CONFIGS) + sorted(FALLBACK_CONFIGS))
+    def case(self, request):
+        cfg = ScenarioConfig(**{**CONFIGS, **FALLBACK_CONFIGS}[request.param])
+        results = run_scenario(cfg)
+        plot = PlotSpec(focus_mode=cfg.enabled_modes[0])
+        return request.param, results, plot, self.outputs(results, plot)
+
+    @staticmethod
+    def outputs(results, plot):
+        csv, svg = io.StringIO(), io.StringIO()
+        write_records_csv(results, csv)
+        render_scatter_svg(results, plot, svg)
+        return csv.getvalue(), svg.getvalue()
+
+    @pytest.mark.parametrize("cut", ["each-year", "mid-table", "whole-table"])
+    def test_runs_change_no_byte(self, case, cut, monkeypatch):
+        name, results, plot, expected = case
+        years, trips = results.cost.shape
+        counts = kernel_counts(results)
+        csv_bound, svg_bound = {
+            "each-year": (1, 1),
+            "mid-table": (int(counts.sum()) // 2, years * trips // 2),
+            "whole-table": (int(counts.sum()), years * trips),
+        }[cut]
+        monkeypatch.setattr(report, "_CSV_RUN", csv_bound)
+        monkeypatch.setattr(report, "_SVG_RUN", svg_bound)
+        calls = {"format_g17": [], "format_f2": []}
+        for kernel, seen in calls.items():
+            def recorded(x, kernel=getattr(report, kernel), seen=seen):
+                seen.append(x.copy())
+                return kernel(x)
+            monkeypatch.setattr(report, kernel, recorded)
+        assert self.outputs(results, plot) == expected
+        # The first float kernel call writes the replicate column.
+        replicates, *runs = calls["format_g17"]
+        assert replicates.tolist() == list(range(trips))
+        sizes = [x.size for x in runs]
+        assert sum(sizes) == counts.sum()
+        alone = counts[np.maximum(counts, trips) > csv_bound].tolist()
+        assert all(size <= csv_bound or size in alone for size in sizes)
+        sizes = [x.size for x in calls["format_f2"]]
+        assert sum(sizes) == years * trips
+        assert all(size <= max(svg_bound, trips) for size in sizes)
+        if cut == "each-year":
+            assert len(runs) == len(calls["format_f2"]) == years
+        if cut == "whole-table":
+            assert len(runs) == len(calls["format_f2"]) == 1
+        if name in FALLBACK_CONFIGS and cut != "whole-table":
+            low, high = _FAST.view(float)
+            assert any(((x < low) | (x >= high)).any() for x in runs[1:])
+
+
 class TestCli:
     def write_config(self, tmp_path, **kw):
         doc = dict(enabled_modes=["ocean", "auto_ocean"], seed=42,
@@ -489,6 +571,38 @@ class TestCli:
         assert "air" in lines[0]
         assert captured.out == ""
         assert not csv_path.exists() and not svg_path.exists()
+
+    def test_simulate_same_output_path_writes_nothing(self, tmp_path,
+                                                      capsys):
+        # The SVG overwrote the CSV, and the run exited 0 saying it wrote
+        # the records.
+        cfg = self.write_config(tmp_path)
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out-csv", str(tmp_path / "out"),
+                       "--out-svg", str(tmp_path / "." / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_missing_output_directory_writes_nothing(self, tmp_path,
+                                                              capsys):
+        # The run failed only when it opened the SVG, after the whole run
+        # and with the CSV written.
+        cfg = self.write_config(tmp_path)
+        csv_path = tmp_path / "o.csv"
+        svg_path = tmp_path / "nodir" / "o.svg"
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "nodir" in lines[0]
+        assert captured.out == ""
+        assert not csv_path.exists() and not svg_path.parent.exists()
 
     def test_bad_flags_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
