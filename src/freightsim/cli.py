@@ -88,6 +88,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if not path.parent.is_dir():
             raise ValueError(f"{flag} {outputs[flag]}: directory "
                              f"{path.parent} does not exist")
+        if path.is_dir():
+            raise ValueError(f"{flag} {outputs[flag]} is a directory")
     results = run_scenario(cfg)
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as f:
         write_records_csv(results, f)

@@ -6,8 +6,12 @@ distance * weight * operational_cost + weight * handling_cost with both unit
 costs sampled from log-normal distributions.  A block of trips is drawn at
 once, one trip per stream lane (``simulate_trip``); their cost normals are
 then drawn and their legs costed together, as columns, a run of trips at a
-time (``cost_trips``).  ``generate_leg_distances`` and ``assign_modes``
-draw one trip from any stream with ``uniform`` and ``integers``.
+time (``cost_trips``).  The last leg's rounding correction and the
+distance fractions' denominator are each trip's legs summed as
+``math.fsum`` sums them, by one error-free split of the legs into two
+parts whose sums are exact (``_trip_sums``), with no Python call per trip.
+``generate_leg_distances`` and ``assign_modes`` draw one trip from any
+stream with ``uniform`` and ``integers``.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ _T = TypeVar("_T")
 # a cost table's cells checked, about this many at a time, so those arrays
 # stay the same size however wide the block.
 _LEG_SLICE = 8192
-# Legs that are Python floats at once, for fsum: a float object takes four
-# times the room of a float in an array.
-_FSUM_LEGS = 1024
+# Trips whose legs are summed at once, so the sums' leg-sized work arrays
+# stay those of about this many trips however wide the block.
+_SUM_TRIPS = 1024
 
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
@@ -191,29 +195,44 @@ class TripDraws(NamedTuple):
                          self.lanes[a:b])
 
 
-def _trip_sums(distances: np.ndarray, starts: np.ndarray,
-               ends: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each trip's legs ``distances[starts[i]:ends[i]]``,
-    for ascending ``starts``.  One leg is its own sum and two legs one
-    correctly rounded addition, as fsum's; longer trips call fsum, on
-    their legs as Python floats, those of the trips that start within
-    ``_FSUM_LEGS`` legs of each other at a time."""
-    sums = distances[starts]
-    n_legs = ends - starts
-    two = n_legs == 2
-    sums[two] += distances[starts[two] + 1]
-    many = np.flatnonzero(n_legs > 2)
-    firsts = starts[many]
-    i = 0
-    while i < many.size:
-        first = firsts[i]
-        j = np.searchsorted(firsts, first + _FSUM_LEGS)
-        part = many[i:j]
-        legs = distances[first:ends[part[-1]]].tolist()
-        sums[part] = [math.fsum(legs[a:b]) for a, b in
-                      zip((starts[part] - first).tolist(),
-                          (ends[part] - first).tolist())]
-        i = j
+def _trip_sums(distances: np.ndarray, n_legs: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each trip's legs, for positive finite legs stored
+    trip by trip, ``n_legs[i]`` of them for trip i.
+
+    fsum rounds the exact sum once, so any exact method gives its bits.
+    Each leg x of a trip whose legs are below 2^e, and number at most
+    2^(t - 1), splits into q = (x + 2^(e + t)) - 2^(e + t) and p = x - q
+    with no rounding (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008).  The q's are multiples of 2^(e + t - 52) below 2^(e + t) in
+    sum, so they add exactly in any order; the p's are multiples of the
+    smallest leg's ulp below 2^(e + 2t - 54) in sum, so they do too where
+    the legs' exponents span at most 52 - 2t.  Q + P then rounds once.
+    A trip whose span is wider, or whose 2^(e + t) overflows, calls fsum.
+    The trips are summed ``_SUM_TRIPS`` at a time, unless every trip is
+    one leg, its own sum."""
+    if len(distances) == len(n_legs):
+        return distances.copy()
+    sums = np.empty(len(n_legs))
+    ends = np.cumsum(n_legs)
+    for a in range(0, len(n_legs), _SUM_TRIPS):
+        n = n_legs[a:a + _SUM_TRIPS]
+        x = distances[ends[a] - n[0]:ends[a + n.size - 1]]
+        starts = np.cumsum(n)
+        starts -= n
+        top = np.frexp(np.maximum.reduceat(x, starts))[1]
+        low = np.frexp(np.minimum.reduceat(x, starts))[1]
+        t = np.frexp(2 * n - 1)[1]
+        exact = top - low <= 52 - 2 * t
+        top += t
+        exact &= top <= 1023
+        split = np.repeat(np.ldexp(exact, top, dtype=float), n)
+        q = x + split
+        q -= split
+        p = np.subtract(x, q, out=split)
+        part = np.add.reduceat(q, starts, out=sums[a:a + n.size])
+        part += np.add.reduceat(p, starts)
+        for i in np.flatnonzero(~exact).tolist():
+            part[i] = math.fsum(x[starts[i]:starts[i] + n[i]].tolist())
     return sums
 
 
@@ -254,8 +273,7 @@ def _legs(distance: np.ndarray, min_leg: float,
     rest = remaining[split]
     distances[last] = np.where(rest > 0, distances[last] + rest,
                                distances[last])
-    distances[last] += distance[split] - _trip_sums(distances, starts[split],
-                                                    ends[split])
+    distances[last] += distance[split] - _trip_sums(distances, n_legs)[split]
     return n_legs, distances
 
 
@@ -361,6 +379,5 @@ def cost_trips(trips: TripDraws, table: CostTable,
     trip += modes
     np.add.at(per_mode_km.reshape(-1), trip, distances)
     del trip
-    ends = np.cumsum(n_legs)
-    per_mode_km /= _trip_sums(distances, ends - n_legs, ends)[:, None]
+    per_mode_km /= _trip_sums(distances, n_legs)[:, None]
     return cost, n_legs, per_mode_km

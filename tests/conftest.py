@@ -1,6 +1,9 @@
-"""Shared test doubles for the random stream interface."""
+"""Shared test doubles for the random stream interface and the math
+module."""
 
+import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -63,3 +66,19 @@ class FullLegStream(StubStream):
 @pytest.fixture
 def midpoint_stream():
     return MidpointStream()
+
+
+class CountingMath:
+    """Stands in for the ``math`` module, counting the calls of each of its
+    functions in ``calls``."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        function = getattr(math, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+        return counted

@@ -604,6 +604,28 @@ class TestCli:
         assert captured.out == ""
         assert not csv_path.exists() and not svg_path.parent.exists()
 
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+    def test_simulate_output_directory_writes_nothing(self, tmp_path, capsys,
+                                                      monkeypatch, flag):
+        # An existing directory as the SVG path failed with "Is a
+        # directory" only after the whole run, with the CSV written.
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"--out-csv": str(out / "o.csv"),
+                 "--out-svg": str(out / "o.svg"), flag: str(out)}
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda cfg: pytest.fail("the scenario ran"))
+        rc = cli.main(["simulate", "--config", cfg,
+                       *[x for item in paths.items() for x in item]])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert flag in lines[0]
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
     def test_bad_flags_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--no-such-flag"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from conftest import CountingMath
 from freightsim import tripsim
 from freightsim.config import ScenarioConfig
 from freightsim.evolution import _scenario_paths, run_scenario
@@ -82,16 +83,30 @@ class TestRunScenarioMatchesOracle:
         assert sum(1 for _ in _scenario_paths(cfg)) > _CHUNK
         assert_matches_oracle(cfg)
 
-    # Cost runs and fsum's groups of legs a few legs long, so most of their
-    # edges fall inside a trip, some inside a block's last trip.
+    # Cost runs a few legs long, so most of their edges fall inside a trip,
+    # some inside a block's last trip; leg sums over groups of a few trips.
     @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
     @pytest.mark.parametrize("size", [1, 4, 7])
     def test_cost_runs_cut_inside_trips(self, monkeypatch, policy, size):
         monkeypatch.setattr(tripsim, "_LEG_SLICE", size)
-        monkeypatch.setattr(tripsim, "_FSUM_LEGS", size)
+        monkeypatch.setattr(tripsim, "_SUM_TRIPS", size)
         cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
                                 "iterations": 40})
         assert (run_scenario(cfg).n_legs > size).any()
+        assert_matches_oracle(cfg)
+
+    # Legs from 1 km in 1e15 km trips: about 33 legs a trip, whose
+    # exponents span about 48 bits, too wide for the exact split of the
+    # legs' sums, which then take math.fsum.
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    def test_wide_trips_sum_by_fsum(self, monkeypatch, policy):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
+                                "iterations": 3, "trip_distance_km": 1e15,
+                                "min_leg_km": 1.0})
+        assert run_scenario(cfg).n_legs.mean() > 25
+        assert shim.calls["fsum"] > 0
         assert_matches_oracle(cfg)
 
     def test_short_trips_are_one_leg(self):

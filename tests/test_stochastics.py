@@ -195,8 +195,10 @@ class TestBatchedSeedingMatchesSeedSequence:
 
 
 class TestDeriveStreams:
-    def test_each_stream_draws_as_derive_stream(self):
-        # Three chunks, the last one partial.
+    def test_each_stream_draws_as_derive_stream(self, monkeypatch):
+        # Three chunks, the last one partial, at a width small enough that
+        # deriving each path one at a time stays quick.
+        monkeypatch.setattr(stochastics, "_CHUNK", 16)
         paths = [("scenario", 2020 + i % 7, i, "trip")
                  for i in range(2 * stochastics._CHUNK + 5)]
         for path, stream in zip(paths, derive_streams(31, paths)):

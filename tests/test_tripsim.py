@@ -1,4 +1,3 @@
-import collections
 import math
 import re
 
@@ -7,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
+from freightsim.config import ScenarioConfig
+from freightsim.evolution import run_scenario
 from freightsim.stochastics import (LogNormalParams, derive_lanes,
                                     derive_stream, lognormal_from_moments,
                                     lognormal_ratios)
@@ -16,7 +17,8 @@ from freightsim.tripsim import (CostTable, TripDraws, assign_modes,
                                 simulate_trip)
 
 import oracle
-from conftest import FullLegStream, MidpointStream, StubStream
+from conftest import (CountingMath, FullLegStream, MidpointStream,
+                      StubStream)
 
 
 class TestGenerateLegDistances:
@@ -275,6 +277,82 @@ class TestLegSumsAfterTheCorrection:
         assert frac[0].tolist() != [d / self.DISTANCE for d in legs]
 
 
+@st.composite
+def trip_lists(draw):
+    """1-3 trips of 1-64 positive finite legs, made from a drawn seed: any
+    doubles up to 2^1017 by their bits, subnormals among them, or integers
+    of 1-53 bits times powers of two in a window of 0-60 bits from any
+    exponent, so that sums on a coarse grid fall half-way between two
+    doubles and wide windows are too wide for the exact split."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_legs = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        bits = rng.integers(1, 2040 << 52, sum(n_legs), dtype=np.uint64,
+                            endpoint=True)
+        legs = bits.view(float)
+    else:
+        largest = 2 ** draw(st.integers(1, 53))
+        low = draw(st.integers(-1074, 1017 - 53 - 60))
+        window = draw(st.integers(0, 60))
+        legs = np.ldexp(rng.integers(1, largest, sum(n_legs), endpoint=True),
+                        low + rng.integers(0, window, sum(n_legs),
+                                           endpoint=True))
+    return np.split(legs, np.cumsum(n_legs)[:-1])
+
+
+# Three legs of one binade whose sum lies half-way between two doubles.
+TIE = [2.0 ** 53 - 1, 2.0 ** 53 - 1, 2.0 ** 53 - 4]
+
+
+class TestTripSumsAreFsum:
+    def test_each_trip_sums_as_fsum(self, monkeypatch):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        reached = set()
+
+        @settings(max_examples=2000, deadline=None)
+        @given(trips=trip_lists())
+        @example(trips=[np.array(TIE), np.array([5e-324] * 3),
+                        np.array([5e-324, 2.0 ** -1022, 1e-310])])
+        def check(trips):
+            n_legs = np.array([len(t) for t in trips], dtype=np.intp)
+            shim.calls.clear()
+            sums = tripsim._trip_sums(np.concatenate(trips), n_legs)
+            assert [x.hex() for x in sums.tolist()] == [
+                math.fsum(t.tolist()).hex() for t in trips]
+            fsums = shim.calls["fsum"]
+            if fsums:
+                reached.add("fallback")
+            if fsums < (n_legs > 1).sum():
+                reached.add("kernel")
+
+        check()
+        assert reached == {"kernel", "fallback"}
+
+    def test_the_tie_is_summed_by_the_kernel(self, monkeypatch):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        # Doubles from 2^54 to 2^55 are 4 apart.
+        exact = sum(map(int, TIE))
+        assert 2 ** 54 <= exact < 2 ** 55 and exact % 4 == 2
+        assert tripsim._trip_sums(np.array(TIE), np.array([3])).tolist() == [
+            math.fsum(TIE)]
+        assert shim.calls["fsum"] == 0
+
+    @pytest.mark.parametrize("workload", [
+        dict(enabled_modes=["ocean", "auto_ocean"], min_leg_km=10.0),
+        dict(enabled_modes=["air", "ocean", "truck", "rail", "iwt",
+                            "auto_air", "auto_ocean", "auto_truck",
+                            "auto_rail", "auto_iwt"])])
+    def test_benchmark_shaped_runs_call_no_fsum(self, monkeypatch, workload):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        cfg = ScenarioConfig(seed=2018, iterations=200, start_year=2018,
+                             end_year=2050, **workload)
+        assert run_scenario(cfg).n_legs.mean() > 4
+        assert shim.calls["fsum"] == 0
+
+
 class TestCostRuns:
     @staticmethod
     def cuts(n_legs):
@@ -379,22 +457,6 @@ class TestCostTable:
         means = np.array([[0.0196, 0.046], [0.018, 1e-200]])
         with pytest.raises(ValueError, match="underflows"):
             CostTable(means, np.array([0.25, 0.25]))
-
-
-class CountingMath:
-    """Stands in for the ``math`` module, counting the calls of each of its
-    functions in ``calls``."""
-
-    def __init__(self):
-        self.calls = collections.Counter()
-
-    def __getattr__(self, name):
-        function = getattr(math, name)
-
-        def counted(*args):
-            self.calls[name] += 1
-            return function(*args)
-        return counted
 
 
 @st.composite
