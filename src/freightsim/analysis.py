@@ -11,6 +11,7 @@ import numpy as np
 
 from .evolution import ResultSet
 from .modes import ModeId, adjust_reference_cost
+from .tripsim import group_fsums
 
 
 @dataclass(frozen=True)
@@ -107,31 +108,66 @@ def sensitivity_grid(multiples: Sequence[float] = DEFAULT_MULTIPLES,
                            cells=cells)
 
 
-def _nearest_rank(sorted_values: list[float], pct: float) -> float:
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
+# Values (costs and fractions) whose summaries are made at once: years are
+# taken in runs of whole years of at most this many values, and a year
+# larger than the bound is a run of its own.
+_SUMMARY_RUN = 16384
+# The values of a row whose fsum overflows are scaled by 2^-64, so that
+# the sum of even 2^63 of them is below 2^1023.
+_SCALE = 2.0 ** 64
+
+
+def _mean(values: list[float]) -> float:
+    """``math.fsum(values) / len(values)``, or where that sum overflows,
+    the mean of the values scaled by 2^-64, scaled back: the same value
+    wherever both are in range."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return (math.fsum([v / _SCALE for v in values]) / len(values)
+                * _SCALE)
 
 
 def summarize(results: ResultSet) -> list[YearSummary]:
-    """One YearSummary per simulated year, percentiles by nearest rank."""
+    """One YearSummary per simulated year, percentiles by nearest rank.
+
+    The years are summarized a run of ``_SUMMARY_RUN`` values at a time:
+    one sort of the run's costs gives every year's percentiles and
+    extremes, and one ``group_fsums`` call sums each year's costs and each
+    of its modes' fractions, as ``math.fsum`` sums them."""
     if not results.cost.size:
         raise ValueError("cannot summarize an empty result set")
 
+    years, trips = results.cost.shape
     mode_ids = results.registry.ids()
+    ranks = [max(1, math.ceil(pct / 100.0 * trips)) - 1
+             for pct in (5, 25, 50, 75, 95)] + [0, trips - 1]
+    width = len(mode_ids) + 1
+    step = max(1, _SUMMARY_RUN // (trips * width))  # years a run
+    # Per year of a run, its sorted costs, then each mode's fractions.
+    values = np.empty((min(step, years), width, trips))
+    counts = np.full(values.shape[0] * width, trips)
     summaries = []
-    for t, (year_costs, year_frac) in enumerate(zip(results.cost,
-                                                    results.frac)):
-        costs = np.sort(year_costs).tolist()
-        frac_mean = {m: math.fsum(col) / len(costs)
-                     for m, col in zip(mode_ids, year_frac.T.tolist())}
-        summaries.append(YearSummary(
-            year=results.config.start_year + t,
-            p5=_nearest_rank(costs, 5), p25=_nearest_rank(costs, 25),
-            p50=_nearest_rank(costs, 50), p75=_nearest_rank(costs, 75),
-            p95=_nearest_rank(costs, 95),
-            min=costs[0], max=costs[-1],
-            mean=math.fsum(costs) / len(costs),
-            mode_fraction_mean=frac_mean))
+    for y0 in range(0, years, step):
+        run = values[:min(step, years - y0)]
+        costs = run[:, 0]
+        costs[...] = results.cost[y0:y0 + step]
+        costs.sort()
+        run[:, 1:] = results.frac[y0:y0 + step].transpose(0, 2, 1)
+        picks = costs[:, ranks].tolist()
+        groups = run.reshape(-1, trips)
+        try:
+            means = (group_fsums(groups.reshape(-1), counts[:len(groups)])
+                     / trips).tolist()
+        except OverflowError:
+            means = [_mean(row) for row in groups.tolist()]
+        for t, (p5, p25, p50, p75, p95, lo, hi) in enumerate(picks):
+            year_means = means[t * width:(t + 1) * width]
+            summaries.append(YearSummary(
+                year=results.config.start_year + y0 + t,
+                p5=p5, p25=p25, p50=p50, p75=p75, p95=p95, min=lo, max=hi,
+                mean=year_means[0],
+                mode_fraction_mean=dict(zip(mode_ids, year_means[1:]))))
     return summaries
 
 

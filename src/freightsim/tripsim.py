@@ -9,7 +9,8 @@ then drawn and their legs costed together, as columns, a run of trips at a
 time (``cost_trips``).  The last leg's rounding correction and the
 distance fractions' denominator are each trip's legs summed as
 ``math.fsum`` sums them, by one error-free split of the legs into two
-parts whose sums are exact (``_trip_sums``), with no Python call per trip.
+parts whose sums are exact (``_trip_sums``, by ``group_fsums``, which
+``analysis.summarize`` also uses), with no Python call per trip.
 ``generate_leg_distances`` and ``assign_modes`` draw one trip from any
 stream with ``uniform`` and ``integers``.
 """
@@ -21,6 +22,7 @@ from typing import NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from .config import ConfigError
 from .lanes import RngStream, padded
 from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
@@ -33,6 +35,9 @@ _LEG_SLICE = 8192
 # Trips whose legs are summed at once, so the sums' leg-sized work arrays
 # stay those of about this many trips however wide the block.
 _SUM_TRIPS = 1024
+# The exponent field's place in a double's bits, and a one, as uint64.
+_FIELD = np.uint64(52)
+_ONE = np.uint64(1)
 
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
@@ -60,7 +65,18 @@ def generate_leg_distances(trip_distance: float, min_leg: float,
         legs[-1] += remaining
     # Kill accumulated floating error so the plan sums exactly.
     legs[-1] += trip_distance - math.fsum(legs)
+    if legs[-1] < 0:
+        raise _rounding_error(trip_distance, min_leg)
     return legs
+
+
+def _rounding_error(trip_distance: float, min_leg: float) -> ConfigError:
+    """The error for a trip whose legs' rounding, taken up by its last leg,
+    leaves that leg below 0."""
+    return ConfigError(
+        f"trip_distance_km must be well below 2^52 x min_leg_km: the "
+        f"rounding of the legs of a {trip_distance!r} km trip with legs of "
+        f"at least {min_leg!r} km exceeds its last leg")
 
 
 def assign_modes(n_legs: int, enabled: Sequence[_T],
@@ -195,44 +211,68 @@ class TripDraws(NamedTuple):
                          self.lanes[a:b])
 
 
-def _trip_sums(distances: np.ndarray, n_legs: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each trip's legs, for positive finite legs stored
-    trip by trip, ``n_legs[i]`` of them for trip i.
+def group_fsums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each group of ``x``, whose values are stored group
+    by group, ``n[i]`` (at least 1) of them for group i.
 
     fsum rounds the exact sum once, so any exact method gives its bits.
-    Each leg x of a trip whose legs are below 2^e, and number at most
-    2^(t - 1), splits into q = (x + 2^(e + t)) - 2^(e + t) and p = x - q
-    with no rounding (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
-    2008).  The q's are multiples of 2^(e + t - 52) below 2^(e + t) in
-    sum, so they add exactly in any order; the p's are multiples of the
-    smallest leg's ulp below 2^(e + 2t - 54) in sum, so they do too where
-    the legs' exponents span at most 52 - 2t.  Q + P then rounds once.
-    A trip whose span is wider, or whose 2^(e + t) overflows, calls fsum.
-    The trips are summed ``_SUM_TRIPS`` at a time, unless every trip is
-    one leg, its own sum."""
+    Each value x of a group whose values are non-negative, below 2^e and
+    number at most 2^(t - 1) splits into q = (x + 2^(e + t)) - 2^(e + t)
+    and p = x - q with no rounding (Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008).  The q's are multiples of 2^(e + t - 52) below
+    2^(e + t) in sum, so they add exactly in any order; the p's are
+    multiples of the ulp of the group's smallest non-zero value below
+    2^(e + 2t - 54) in sum, so they do too where the exponents of the
+    non-zero values span at most 52 - 2t.  Q + P then rounds once.  A group
+    with a negative or non-finite value, a wider span, or a 2^(e + t) that
+    overflows calls fsum, and so raises fsum's error where fsum does."""
+    starts = np.add.accumulate(n)
+    starts -= n
+    # The bits of non-negative doubles order as the doubles do; a zero's
+    # bits less 1 wrap to the largest, so the lowest is that of the
+    # smallest non-zero value.  A value whose exponent field is b
+    # (b >= 2047 for a negative or non-finite value) is below 2^(b - 1022)
+    # and a multiple of 2^(max(b, 1) - 1075).
+    bits = x.view(np.uint64)
+    top = np.maximum.reduceat(bits, starts)
+    top >>= _FIELD
+    top = top.view(np.int64)
+    low = np.minimum.reduceat(bits - _ONE, starts)
+    low += _ONE
+    low >>= _FIELD
+    low = np.maximum(low.view(np.int64), 1)
+    t = np.frexp(n + n - 1)[1]  # 2^t >= 2n
+    top += t
+    low -= t
+    exact = top - low <= 52  # the span, plus 2t
+    top -= 1022  # 2^top is 2^(e + t)
+    exact &= top <= 1023  # so finite, and b < 2047
+    # A group that calls fsum splits by NaN, which raises no warning where
+    # its sums would overflow or take inf - inf.
+    split = np.repeat(np.ldexp(np.where(exact, 1.0, np.nan), top), n)
+    q = x + split
+    q -= split
+    p = np.subtract(x, q, out=split)
+    sums = np.add.reduceat(q, starts)
+    sums += np.add.reduceat(p, starts)
+    if not exact.all():
+        for i in np.flatnonzero(~exact).tolist():
+            sums[i] = math.fsum(x[starts[i]:starts[i] + n[i]].tolist())
+    return sums
+
+
+def _trip_sums(distances: np.ndarray, n_legs: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each trip's legs, stored trip by trip, ``n_legs[i]``
+    of them for trip i, by ``group_fsums`` ``_SUM_TRIPS`` trips at a time,
+    unless every trip is one leg, its own sum."""
     if len(distances) == len(n_legs):
         return distances.copy()
     sums = np.empty(len(n_legs))
     ends = np.cumsum(n_legs)
     for a in range(0, len(n_legs), _SUM_TRIPS):
         n = n_legs[a:a + _SUM_TRIPS]
-        x = distances[ends[a] - n[0]:ends[a + n.size - 1]]
-        starts = np.cumsum(n)
-        starts -= n
-        top = np.frexp(np.maximum.reduceat(x, starts))[1]
-        low = np.frexp(np.minimum.reduceat(x, starts))[1]
-        t = np.frexp(2 * n - 1)[1]
-        exact = top - low <= 52 - 2 * t
-        top += t
-        exact &= top <= 1023
-        split = np.repeat(np.ldexp(exact, top, dtype=float), n)
-        q = x + split
-        q -= split
-        p = np.subtract(x, q, out=split)
-        part = np.add.reduceat(q, starts, out=sums[a:a + n.size])
-        part += np.add.reduceat(p, starts)
-        for i in np.flatnonzero(~exact).tolist():
-            part[i] = math.fsum(x[starts[i]:starts[i] + n[i]].tolist())
+        sums[a:a + n.size] = group_fsums(
+            distances[ends[a] - n[0]:ends[a + n.size - 1]], n)
     return sums
 
 
@@ -274,6 +314,9 @@ def _legs(distance: np.ndarray, min_leg: float,
     distances[last] = np.where(rest > 0, distances[last] + rest,
                                distances[last])
     distances[last] += distance[split] - _trip_sums(distances, n_legs)[split]
+    below = np.flatnonzero(distances[last] < 0)
+    if below.size:
+        raise _rounding_error(float(distance[split[below[0]]]), min_leg)
     return n_legs, distances
 
 

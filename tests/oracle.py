@@ -7,7 +7,8 @@ sample is ``np.exp(mu + sigma * z)``, or ``math.exp(mu)`` for a zero spread.
 Each rate step runs the per-mode redraw loop and the clamp; each trip runs
 the per-leg loop; every sum runs left to right.  Nothing here reuses the
 engine's streams, tables or array code: only the config and the resolved
-mode registry are shared with it.
+mode registry are shared with it.  ``summarize`` is the year summaries
+made one year at a time, one ``math.fsum`` per mean.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 
+from freightsim.analysis import YearSummary
 from freightsim.config import ScenarioConfig, resolve_registry
 from freightsim.modes import adjust_reference_cost
 
@@ -139,3 +141,32 @@ def run(cfg: ScenarioConfig):
     n_legs = np.array([[n for _, n, _ in row] for row in trips])
     frac = np.array([[f for _, _, f in row] for row in trips])
     return cost, n_legs, frac, np.array(mode_means)
+
+
+def _nearest_rank(sorted_values, pct):
+    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
+    return sorted_values[rank - 1]
+
+
+def summarize(results):
+    """``analysis.summarize`` one year at a time: one YearSummary per year,
+    percentiles by nearest rank, each mean by ``math.fsum``."""
+    if not results.cost.size:
+        raise ValueError("cannot summarize an empty result set")
+
+    mode_ids = results.registry.ids()
+    summaries = []
+    for t, (year_costs, year_frac) in enumerate(zip(results.cost,
+                                                    results.frac)):
+        costs = np.sort(year_costs).tolist()
+        frac_mean = {m: math.fsum(col) / len(costs)
+                     for m, col in zip(mode_ids, year_frac.T.tolist())}
+        summaries.append(YearSummary(
+            year=results.config.start_year + t,
+            p5=_nearest_rank(costs, 5), p25=_nearest_rank(costs, 25),
+            p50=_nearest_rank(costs, 50), p75=_nearest_rank(costs, 75),
+            p95=_nearest_rank(costs, 95),
+            min=costs[0], max=costs[-1],
+            mean=math.fsum(costs) / len(costs),
+            mode_fraction_mean=frac_mean))
+    return summaries

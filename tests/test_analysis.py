@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import CountingMath
+from freightsim import analysis, tripsim
 from freightsim.analysis import (deterministic_crossover_year,
                                  empirical_crossover, sensitivity_grid,
                                  summarize)
@@ -162,6 +164,39 @@ class TestSummarize:
     def test_rejects_empty_results(self):
         with pytest.raises(ValueError):
             summarize(fake_results([]))
+
+
+ALL_MODES = ["air", "ocean", "truck", "rail", "iwt", "auto_air",
+             "auto_ocean", "auto_truck", "auto_rail", "auto_iwt"]
+
+
+class TestSummarizeRuns:
+    def test_costs_whose_sum_overflows_have_finite_means(self):
+        cfg = ScenarioConfig(enabled_modes=["ocean", "auto_ocean"],
+                             iterations=600, end_year=2019,
+                             trip_distance_km=1e10, freight_tonnes=3e297)
+        results = run_scenario(cfg)
+        assert np.isfinite(results.cost).all()
+        with pytest.raises(OverflowError):
+            math.fsum(results.cost[0].tolist())
+        for summary in summarize(results):
+            assert math.isfinite(summary.mean)
+            assert summary.min <= summary.mean <= summary.max
+
+    # The benchmark's three workload shapes.
+    @pytest.mark.parametrize("workload", [
+        dict(enabled_modes=ALL_MODES, iterations=160),
+        dict(enabled_modes=["ocean", "auto_ocean"], min_leg_km=10.0,
+             iterations=200),
+        dict(enabled_modes=ALL_MODES, evolution_policy="shared",
+             min_leg_km=5000.0, iterations=600)])
+    def test_benchmark_shaped_runs_call_no_fsum(self, monkeypatch, workload):
+        results = run_scenario(ScenarioConfig(seed=2018, **workload))
+        shim = CountingMath()
+        monkeypatch.setattr(analysis, "math", shim)
+        monkeypatch.setattr(tripsim, "math", shim)
+        assert len(summarize(results)) == 33
+        assert shim.calls["fsum"] == 0
 
 
 class TestEmpiricalCrossover:

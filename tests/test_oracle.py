@@ -1,5 +1,8 @@
 """``run_scenario`` against the plain scalar engine in ``oracle.py``, bit for
-bit, on generated configs."""
+bit, on generated configs, and ``summarize`` against its one-year-at-a-time
+form there."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from conftest import CountingMath
-from freightsim import tripsim
-from freightsim.config import ScenarioConfig
-from freightsim.evolution import _scenario_paths, run_scenario
+from freightsim import analysis, tripsim
+from freightsim.config import ScenarioConfig, resolve_registry
+from freightsim.evolution import ResultSet, _scenario_paths, run_scenario
 from freightsim.stochastics import _CHUNK
+from test_io import FALLBACK_CONFIGS
 
 # Rate means from 0 to near 1, spreads from none to wide: 0.95 with a
 # fraction of 5 redraws about one rate in six.
@@ -114,3 +118,116 @@ class TestRunScenarioMatchesOracle:
                                 "trip_distance_km": 50.0})
         assert (run_scenario(cfg).n_legs == 1).all()
         assert_matches_oracle(cfg)
+
+
+def assert_same_summaries(got, want):
+    """Every field of every summary equal, floats bit for bit (so a NaN
+    matches a NaN and -0.0 does not match 0.0)."""
+    def bits(value):
+        if isinstance(value, dict):
+            return {k: v.hex() for k, v in value.items()}
+        return value.hex() if isinstance(value, float) else value
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(b):
+            assert bits(getattr(a, f.name)) == bits(getattr(b, f.name)), f.name
+
+
+# The CI's config whose trips are too wide for the exact leg-sum kernel.
+WIDE_LEGS = dict(enabled_modes=["ocean", "auto_ocean"], seed=15,
+                 iterations=20, end_year=2020, trip_distance_km=1e15,
+                 min_leg_km=1)
+
+
+class TestSummarizeMatchesOracle:
+    """``summarize`` takes runs of whole years through one sort and one
+    ``group_fsums`` call each; where the runs are cut changes no field,
+    and no call takes more values than the bound unless a year does."""
+
+    @staticmethod
+    def check(results, bound, monkeypatch):
+        years, trips, modes = results.frac.shape
+        year = trips * (modes + 1)
+        size = {"value": 1, "year": year, "table": years * year,
+                "default": analysis._SUMMARY_RUN}[bound]
+        monkeypatch.setattr(analysis, "_SUMMARY_RUN", size)
+        calls = []
+
+        def recorded(x, n, kernel=tripsim.group_fsums):
+            calls.append(len(x))
+            return kernel(x, n)
+        monkeypatch.setattr(analysis, "group_fsums", recorded)
+        assert_same_summaries(analysis.summarize(results),
+                              oracle.summarize(results))
+        assert sum(calls) == years * year
+        assert all(c <= size or c == year for c in calls)
+        if bound == "table":
+            assert calls == [years * year]
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=configs(),
+           bound=st.sampled_from(["value", "year", "table", "default"]))
+    @example(cfg=EDGE, bound="default")
+    def test_generated_configs(self, cfg, bound):
+        with pytest.MonkeyPatch.context() as patch:
+            self.check(run_scenario(cfg), bound, patch)
+
+    @pytest.mark.parametrize("bound", ["value", "year", "table", "default"])
+    @pytest.mark.parametrize("name", [*sorted(FALLBACK_CONFIGS),
+                                      "wide-legs"])
+    def test_fallback_configs(self, name, bound, monkeypatch):
+        cfg = {**FALLBACK_CONFIGS, "wide-legs": WIDE_LEGS}[name]
+        self.check(run_scenario(ScenarioConfig(**cfg)), bound, monkeypatch)
+
+
+ODD_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 5e-324]))
+
+
+@st.composite
+def hand_built_results(draw):
+    """A trip table of 1-3 years of 1-12 trips of 1-3 modes, whose costs
+    and fractions are any doubles: negative, NaN and infinite ones too."""
+    years = draw(st.integers(1, 3))
+    trips = draw(st.integers(1, 12))
+    cfg = ScenarioConfig(enabled_modes=["ocean", "rail", "air"][
+        :draw(st.integers(1, 3))], iterations=trips, end_year=2017 + years)
+    modes = len(cfg.enabled_modes)
+    cost = draw(st.lists(ODD_VALUES, min_size=years * trips,
+                         max_size=years * trips))
+    frac = draw(st.lists(st.one_of(ODD_VALUES, st.floats(0.0, 1.0)),
+                         min_size=years * trips * modes,
+                         max_size=years * trips * modes))
+    return ResultSet(config=cfg, fingerprint="x",
+                     registry=resolve_registry(cfg),
+                     cost=np.array(cost).reshape(years, trips),
+                     n_legs=np.ones((years, trips), dtype=np.int64),
+                     frac=np.array(frac).reshape(years, trips, modes),
+                     mode_means=np.empty((0, 0, modes)))
+
+
+def holds_inf_and_minus_inf(values, axis):
+    return (np.isposinf(values).any(axis) & np.isneginf(values).any(axis)).any()
+
+
+class TestSummarizeHandBuiltResults:
+    @settings(max_examples=120, deadline=None)
+    @given(results=hand_built_results(),
+           bound=st.sampled_from(["value", "year", "default"]))
+    def test_same_summaries_or_error(self, results, bound):
+        if (holds_inf_and_minus_inf(results.cost, 1)
+                or holds_inf_and_minus_inf(results.frac, 1)):
+            with pytest.raises(ValueError, match="inf"):
+                analysis.summarize(results)
+            return
+        try:
+            oracle.summarize(results)
+        except OverflowError:
+            # A sum past the largest double: summarize scales it instead.
+            for s in analysis.summarize(results):
+                if np.isfinite([s.min, s.max]).all():
+                    assert s.min <= s.mean <= s.max
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            TestSummarizeMatchesOracle.check(results, bound, patch)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freightsim import stochastics
-from freightsim.config import ScenarioConfig
+from freightsim.config import ConfigError, ScenarioConfig
 from freightsim.evolution import run_scenario
 from freightsim.stochastics import (LogNormalParams, derive_lanes,
                                     derive_stream, lognormal_from_moments,
@@ -351,6 +351,139 @@ class TestTripSumsAreFsum:
                              end_year=2050, **workload)
         assert run_scenario(cfg).n_legs.mean() > 4
         assert shim.calls["fsum"] == 0
+
+
+@st.composite
+def value_groups(draw):
+    """1-3 groups of 1-700 doubles, each made from a drawn seed in one of
+    three ways: any finite non-negative doubles by their bits, subnormals
+    among them; integers of 1-53 bits times powers of two in a window of
+    0-60 bits from any exponent, so that sums fall half-way between two
+    doubles and wide windows are too wide for the exact split; or doubles
+    from 2^1000 up to the largest, so that sums and splits overflow.  Zeros
+    are mixed in, and a group may hold a negative or non-finite value."""
+    groups = []
+    for size in draw(st.lists(st.integers(1, 700), min_size=1, max_size=3)):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        kind = draw(st.sampled_from(["bits", "grid", "huge"]))
+        if kind == "bits":
+            values = rng.integers(0, 0x7FEF_FFFF_FFFF_FFFF, size,
+                                  dtype=np.uint64, endpoint=True).view(float)
+        elif kind == "grid":
+            largest = 2 ** draw(st.integers(1, 53))
+            low = draw(st.integers(-1074, 1023 - 53 - 60))
+            window = draw(st.integers(0, 60))
+            values = np.ldexp(
+                rng.integers(1, largest, size, endpoint=True),
+                low + rng.integers(0, window, size, endpoint=True))
+        else:
+            values = np.ldexp(rng.uniform(0.5, 1.0, size),
+                              rng.integers(1001, 1024, size, endpoint=True))
+        values[rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.95]))] = 0
+        odd = draw(st.sampled_from([None] * 4 + [-1.0, -0.0, math.inf,
+                                                 -math.inf, math.nan]))
+        if odd is not None:
+            at = rng.integers(size)
+            values[at] = -(values[at] or 1.0) if odd == -1.0 else odd
+        groups.append(values)
+    return groups
+
+
+def fsum_or_error(values):
+    try:
+        return math.fsum(values.tolist()).hex()
+    except (OverflowError, ValueError) as exc:
+        return exc
+
+
+class TestGroupFsums:
+    def test_each_group_sums_as_fsum(self, monkeypatch):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        reached = set()
+
+        def kernel(groups):
+            return tripsim.group_fsums(
+                np.concatenate(groups),
+                np.array([len(g) for g in groups], dtype=np.intp))
+
+        def sums(groups):
+            shim.calls.clear()
+            got = kernel(groups)
+            if shim.calls["fsum"]:
+                reached.add("fallback")
+            if shim.calls["fsum"] < len(groups):
+                reached.add("kernel")
+            return [x.hex() for x in got.tolist()]
+
+        @settings(max_examples=400, deadline=None)
+        @given(groups=value_groups())
+        @example(groups=[np.array(TIE), np.array([0.0]),
+                         np.array([0.0, 5e-324, 0.0])])
+        # Exponents 52 apart, past 52 - 2t = 48 for two values: split, the
+        # p's 2^-51 + 1.5 * 2^-52 - 2^-104 round up to 3.5 * 2^-52, a tie
+        # once added to the q's 1, where fsum rounds down to 1 + 3 * 2^-52.
+        @example(groups=[np.array([1 + 2.0 ** -51,
+                                   1.5 * 2.0 ** -52 - 2.0 ** -104])])
+        # 2^(e + t) = 2^1024 for one value from 2^1022.
+        @example(groups=[np.array([1.5 * 2.0 ** 1022])])
+        def check(groups):
+            want = [fsum_or_error(g) for g in groups]
+            errors = [w for w in want if isinstance(w, Exception)]
+            if errors:
+                with pytest.raises(type(errors[0])):
+                    kernel(groups)
+            summed = [g for g, w in zip(groups, want) if isinstance(w, str)]
+            if summed:
+                assert sums(summed) == [w for w in want if isinstance(w, str)]
+
+        check()
+        assert reached == {"kernel", "fallback"}
+
+    def test_zeros_are_not_the_lowest_exponent(self, monkeypatch):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        values = np.array([0.0, 1.0, 0.0, 0.75, 0.0, 0.0])
+        sums = tripsim.group_fsums(values, np.array([4, 2]))
+        assert sums.tolist() == [1.75, 0.0]
+        assert shim.calls["fsum"] == 0
+
+    def test_negative_zeros_take_fsum(self, monkeypatch):
+        shim = CountingMath()
+        monkeypatch.setattr(tripsim, "math", shim)
+        sums = tripsim.group_fsums(np.array([-0.0, -0.0]), np.array([2]))
+        assert sums[0].hex() == math.fsum([-0.0, -0.0]).hex()
+        assert shim.calls["fsum"] == 1
+
+
+class ThirtyFivePercentStream(StubStream):
+    """Each leg is 35 % of the way from the minimum to the remaining
+    distance."""
+
+    def uniform(self, low, high):
+        return low + (high - low) * 0.35
+
+
+class TestLegRoundingPastTheLastLeg:
+    """A trip about 2^52 minimum legs long or longer: the rounding of its
+    legs' sum, which the last leg takes up, can leave that leg below 0."""
+
+    def test_scalar_legs_raise_a_config_error(self):
+        with pytest.raises(ConfigError, match="trip_distance_km.*min_leg_km"):
+            generate_leg_distances(1e18, 100.0, ThirtyFivePercentStream())
+        legs = generate_leg_distances(1e17, 100.0, ThirtyFivePercentStream())
+        assert min(legs) > 0
+
+    def test_block_legs_raise_a_config_error(self):
+        with pytest.raises(ConfigError, match="trip_distance_km.*min_leg_km"):
+            simulate_trip(1e18, [False], False, ThirtyFivePercentStream())
+
+    def test_run_raises_a_config_error(self):
+        cfg = ScenarioConfig(enabled_modes=["ocean"], iterations=50,
+                             end_year=2019, trip_distance_km=1e20,
+                             min_leg_km=100)
+        with pytest.raises(ConfigError, match="trip_distance_km.*min_leg_km"):
+            run_scenario(cfg)
 
 
 class TestCostRuns:
