@@ -21,10 +21,10 @@ from .config import (ConfigError, ScenarioConfig, config_fingerprint,
 from .modes import ModeId, ModeRegistry, ModeSpec, adjust_reference_cost
 # derive_stream, which the engine does not call, stays bound here: the
 # benchmark's self-test checks that tracing restores it in this module.
-from .lanes import Lanes, RngStream
+from .lanes import Lanes
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
                           lognormal_from_moments, lognormal_ratios,
-                          sample_lognormal, seed_chunks)
+                          seed_chunks)
 from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
@@ -91,29 +91,49 @@ class RateModel:
                    mu=mu[spread], sigma=sigma[spread])
 
 
-def _redraw_rates(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray,
-                  stream: RngStream) -> list[float]:
-    """The per-mode redraw loop: a mode whose rate is >= 1 draws again, up
-    to ``_MAX_RATE_REDRAWS`` times, then takes the clamp.  The normals in
-    ``z`` were drawn first, so they feed the loop before the stream does;
-    the stream is consumed exactly as by one scalar draw per attempt."""
-    pending = iter(z.tolist())
+def _redraw_rates(rates: RateModel, z: np.ndarray, sampled: np.ndarray,
+                  lanes: Lanes) -> None:
+    """Redraw in place every rate >= 1 of ``sampled``, row i on lane i:
+    each mode in turn, in registry order, draws again until its rate is
+    below 1 or it has redrawn ``_MAX_RATE_REDRAWS`` times, when it takes
+    the clamp.  A row takes its normals in order: the rest of its batch
+    ``z`` (the columns after its first rate >= 1), then its lane's next.
 
-    def draw(mu_i: float, sigma_i: float) -> float:
-        zi = next(pending, None)
-        if zi is None:
-            return sample_lognormal(LogNormalParams(mu_i, sigma_i), stream)
-        return float(np.exp(mu_i + sigma_i * zi))
-
-    rates = []
-    for mu_i, sigma_i in zip(mu.tolist(), sigma.tolist()):
-        r = draw(mu_i, sigma_i)
-        attempts = 0
-        while r >= 1.0 and attempts < _MAX_RATE_REDRAWS:
-            r = draw(mu_i, sigma_i)
-            attempts += 1
-        rates.append(r if r < 1.0 else _RATE_CLAMP)
-    return rates
+    Each round draws one normal for the current mode of every row still
+    redrawing: from ``z``, or from one ``Lanes.normals`` call for the rows
+    whose batch is used up.  A row's modes before its first rate >= 1 keep
+    their rates."""
+    k = z.shape[1]
+    rows = np.flatnonzero((sampled >= 1.0).any(axis=1))
+    mode = (sampled[rows] >= 1.0).argmax(axis=1)
+    rate = sampled[rows, mode]
+    # Normals each row has taken, and redraws of its current mode.
+    used, tries = mode + 1, np.zeros(rows.size, dtype=np.intp)
+    counts = np.zeros(len(lanes), dtype=np.intp)
+    while True:
+        settled = (rate < 1.0) | (tries >= _MAX_RATE_REDRAWS)
+        sampled[rows[settled], mode[settled]] = np.where(
+            rate[settled] < 1.0, rate[settled], _RATE_CLAMP)
+        # A settled row's next normal is its next mode's first draw.
+        mode[settled] += 1
+        tries[settled] = -1
+        more = mode < k
+        if not more.any():
+            return
+        rows, mode, used, tries = (a[more] for a in (rows, mode, used, tries))
+        z_row = np.empty(rows.size)
+        batched = used < k
+        z_row[batched] = z[rows[batched], used[batched]]
+        fresh = rows[~batched]
+        if fresh.size:
+            counts[fresh] = 1
+            z_row[~batched] = lanes.normals(counts)
+            counts[fresh] = 0
+        used += 1
+        tries += 1
+        rate = rates.sigma[mode] * z_row
+        rate += rates.mu[mode]
+        np.exp(rate, out=rate)
 
 
 def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
@@ -122,12 +142,13 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
 
     ``costs`` broadcasts against one row of mode costs per lane, in the
     order of the registry ``rates`` was built from; a 1-D row with a
-    one-lane stream gives a 1-D row, and 1.0 gives each lane's factors
+    one-lane block gives a 1-D row, and 1.0 gives each lane's factors
     1 - r.  Each lane's drawing modes take one normal each, in registry
     order, in a single draw.  Sampled rates are strictly positive, so costs
     strictly decrease whenever the mean rate is positive.  A draw >= 1
     (possible only for extreme user configurations) is re-drawn, then
-    clamped to 0.99 as a last resort, from that lane's stream alone.
+    clamped to 0.99 as a last resort, from that lane alone
+    (``_redraw_rates``).
     """
     n = len(lanes)
     k = rates.drawn.size
@@ -137,9 +158,8 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
         sampled = rates.sigma * z
         sampled += rates.mu
         np.exp(sampled, out=sampled)
-        for i in np.flatnonzero((sampled >= 1.0).any(axis=1)).tolist():
-            sampled[i] = _redraw_rates(rates.mu, rates.sigma, z[i],
-                                       lanes.stream(i))
+        if (sampled >= 1.0).any():
+            _redraw_rates(rates, z, sampled, lanes)
         # The normals are freed before the steps are laid out.
         del z
     step = np.tile(1.0 - rates.fixed, (n, 1))

@@ -2,16 +2,15 @@
 
 A :class:`Lanes` holds many independent streams, each in the state numpy's
 ``PCG64`` would hold, and takes the k-th draw of all of them at once with
-numpy's own arithmetic; :class:`RngStream` is one lane drawn a value at a
-time.  Normals are drawn flat: every normal a call needs, from the state
-jump-ahead gives for its output, with numpy's whole ziggurat on the lanes.
-``freightsim.stochastics`` seeds the lanes from label paths.
+numpy's own arithmetic.  Normals are drawn flat: every normal a call needs,
+from the state jump-ahead gives for its output, with numpy's whole ziggurat
+on the lanes.  ``freightsim.stochastics`` seeds the lanes from label paths;
+the engine draws through them alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _RANGE32 = 1 << 32
 # numpy's next_double scale: a 53-bit integer times 2**-53 is in [0, 1).
 _TO_UNIT = 1.0 / 9007199254740992.0
-_INF = math.inf
 # Where the ziggurat's tail starts, and its inverse, as numpy's C source
 # writes them.
 _TAIL_R = 3.6541528853610087963519472518
@@ -167,24 +165,18 @@ class Lanes:
 
     def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
                  inc_lo: np.ndarray, has_uint32: np.ndarray,
-                 uinteger: np.ndarray, labels: Sequence | None = None):
+                 uinteger: np.ndarray):
         self.hi, self.lo = hi, lo
         self.inc_hi, self.inc_lo = inc_hi, inc_lo
         self.has_uint32, self.uinteger = has_uint32, uinteger
-        self.labels = labels
-        self._gen: np.random.Generator | None = None
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has_uint32,
-                self.uinteger)
 
     def __len__(self) -> int:
         return len(self.hi)
 
     def __getitem__(self, index: slice) -> "Lanes":
-        return Lanes(*(a[index] for a in self._arrays()),
-                     labels=None if self.labels is None
-                     else self.labels[index])
+        return Lanes(*(a[index] for a in (self.hi, self.lo, self.inc_hi,
+                                          self.inc_lo, self.has_uint32,
+                                          self.uinteger)))
 
     @classmethod
     def from_seed_words(cls, words: np.ndarray) -> "Lanes":
@@ -203,12 +195,6 @@ class Lanes:
         return cls(hi, lo, inc_hi, inc_lo, np.zeros(len(words), dtype=bool),
                    np.zeros(len(words), dtype=np.uint64))
 
-    def stream(self, i: int) -> "RngStream":
-        """Lane ``i`` as a one-lane stream; its draws advance this lane."""
-        return RngStream(*(a[i:i + 1] for a in self._arrays()),
-                         labels=None if self.labels is None
-                         else self.labels[i])
-
     def bit_generator_state(self, i: int) -> dict:
         """Lane ``i``'s state in the form of numpy's ``PCG64.state``."""
         return {"bit_generator": "PCG64",
@@ -217,20 +203,6 @@ class Lanes:
                           | int(self.inc_lo[i])},
                 "has_uint32": int(self.has_uint32[i]),
                 "uinteger": int(self.uinteger[i])}
-
-    def _to_numpy(self, i: int) -> np.random.Generator:
-        """numpy's ``Generator`` in lane ``i``'s state; ``_from_numpy``
-        takes the state back after the draws."""
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.PCG64(0))
-        self._gen.bit_generator.state = self.bit_generator_state(i)
-        return self._gen
-
-    def _from_numpy(self, i: int) -> None:
-        st = self._gen.bit_generator.state
-        state = st["state"]["state"]
-        self.hi[i], self.lo[i] = state >> 64, state & _MASK64
-        self.has_uint32[i], self.uinteger[i] = st["has_uint32"], st["uinteger"]
 
     def _draw64(self, sel: np.ndarray) -> np.ndarray:
         """numpy's ``next_uint64`` of every lane of ``sel``."""
@@ -418,54 +390,3 @@ class Lanes:
         """numpy's ``next_double`` of every lane of ``sel``."""
         return (self._draw64(sel) >> 11) * _TO_UNIT
 
-
-_ONE = np.zeros(1, dtype=np.intp)
-
-
-class RngStream(Lanes):
-    """One lane, drawn one value at a time: the stream of the label path
-    ``labels``.
-
-    ``uniform``, ``integers`` and ``normal`` return what numpy's
-    ``Generator`` of the path returns, and raise its errors.  ``uniform``
-    and ``integers`` step the lane; ``normal``, and ``integers`` past the
-    32-bit range, are numpy's own calls on the handed-off state.
-    """
-
-    def uniform(self, low: float, high: float) -> float:
-        """``Generator.uniform(low, high)``, with its exceptions."""
-        span = high - low
-        if type(span) is not float or not 0.0 < span < _INF:
-            # numpy subtracts the bounds as doubles; two ints subtract
-            # exactly and would round once, after.
-            low, high = float(low), float(high)
-            span = high - low
-            if not math.isfinite(span):
-                raise OverflowError("high - low range exceeds valid bounds")
-            if math.copysign(1.0, span) < 0.0:
-                raise ValueError("high - low < 0")
-        return float(self.uniforms(_ONE, low, high)[0])
-
-    def integers(self, n: int) -> int:
-        """A uniform integer in [0, n): ``Generator.integers(n)``.
-
-        n == 1 draws nothing; 2 <= n <= 2**32 is ``indices``.  Any other
-        n is numpy's, values and errors alike.
-        """
-        if type(n) is int and 1 <= n <= _RANGE32:
-            return 0 if n == 1 else int(self.indices(_ONE, n)[0])
-        try:
-            return int(self._to_numpy(0).integers(n))
-        finally:
-            self._from_numpy(0)
-
-    def normal(self, size: int | None = None):
-        """``Generator.normal(size=size)``: a float, or an array."""
-        try:
-            out = self._to_numpy(0).normal(size=size)
-        finally:
-            self._from_numpy(0)
-        return float(out) if size is None else out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(labels={self.labels!r})"

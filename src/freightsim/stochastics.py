@@ -3,10 +3,12 @@
 Every random draw in the simulator comes from a stream fully determined by a
 master seed plus a label path.  That is what makes whole scenario runs
 reproducible byte-for-byte regardless of how replicates are scheduled.  The
-streams of up to ``_CHUNK`` (4,096) paths are seeded together, as the numpy
-uint64 lanes of ``freightsim.lanes``; that chunk is the engine's one block
-width, and since a stream is keyed by its path, not by its chunk, the width
-never changes what a stream draws.
+engine seeds the streams of up to ``_CHUNK`` (4,096) paths together, as the
+numpy uint64 lanes of ``freightsim.lanes``; that chunk is the engine's one
+block width, and since a stream is keyed by its path, not by its chunk, the
+width never changes what a stream draws.  ``derive_stream`` is one path's
+stream as numpy's own ``Generator``, the reference the lanes draw as;
+``sample_lognormal`` draws from such a generator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lanes import Lanes, RngStream
+from .lanes import Lanes
 
 
 @dataclass(frozen=True)
@@ -229,29 +231,18 @@ def seed_chunks(texts: Iterable[bytes]) -> Iterator[Lanes]:
 def derive_lanes(master_seed: int,
                  paths: Iterable[Iterable[object]]) -> Iterator[Lanes]:
     """The lanes of the label paths ``paths``, in order, ``_CHUNK`` at a
-    time; lane i of a chunk carries its path as ``labels[i]``."""
-    paths = iter(paths)
-    while chunk := [tuple(p) for p in itertools.islice(paths, _CHUNK)]:
-        lanes = seed_lanes([_path_text(master_seed, p) for p in chunk])
-        lanes.labels = chunk
-        yield lanes
+    time."""
+    return seed_chunks(_path_text(master_seed, p) for p in paths)
 
 
-def derive_streams(master_seed: int,
-                   paths: Iterable[Iterable[object]]) -> Iterator[RngStream]:
-    """The one-lane stream of each label path of ``paths``, in order."""
-    for lanes in derive_lanes(master_seed, paths):
-        for i in range(len(lanes)):
-            yield lanes.stream(i)
+def derive_stream(master_seed: int,
+                  labels: Iterable[object]) -> np.random.Generator:
+    """numpy's generator of the label path ``labels``, such as ("scenario",
+    year, replicate, "trip"): the stream its lane draws."""
+    return np.random.default_rng(_path_entropy(master_seed, labels))
 
 
-def derive_stream(master_seed: int, labels: Iterable[object]) -> RngStream:
-    """Derive the substream identified by a label path such as
-    ("scenario", year, replicate, "trip")."""
-    return next(derive_streams(master_seed, [labels]))
-
-
-def sample_lognormal(params: LogNormalParams, stream: RngStream,
+def sample_lognormal(params: LogNormalParams, stream: np.random.Generator,
                      size: int | None = None):
     """Draw exp(mu + sigma*Z) from the stream; always strictly positive.
 

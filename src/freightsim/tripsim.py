@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .config import ConfigError
-from .lanes import RngStream, padded
+from .lanes import padded
 from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
 _T = TypeVar("_T")
@@ -41,7 +41,7 @@ _ONE = np.uint64(1)
 
 
 def generate_leg_distances(trip_distance: float, min_leg: float,
-                           stream: RngStream) -> list[float]:
+                           stream: np.random.Generator) -> list[float]:
     """Split a trip into leg lengths.
 
     While the remaining distance is at least ``min_leg``, draw the next leg
@@ -80,7 +80,7 @@ def _rounding_error(trip_distance: float, min_leg: float) -> ConfigError:
 
 
 def assign_modes(n_legs: int, enabled: Sequence[_T],
-                 stream: RngStream) -> list[_T]:
+                 stream: np.random.Generator) -> list[_T]:
     """Pick one of ``enabled`` (mode ids, or mode indices) for each leg,
     independently and uniformly."""
     if not enabled:

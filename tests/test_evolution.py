@@ -17,7 +17,7 @@ from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
 
 import oracle
 from conftest import StubStream
-from test_tripsim import CountingMath
+from test_tripsim import CountingMath, one_lane
 
 
 def one_mode_rates(rate, rate_stdev_fraction=0.5):
@@ -31,27 +31,38 @@ def evolve_one(cost, rates, stream):
     return evolve_mode_state(np.array([cost]), rates, stream)[0]
 
 
+def lane_generator(lanes, i=0):
+    """numpy's generator in the state of lane ``i`` of ``lanes``."""
+    bits = np.random.PCG64(0)
+    bits.state = lanes.bit_generator_state(i)
+    return np.random.Generator(bits)
+
+
 class TestEvolveModeState:
     def test_air_worked_example(self):
         # stdev 0 pins the sampled rate to its mean of 5.5%
         rates = one_mode_rates(0.055, rate_stdev_fraction=0.0)
-        evolved = evolve_one(1.766, rates, derive_stream(0, ["x"]))
+        evolved = evolve_one(1.766, rates, one_lane(0, ["x"]))
         assert evolved == pytest.approx(1.669, abs=0.0005)
 
     def test_zero_rate_leaves_cost_unchanged(self):
         rates = one_mode_rates(0.0)
-        assert evolve_one(0.5, rates, derive_stream(0, ["x"])) == 0.5
+        assert evolve_one(0.5, rates, one_lane(0, ["x"])) == 0.5
 
     def test_mean_of_evolved_costs(self):
         # E[c(1-r)] = c(1-E[r]) since r is sampled around its mean
         rates = one_mode_rates(0.05, rate_stdev_fraction=0.5)
-        stream = derive_stream(21, ["evolve-mean"])
-        costs = [evolve_one(1.0, rates, stream) for _ in range(100_000)]
+        # One step on each of 100,000 lanes, in blocks.
+        costs = np.concatenate([
+            evolve_mode_state(1.0, rates, lanes)[:, 0]
+            for lanes in derive_lanes(21, (("evolve-mean", i)
+                                           for i in range(100_000)))])
+        assert costs.size == 100_000
         assert np.mean(costs) == pytest.approx(0.95, rel=0.01)
 
     def test_costs_stay_positive_under_extreme_stdev(self):
         rates = one_mode_rates(0.5, rate_stdev_fraction=3.0)
-        stream = derive_stream(8, ["extreme"])
+        stream = one_lane(8, ["extreme"])
         for _ in range(5000):
             assert 0 < evolve_one(1.0, rates, stream) <= 1.0
 
@@ -75,11 +86,12 @@ class TestVectorStepMatchesScalarReference:
         costs = np.array([s.base_cost_mean for s in specs])
         expected = [s.base_cost_mean for s in specs]
         for step in range(8):
-            vector_stream = derive_stream(seed, ["step", step])
+            vector_lanes = one_lane(seed, ["step", step])
             scalar_stream = derive_stream(seed, ["step", step])
-            costs = evolve_mode_state(costs, rates, vector_stream)
+            costs = evolve_mode_state(costs, rates, vector_lanes)
             expected = oracle.rate_step(expected, specs, scalar_stream)
             assert costs.tolist() == expected
+            vector_stream = lane_generator(vector_lanes)
             assert vector_stream.normal() == scalar_stream.normal()
 
     def test_redraw_takes_the_next_batched_normal(self):
@@ -95,6 +107,51 @@ class TestVectorStepMatchesScalarReference:
                                   stream)
         assert costs.tolist() == [1.0 - np.exp(params.mu),
                                   1.0 - np.exp(params.mu + params.sigma)]
+
+
+class CountingGenerator:
+    """A numpy generator that counts the normals drawn from it."""
+
+    def __init__(self, gen):
+        self.gen, self.normals = gen, 0
+
+    def normal(self):
+        self.normals += 1
+        return self.gen.normal()
+
+
+class TestRedrawsOnLanes:
+    # A rate >= 1 about one draw in six, and one in fifteen.
+    SPECS = [ModeSpec(id="wild", base_cost_mean=1.0, base_year=2018,
+                      improvement_rate_mean=0.9, rate_stdev_fraction=5.0),
+             ModeSpec(id="edge", base_cost_mean=1.0, base_year=2018,
+                      improvement_rate_mean=0.999999,
+                      rate_stdev_fraction=100.0)]
+
+    # No lane of the block reaches the clamp after 100 redraws; after one,
+    # some do.
+    @pytest.mark.parametrize("max_redraws", [100, 1])
+    def test_each_lane_steps_and_ends_as_its_generator(self, monkeypatch,
+                                                       max_redraws):
+        monkeypatch.setattr(evolution, "_MAX_RATE_REDRAWS", max_redraws)
+        monkeypatch.setattr(oracle, "MAX_RATE_REDRAWS", max_redraws)
+        paths = [("redraws", i) for i in range(256)]
+        lanes = next(derive_lanes(3, paths))
+        steps = evolve_mode_state(
+            1.0, RateModel.from_registry(ModeRegistry(self.SPECS)), lanes)
+        after = lanes.normals(np.ones(len(paths), dtype=np.intp))
+        draws, clamped = set(), 0
+        for i, path in enumerate(paths):
+            gen = CountingGenerator(derive_stream(3, path))
+            expected = oracle.rate_step([1.0, 1.0], self.SPECS, gen)
+            assert steps[i].tolist() == expected, path
+            assert after[i] == gen.gen.normal(), path
+            draws.add(gen.normals)
+            clamped += (1.0 - oracle.RATE_CLAMP) in expected
+        # Lanes settle after different numbers of draws, some past the two
+        # of their batch.
+        assert len(draws) >= 3 and max(draws) > 3
+        assert (clamped > 0) == (max_redraws == 1)
 
 
 class TestRateModel:

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from freightsim import stochastics
 from freightsim.lanes import Lanes
 from freightsim.stochastics import (LogNormalParams, _path_entropy,
-                                    _path_text, _state_words, derive_stream,
-                                    derive_streams, lognormal_from_moments,
+                                    _path_text, _state_words, derive_lanes,
+                                    derive_stream, lognormal_from_moments,
                                     sample_lognormal)
 
 
@@ -143,9 +143,16 @@ def oracle_words(entropy):
 
 
 def first_draws(gen):
-    """The first normal, uniform and integer draws of a Generator or an
-    RngStream."""
+    """The first normal, uniform and integer draws of a Generator."""
     return gen.normal(), gen.uniform(2.0, 5.0), int(gen.integers(1000))
+
+
+def lane_first_draws(lanes):
+    """``first_draws`` of every lane of ``lanes``, in lane order."""
+    sel = np.arange(len(lanes))
+    normals = lanes.normals(np.ones(len(lanes), dtype=np.intp))
+    return list(zip(normals.tolist(), lanes.uniforms(sel, 2.0, 5.0).tolist(),
+                    lanes.indices(sel, 1000).tolist()))
 
 
 def batched_generator(words):
@@ -196,20 +203,20 @@ class TestBatchedSeedingMatchesSeedSequence:
 
 class TestDeriveStreams:
     def test_each_stream_draws_as_derive_stream(self, monkeypatch):
-        # Three chunks, the last one partial, at a width small enough that
-        # deriving each path one at a time stays quick.
+        # Three chunks, the last one partial: lane i of the run of chunks
+        # draws as the generator of path i.
         monkeypatch.setattr(stochastics, "_CHUNK", 16)
         paths = [("scenario", 2020 + i % 7, i, "trip")
                  for i in range(2 * stochastics._CHUNK + 5)]
-        for path, stream in zip(paths, derive_streams(31, paths)):
-            one_off = derive_stream(31, path)
-            assert stream.labels == path
-            assert first_draws(stream) == first_draws(one_off)
+        chunks = list(derive_lanes(31, paths))
+        assert [len(lanes) for lanes in chunks] == [16, 16, 5]
+        assert [d for lanes in chunks for d in lane_first_draws(lanes)] == \
+            [first_draws(derive_stream(31, path)) for path in paths]
 
     def test_paths_are_read_lazily(self):
         paths = (("lazy", i) for i in itertools.count())
-        streams = derive_streams(3, paths)
-        first = [next(streams).normal() for _ in range(3)]
+        lanes = next(derive_lanes(3, paths))
+        first = lanes[:3].normals(np.ones(3, dtype=np.intp)).tolist()
         assert first == [derive_stream(3, ("lazy", i)).normal()
                          for i in range(3)]
 
@@ -227,8 +234,8 @@ class TestDeriveStreams:
 
 
 # n = 2**31 + 1 rejects about half of the first 32-bit draws; 2**32 takes
-# them whole; 1 draws nothing.
-STREAM_NS = [1, 2, 10, 2**31 + 1, 2**32]
+# them whole.  ``Lanes.indices`` takes n from 2.
+STREAM_NS = [2, 10, 2**31 + 1, 2**32]
 _bounds = st.floats(-1e9, 1e9)
 # Bounds past 2**53 that numpy rounds to doubles before subtracting.
 _int_bounds = st.integers(-2**62, 2**62)
@@ -244,25 +251,37 @@ STREAM_CALLS = st.one_of(
 )
 LABELS = st.lists(st.one_of(st.integers(-10**6, 10**6), st.text(max_size=6)),
                   max_size=4)
+_LANE = np.zeros(1, dtype=np.intp)
 
 
 def stream_and_oracle(seed, labels):
-    """An RngStream and the numpy Generator it must draw as."""
+    """The one-lane ``Lanes`` of a label path and the numpy Generator it
+    must draw as."""
     oracle = np.random.default_rng(np.random.SeedSequence(
         _path_entropy(seed, tuple(labels))))
-    return derive_stream(seed, labels), oracle
+    return next(derive_lanes(seed, [labels])), oracle
 
 
 def draw(gen, method, args):
-    """One call on an RngStream or a Generator, as plain Python values.  A
-    normal's one argument is its size (the Generator's first is loc)."""
-    out = (gen.normal(size=args[0]) if method == "normal"
-           else getattr(gen, method)(*args))
-    return out.tolist() if isinstance(out, np.ndarray) else out
+    """One call on a Generator, or its lane counterpart on a one-lane
+    ``Lanes``, as plain Python values.  A normal's one argument is its
+    size (the Generator's first is loc); the lane takes a uniform's bounds
+    as the doubles numpy rounds them to."""
+    if not isinstance(gen, Lanes):
+        out = (gen.normal(size=args[0]) if method == "normal"
+               else getattr(gen, method)(*args))
+        return out.tolist() if isinstance(out, np.ndarray) else out
+    if method == "uniform":
+        return gen.uniforms(_LANE, *map(float, args))[0].item()
+    if method == "integers":
+        return gen.indices(_LANE, *args)[0].item()
+    size, = args
+    out = gen.normals(np.array([1 if size is None else size]))
+    return out[0].item() if size is None else out.tolist()
 
 
 def bit_generator_state(stream):
-    """The stream's PCG64 state, in numpy's ``bit_generator.state`` form."""
+    """The lane's PCG64 state, in numpy's ``bit_generator.state`` form."""
     return stream.bit_generator_state(0)
 
 
@@ -306,10 +325,14 @@ class TestStreamMatchesGenerator:
         ("integers", (2**64,)),
     ])
     def test_errors_are_numpys_and_draw_nothing(self, method, args):
-        stream, oracle = stream_and_oracle(3, ["errors"])
+        # derive_stream's generator refuses what numpy refuses, and a
+        # refused call leaves its state where the oracle's is.
+        stream = derive_stream(3, ["errors"])
+        _, oracle = stream_and_oracle(3, ["errors"])
         with pytest.raises(Exception) as expected:
             getattr(oracle, method)(*args)
         with pytest.raises(type(expected.value)):
             getattr(stream, method)(*args)
         assert draw(stream, "uniform", (0.0, 1.0)) == \
             draw(oracle, "uniform", (0.0, 1.0))
+        assert stream.bit_generator.state == oracle.bit_generator.state

@@ -99,6 +99,11 @@ class TestLegCost:
                      4.59)
 
 
+def one_lane(seed, labels):
+    """The lane of one label path: the draws of ``derive_stream``'s."""
+    return next(derive_lanes(seed, [labels]))
+
+
 def simulate_and_cost(trip_distance, weight, mode_cost_means,
                       cost_stdev_fractions, handling_params, stream,
                       min_leg=100.0):
@@ -138,7 +143,7 @@ class TestSimulateTrip:
         fractions = [0.25] * len(means)
         handling = lognormal_from_moments(4.59, 0.25 * 4.59)
         for seed in range(200):
-            stream = derive_stream(seed, ["fractions"])
+            stream = one_lane(seed, ["fractions"])
             cost, _, mode_fractions = simulate_and_cost(
                 10_000.0, 50_000.0, means, fractions, handling, stream)
             assert math.fsum(mode_fractions) == pytest.approx(1.0, abs=1e-9)
@@ -158,7 +163,7 @@ class TestSimulateTrip:
         fractions = [0.0, 0.0]
         costs = set()
         for _ in range(2):
-            stream = derive_stream(9, ["det"])
+            stream = one_lane(9, ["det"])
             cost, _, _ = simulate_and_cost(10_000.0, 50_000.0, means,
                                            fractions, self.HANDLING_EXACT,
                                            stream)
@@ -172,10 +177,10 @@ class TestSimulateTrip:
         for seed in range(50):
             base, _, _ = simulate_and_cost(
                 10_000.0, 50_000.0, [0.0196, 0.046], fractions, handling,
-                derive_stream(seed, ["mono"]))
+                one_lane(seed, ["mono"]))
             bumped, _, _ = simulate_and_cost(
                 10_000.0, 50_000.0, [0.0392, 0.046], fractions, handling,
-                derive_stream(seed, ["mono"]))
+                one_lane(seed, ["mono"]))
             assert bumped >= base
 
     def test_parameter_table_is_lognormal_from_moments_per_year_and_mode(
@@ -192,7 +197,7 @@ class TestSimulateTrip:
                     assert table.exp_mu[t, m] == math.exp(p.mu)
         # A table is used as it stands: exp(0) = 1 per tonne-km.
         ones = CostTable(np.ones((1, 3)), np.zeros(3))
-        stream = derive_stream(0, ["cache"])
+        stream = one_lane(0, ["cache"])
         trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
         cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
                                      50_000.0)
