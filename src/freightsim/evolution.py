@@ -5,26 +5,30 @@ cost trajectory: its own, or one shared by all replicates.  A trajectory
 compounds every mode's cost down by a sampled improvement rate each year.
 All randomness flows through substreams derived from the scenario seed and
 (year, replicate) labels, so results are independent of the order the
-replicates run in.
+replicates run in.  ``run_scenario`` runs the replicates in groups: each
+group's trajectories are drawn just before its trips, and only the trip
+table outlives a group (``replicate_trajectories`` draws any replicates'
+trajectories again).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (ConfigError, ScenarioConfig, config_fingerprint,
                      resolve_registry)
+from . import stochastics
 from .modes import ModeId, ModeRegistry, ModeSpec, adjust_reference_cost
 # derive_stream, which the engine does not call, stays bound here: the
 # benchmark's self-test checks that tracing restores it in this module.
 from .lanes import Lanes
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
                           lognormal_from_moments, lognormal_ratios,
-                          seed_chunks)
+                          seed_lanes)
 from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
@@ -184,9 +188,9 @@ class TripRecord:
 class ResultSet:
     """A run's registry and trip table, indexed ``[year - start_year,
     replicate]``: ``cost``, ``n_legs`` and ``frac[..., mode]`` (each mode's
-    share of the trip distance, in registry order).  ``mode_means[replicate,
-    year - start_year, mode]`` is the mean cost each trip was costed with (a
-    read-only broadcast of one trajectory under the shared policy)."""
+    share of the trip distance, in registry order).
+    ``replicate_trajectories`` gives the mean costs each trip was costed
+    with."""
 
     config: ScenarioConfig
     fingerprint: str
@@ -194,7 +198,6 @@ class ResultSet:
     cost: np.ndarray
     n_legs: np.ndarray
     frac: np.ndarray
-    mode_means: np.ndarray
 
     @property
     def records(self) -> "_RecordsView":
@@ -222,96 +225,70 @@ class _RecordsView(Sequence):
                                             r.frac[t, rep].tolist())))
 
 
-def _scenario_paths(config: ScenarioConfig) -> Iterator[tuple]:
-    """Every label path of a run, in the order ``run_scenario`` draws from
-    them: the rate steps of the shared trajectory, or of every replicate's,
-    then the trips, replicate by replicate."""
-    steps = range(config.start_year, config.end_year)
-    if config.evolution_policy == "shared":
-        for year in steps:
-            yield ("scenario", year, "shared-rates")
-    else:
-        for rep in range(config.iterations):
-            for year in steps:
-                yield ("scenario", year, rep, "rates")
-    for rep in range(config.iterations):
-        for year in range(config.start_year, config.end_year + 1):
-            yield ("scenario", year, rep, "trip")
-
-
-def _path_texts(config: ScenarioConfig) -> Iterator[bytes]:
-    """The ``_path_text`` of every path of ``_scenario_paths(config)``, in
-    order: each the concatenation of its year's head, formatted once per
-    year, and its replicate's tail, formatted once per replicate."""
+def _seed_paths(config: ScenarioConfig, years: range,
+                tails: Iterable[bytes]) -> Lanes:
+    """The lanes of the label paths ``("scenario", year, *tail)`` for each
+    tail of ``tails`` and, within it, each year of ``years``, seeded as one
+    block.  A path's ``_path_text`` is its year's head, formatted once per
+    year, and its tail (its replicate and kind, as text); the texts are
+    formed as they are hashed, so no list of them is held."""
     prefix = b"%d\x1fscenario\x1f" % config.seed
-    steps = range(config.start_year, config.end_year)
-    if config.evolution_policy == "shared":
-        yield from (prefix + b"%d\x1fshared-rates" % year for year in steps)
-    else:
-        heads = [prefix + b"%d\x1f" % year for year in steps]
-        for rep in range(config.iterations):
-            tail = b"%d\x1frates" % rep
-            yield from (head + tail for head in heads)
-    heads = [prefix + b"%d\x1f" % year
-             for year in range(config.start_year, config.end_year + 1)]
-    for rep in range(config.iterations):
-        tail = b"%d\x1ftrip" % rep
-        yield from (head + tail for head in heads)
-
-
-class _LaneFeed:
-    """A run's lanes in path order, handed out one phase at a time."""
-
-    def __init__(self, chunks: Iterator[Lanes]):
-        self._chunks = chunks
-        self._rest: Lanes | None = None
-
-    def take(self, n: int) -> Iterator[Lanes]:
-        """The next ``n`` lanes, as blocks cut at the chunk edges and at
-        the end of the phase."""
-        while n:
-            block = self._rest if self._rest is not None else next(
-                self._chunks)
-            self._rest = block[n:] if len(block) > n else None
-            block = block[:n]
-            n -= len(block)
-            yield block
-            # The next chunk is seeded with no lanes of this one held.
-            del block
+    heads = [prefix + b"%d\x1f" % year for year in years]
+    return seed_lanes(head + tail for tail in tails for head in heads)
 
 
 def _trajectories(config: ScenarioConfig, registry: ModeRegistry,
-                  blocks: Iterable[Lanes], out: np.ndarray) -> np.ndarray:
+                  tails: Iterable[bytes], out: np.ndarray) -> np.ndarray:
     """Fill and return ``out``, the ``[trajectory, year, mode]`` mean costs
-    of one or more trajectories, each stepped once per year in [start,
-    end).  The steps draw from the lanes of ``blocks``, trajectory by
-    trajectory and year by year: each lane's factors 1 - r are written in
-    their year's slot, then multiplied up from the start year's costs."""
+    of one or more trajectories, one per rate-path tail of ``tails``, each
+    stepped once per year in [start, end) on the lane of its path of that
+    year.  The steps are drawn as one block: each lane's factors 1 - r are
+    written in their year's slot, then multiplied up from the start year's
+    costs.  A single-year run has no steps and seeds no lanes."""
     steps = out.shape[1] - 1
     rates = RateModel.from_registry(registry)
-    flat = out.reshape(-1, out.shape[2])
-    done = 0
-    for block in blocks:
-        q = np.arange(done, done + len(block))
-        flat[q + q // steps + 1] = evolve_mode_state(1.0, rates, block)
-        done += len(block)
-        del block
     out[:, 0] = [adjust_reference_cost(s.base_cost_mean,
                                        s.improvement_rate_mean, s.base_year,
                                        config.start_year) for s in registry]
+    if steps:
+        lanes = _seed_paths(config, range(config.start_year,
+                                          config.end_year), tails)
+        q = np.arange(len(lanes))
+        out.reshape(-1, out.shape[2])[q + q // steps + 1] = (
+            evolve_mode_state(1.0, rates, lanes))
     for t in range(steps):
         np.multiply(out[:, t], out[:, t + 1], out=out[:, t + 1])
     return out
 
 
-def compute_shared_means(config: ScenarioConfig, registry: ModeRegistry,
-                         blocks: Iterable[Lanes]) -> np.ndarray:
+def compute_shared_means(config: ScenarioConfig,
+                         registry: ModeRegistry) -> np.ndarray:
     """The one ``(years, modes)`` cost trajectory all replicates share,
-    drawn from the next ``end_year - start_year`` lanes of ``blocks`` (the
-    ``"shared-rates"`` paths)."""
+    stepped on the lanes of its ``"shared-rates"`` paths."""
     years = config.end_year - config.start_year + 1
-    return _trajectories(config, registry, blocks,
+    return _trajectories(config, registry, [b"shared-rates"],
                          np.empty((1, years, len(registry))))[0]
+
+
+def replicate_trajectories(config: ScenarioConfig, registry: ModeRegistry,
+                           replicates: range) -> np.ndarray:
+    """The ``[replicate, year - start_year, mode]`` mean costs each trip of
+    the replicates ``replicates`` is costed with, in registry order.
+
+    Per-replicate, each is the replicate's own trajectory, stepped on the
+    lanes of its ``"rates"`` paths, seeded for all of ``replicates`` as one
+    block; shared, each is a read-only broadcast of the one trajectory
+    (``compute_shared_means``).  A path's stream does not depend on the
+    block it is seeded in, so any replicates give the rows ``run_scenario``
+    costs their trips with."""
+    if config.evolution_policy == "shared":
+        trajectory = compute_shared_means(config, registry)
+        return np.broadcast_to(trajectory,
+                               (len(replicates), *trajectory.shape))
+    years = config.end_year - config.start_year + 1
+    return _trajectories(config, registry,
+                         (b"%d\x1frates" % rep for rep in replicates),
+                         np.empty((len(replicates), years, len(registry))))
 
 
 def _cost_table(registry: ModeRegistry, means: np.ndarray) -> CostTable:
@@ -332,7 +309,7 @@ def run_replicate(config: ScenarioConfig,
     and return their ``cost``, ``n_legs`` and ``frac`` columns.
 
     A block is any run of trips: one replicate's years, with ``table`` its
-    ``(years, modes)`` trajectory, or a chunk of a run's trip paths.
+    ``(years, modes)`` trajectory, or a replicate group's trip paths.
     ``table`` is the ``CostTable`` of the mode means, or the means it is
     built from.  The block's legs and modes are drawn at once; its cost
     normals are then drawn and its legs costed one run of trips at a time
@@ -364,14 +341,17 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     """Run every replicate of the config into the trip table.  ``workers``
     is accepted for old callers and ignored.
 
-    The trip table and the per-replicate trajectories are allocated before
-    any stream is drawn, so a run too large for memory fails at once.  The
-    streams of the run's paths, in ``_scenario_paths(config)`` order, are
-    seeded ``stochastics._CHUNK`` (4,096) at a time as lanes and drawn block
-    by block: first every rate step, then every trip.  A block is cut at
-    the chunk edges and at the end of a phase; each trip block's legs are
-    costed in runs of about ``tripsim._LEG_SLICE`` legs
-    (``run_replicate``).
+    The trip table is allocated before any stream is drawn, so a run too
+    large for memory fails at once.  The replicates then run in balanced
+    groups of at most ``stochastics._CHUNK // years`` replicates (8,192
+    trip paths), or of one replicate if its years are more.  Per-replicate,
+    a group's rate paths are seeded as one block of lanes and its
+    trajectories stepped (``replicate_trajectories``); then its trip paths
+    are seeded as one block and costed against them (``run_replicate``),
+    and both are freed before the next group.  Shared, the one trajectory
+    and its cost table are made once, and the trips run in the same
+    groups.  A path's stream is keyed by its labels alone, so the groups
+    change no value.
     """
     config.validate()
     registry = resolve_registry(config)
@@ -384,50 +364,45 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
         raise _unmatched("handling_mean_usd_per_tonne and "
                          "handling_stdev_fraction", exc) from None
     shape = (config.end_year - config.start_year + 1, config.iterations)
-    shared = config.evolution_policy == "shared"
     try:
         cost = np.empty(shape)
         n_legs = np.empty(shape, dtype=np.int64)
         frac = np.empty((*shape, len(registry)))
-        mode_means = (None if shared else
-                      np.empty((shape[1], shape[0], len(registry))))
     except (MemoryError, ValueError):
         # numpy raises ValueError for a size past the address space.
         raise ConfigError(
             f"iterations x (end_year - start_year + 1) must be small enough "
             f"for the run to fit in memory: {config.iterations} x "
             f"{shape[0]} trips do not") from None
-    lanes = _LaneFeed(seed_chunks(_path_texts(config)))
     years, reps = shape
+    trip_years = range(config.start_year, config.end_year + 1)
+    shared = config.evolution_policy == "shared"
     if shared:
-        trajectory = compute_shared_means(config, registry,
-                                          lanes.take(years - 1))
-        mode_means = np.broadcast_to(trajectory, (reps, *trajectory.shape))
         # Every replicate is costed with the same trajectory, so its
         # parameter table is built once for the run and keeps the cells
-        # the blocks have costed.
-        table = _cost_table(registry, trajectory)
-    else:
-        _trajectories(config, registry, lanes.take(reps * (years - 1)),
-                      mode_means)
-        trip_means = mode_means.reshape(-1, len(registry))
-    done = 0
-    for block in lanes.take(reps * years):
-        # Trip path q is replicate q // years in year q % years.
-        rep, t = np.divmod(np.arange(done, done + len(block)), years)
+        # the groups have costed.
+        table = _cost_table(registry, compute_shared_means(config, registry))
+    groups = -(-reps // max(1, stochastics._CHUNK // years))
+    for i in range(groups):
+        a, b = reps * i // groups, reps * (i + 1) // groups
+        # Trip path q of a group is replicate a + q // years in year
+        # q % years: per-replicate, row q of the group's trajectories.
         if shared:
-            block_table, rows = table, t
+            group_table, rows = table, np.tile(np.arange(years), b - a)
         else:
-            block_table, rows = _cost_table(
-                registry, trip_means[done:done + len(block)]), None
-        done += len(block)
-        cells = t * reps + rep
-        (cost.reshape(-1)[cells], n_legs.reshape(-1)[cells],
-         frac.reshape(-1, len(registry))[cells]) = run_replicate(
-            config, registry, block_table, handling_params, block, rows)
-        # A block's lanes and, per-replicate, its table are freed before
-        # the next block's lanes are seeded.
-        del block, block_table
+            group_table = _cost_table(registry, replicate_trajectories(
+                config, registry, range(a, b)).reshape(-1, len(registry)))
+            rows = None
+        block = _seed_paths(config, trip_years,
+                            (b"%d\x1ftrip" % rep for rep in range(a, b)))
+        group_cost, group_legs, group_frac = run_replicate(
+            config, registry, group_table, handling_params, block, rows)
+        cost[:, a:b] = group_cost.reshape(b - a, years).T
+        n_legs[:, a:b] = group_legs.reshape(b - a, years).T
+        frac[:, a:b] = group_frac.reshape(b - a, years, -1).swapaxes(0, 1)
+        # The group's lanes, trajectories and draws are freed before the
+        # next group's paths are seeded.
+        del block, group_table, group_cost, group_legs, group_frac
     if not np.isfinite(cost).all():
         raise ConfigError(
             "trip costs overflow a float: trip_distance_km x freight_tonnes "
@@ -437,5 +412,4 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
             "trip costs underflow a normal float: trip_distance_km x "
             "freight_tonnes x mode cost must be at least 2.2e-308")
     return ResultSet(config=config, fingerprint=config_fingerprint(config),
-                     registry=registry, cost=cost, n_legs=n_legs, frac=frac,
-                     mode_means=mode_means)
+                     registry=registry, cost=cost, n_legs=n_legs, frac=frac)

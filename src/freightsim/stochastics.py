@@ -3,12 +3,12 @@
 Every random draw in the simulator comes from a stream fully determined by a
 master seed plus a label path.  That is what makes whole scenario runs
 reproducible byte-for-byte regardless of how replicates are scheduled.  The
-engine seeds the streams of up to ``_CHUNK`` (4,096) paths together, as the
-numpy uint64 lanes of ``freightsim.lanes``; that chunk is the engine's one
-block width, and since a stream is keyed by its path, not by its chunk, the
-width never changes what a stream draws.  ``derive_stream`` is one path's
-stream as numpy's own ``Generator``, the reference the lanes draw as;
-``sample_lognormal`` draws from such a generator.
+engine seeds the streams of many paths together, as the numpy uint64 lanes
+of ``freightsim.lanes``, in blocks of up to ``_CHUNK`` (8,192) paths, the
+engine's one block width; since a stream is keyed by its path, not by its
+block, the width never changes what a stream draws.  ``derive_stream`` is
+one path's stream as numpy's own ``Generator``, the reference the lanes
+draw as; ``sample_lognormal`` draws from such a generator.
 """
 
 from __future__ import annotations
@@ -128,12 +128,14 @@ _MIX_MULT_R = 0x4973f715
 _MASK32 = 0xFFFFFFFF
 
 # Label paths whose streams are seeded and stepped together, the engine's
-# one block width: rate blocks and trip blocks are cut from these chunks.
-# Wide enough to amortise numpy's fixed cost per call over the array
+# one block width: ``run_scenario`` runs its replicates in groups of at most
+# this many trip paths, each group's rate paths and trip paths a block.
+# Wide enough to amortise numpy's fixed cost per call (a lockstep round of
+# leg or mode draws costs about the same at any width) over the array
 # operations; the work done per leg is bounded apart from it
 # (``tripsim._LEG_SLICE``), so the width costs little resident memory.  No
 # run-sized list of paths or lanes is held.
-_CHUNK = 4096
+_CHUNK = 8192
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -218,21 +220,15 @@ def seed_lanes(texts: Iterable[bytes]) -> Lanes:
     return Lanes.from_seed_words(_state_words(digests))
 
 
-def seed_chunks(texts: Iterable[bytes]) -> Iterator[Lanes]:
-    """``seed_lanes`` of ``texts``, read lazily, ``_CHUNK`` at a time.  A
-    chunk's texts are hashed as they are read, and no chunk is held here
-    while the next is seeded."""
-    texts = iter(texts)
-    while lanes := seed_lanes(itertools.islice(texts, _CHUNK)):
-        yield lanes
-        del lanes
-
-
 def derive_lanes(master_seed: int,
                  paths: Iterable[Iterable[object]]) -> Iterator[Lanes]:
     """The lanes of the label paths ``paths``, in order, ``_CHUNK`` at a
-    time."""
-    return seed_chunks(_path_text(master_seed, p) for p in paths)
+    time.  A chunk's paths are hashed as they are read, and no chunk is
+    held here while the next is seeded."""
+    texts = (_path_text(master_seed, p) for p in paths)
+    while lanes := seed_lanes(itertools.islice(texts, _CHUNK)):
+        yield lanes
+        del lanes
 
 
 def derive_stream(master_seed: int,

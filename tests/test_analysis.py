@@ -111,8 +111,7 @@ def fake_results(records, enabled=("ocean",), **cfg_kw):
                      cost=np.array([[r.trip_cost for r in records]]),
                      n_legs=np.array([[r.n_legs for r in records]]),
                      frac=np.array(frac).reshape(1, len(records),
-                                                 len(enabled)),
-                     mode_means=np.empty((0, 0, len(enabled))))
+                                                 len(enabled)))
 
 
 def record(year, replicate, cost, fractions):

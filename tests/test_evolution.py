@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from freightsim import evolution, stochastics
 from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
-from freightsim.evolution import (RateModel, _path_texts, _scenario_paths,
-                                  compute_shared_means, evolve_mode_state,
+from freightsim.evolution import (RateModel, compute_shared_means,
+                                  evolve_mode_state, replicate_trajectories,
                                   run_replicate, run_scenario)
 from freightsim.modes import ModeRegistry, ModeSpec
 from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
@@ -17,6 +18,7 @@ from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
 
 import oracle
 from conftest import StubStream
+from test_oracle import assert_matches_oracle
 from test_tripsim import CountingMath, one_lane
 
 
@@ -228,8 +230,9 @@ def trip_streams(cfg, replicate):
 class TestRunReplicate:
     def test_closed_form_with_zero_stdevs(self):
         cfg = ocean_only_config(end_year=2024)
-        means = run_scenario(cfg).mode_means[0]
-        trips = run_replicate(cfg, resolve_registry(cfg), means,
+        reg = resolve_registry(cfg)
+        means = replicate_trajectories(cfg, reg, range(1))[0]
+        trips = run_replicate(cfg, reg, means,
                               handling_params(cfg), trip_streams(cfg, 0))
         for t, (cost, n_legs) in enumerate(zip(*trips[:2])):
             expected_mean = 0.0196 * (1 - 0.021) ** t
@@ -244,7 +247,7 @@ class TestRunReplicate:
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=5,
                              iterations=4, end_year=2022)
         reg = resolve_registry(cfg)
-        means = run_scenario(cfg).mode_means[3]
+        means = replicate_trajectories(cfg, reg, range(3, 4))[0]
         first = run_replicate(cfg, reg, means, handling_params(cfg),
                               trip_streams(cfg, 3))
         second = run_replicate(cfg, reg, means, handling_params(cfg),
@@ -253,8 +256,9 @@ class TestRunReplicate:
 
     def test_single_year_single_record(self):
         cfg = ocean_only_config(end_year=2018)
-        records = run_replicate(cfg, resolve_registry(cfg),
-                                run_scenario(cfg).mode_means[0],
+        reg = resolve_registry(cfg)
+        records = run_replicate(cfg, reg,
+                                replicate_trajectories(cfg, reg, range(1))[0],
                                 handling_params(cfg), trip_streams(cfg, 0))
         assert all(len(column) == 1 for column in records)
 
@@ -349,24 +353,25 @@ class TestRunScenario:
                              iterations=8, end_year=2024)
         serial = run_scenario(cfg, workers=1)
         parallel = run_scenario(cfg, workers=4)
-        for name in ("cost", "n_legs", "frac", "mode_means"):
+        for name in ("cost", "n_legs", "frac"):
             assert np.array_equal(getattr(serial, name),
                                   getattr(parallel, name))
 
     def test_strictly_decreasing_trajectories(self):
         cfg = ScenarioConfig(enabled_modes=["ocean", "air"], seed=13,
                              iterations=20, end_year=2030)
-        results = run_scenario(cfg)
+        means = replicate_trajectories(cfg, resolve_registry(cfg),
+                                       range(cfg.iterations))
         for rep in range(cfg.iterations):
             for i in range(len(cfg.enabled_modes)):
-                path = results.mode_means[rep, :, i].tolist()
+                path = means[rep, :, i].tolist()
                 assert all(b < a for a, b in zip(path, path[1:]))
 
     def test_zero_rate_stdev_matches_compound_decay(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=3, iterations=3,
                              end_year=2030, rate_stdev_fraction=0.0)
-        results = run_scenario(cfg)
-        for trajectory in results.mode_means:
+        for trajectory in replicate_trajectories(cfg, resolve_registry(cfg),
+                                                 range(cfg.iterations)):
             for t, means in enumerate(trajectory):
                 expected = 0.0196 * (1 - 0.021) ** t
                 assert means[0] == pytest.approx(expected, rel=1e-12)
@@ -377,9 +382,10 @@ class TestEvolutionPolicies:
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=19,
                              iterations=6, end_year=2025,
                              evolution_policy="shared")
-        results = run_scenario(cfg)
+        means = replicate_trajectories(cfg, resolve_registry(cfg),
+                                       range(cfg.iterations))
         for year in range(cfg.start_year, cfg.end_year + 1):
-            per_rep = [results.mode_means[rep, year - cfg.start_year].tolist()
+            per_rep = [means[rep, year - cfg.start_year].tolist()
                        for rep in range(cfg.iterations)]
             assert all(m == per_rep[0] for m in per_rep)
 
@@ -387,7 +393,8 @@ class TestEvolutionPolicies:
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=19,
                              iterations=3, end_year=2022,
                              evolution_policy="shared")
-        means = run_scenario(cfg).mode_means
+        means = replicate_trajectories(cfg, resolve_registry(cfg),
+                                       range(cfg.iterations))
         assert means.shape == (3, 5, 2)
         assert means.strides[0] == 0
         with pytest.raises(ValueError):
@@ -397,20 +404,20 @@ class TestEvolutionPolicies:
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=19, iterations=2,
                              end_year=2022, evolution_policy="shared")
         reg = resolve_registry(cfg)
-        shared = compute_shared_means(cfg, reg, derive_lanes(cfg.seed, (
-            ("scenario", year, "shared-rates")
-            for year in range(cfg.start_year, cfg.end_year))))
-        results = run_scenario(cfg)
-        for means in results.mode_means:
+        shared = compute_shared_means(cfg, reg)
+        assert shared.tolist() == oracle.trajectory(
+            cfg, list(reg), lambda year: ("scenario", year, "shared-rates"))
+        for means in replicate_trajectories(cfg, reg, range(cfg.iterations)):
             assert means.tolist() == shared.tolist()
 
     def test_per_replicate_variance_grows(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=23, iterations=200,
                              end_year=2040)
-        results = run_scenario(cfg)
+        means = replicate_trajectories(cfg, resolve_registry(cfg),
+                                       range(cfg.iterations))
         variances = []
         for year in range(cfg.start_year, cfg.end_year + 1):
-            vals = results.mode_means[:, year - cfg.start_year, 0].tolist()
+            vals = means[:, year - cfg.start_year, 0].tolist()
             variances.append(statistics.pvariance(vals))
         assert variances[0] == 0.0
         assert all(v > 0 for v in variances[1:])
@@ -427,8 +434,8 @@ class TestInitialStates:
             rate_stdev_fraction=0.0, cost_stdev_fraction=0.0,
             modes=[{"id": "old", "base_cost_mean": 1.766, "base_year": 2016,
                     "improvement_rate_mean": 0.055}])
-        results = run_scenario(cfg)
-        assert results.mode_means[0, 0, 0] == pytest.approx(
+        means = replicate_trajectories(cfg, resolve_registry(cfg), range(1))
+        assert means[0, 0, 0] == pytest.approx(
             1.766 * 0.945 ** 2, rel=1e-12)
 
     def test_future_base_year_rejected(self):
@@ -440,34 +447,52 @@ class TestInitialStates:
             run_scenario(cfg)
 
 
+def seeded_texts(monkeypatch):
+    """The path texts of each block ``evolution`` seeds, recorded as a run
+    seeds them."""
+    blocks = []
+
+    def recorded(texts, seed=evolution.seed_lanes):
+        blocks.append(list(texts))
+        return seed(blocks[-1])
+
+    monkeypatch.setattr(evolution, "seed_lanes", recorded)
+    return blocks
+
+
 class TestBatchedStreamsMatchOneByOne:
     @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
-    def test_path_texts_are_the_label_paths(self, policy):
+    def test_path_texts_are_the_label_paths(self, monkeypatch, policy):
+        # One group: its rate paths (the shared trajectory's, shared) as one
+        # block, then its trip paths, replicate by replicate.
         cfg = ScenarioConfig(enabled_modes=["ocean"], seed=-12, iterations=3,
                              end_year=2021, evolution_policy=policy)
-        assert list(_path_texts(cfg)) == [_path_text(cfg.seed, p)
-                                          for p in _scenario_paths(cfg)]
+        blocks = seeded_texts(monkeypatch)
+        run_scenario(cfg)
+        steps = range(cfg.start_year, cfg.end_year)
+        years = range(cfg.start_year, cfg.end_year + 1)
+        reps = range(cfg.iterations)
+        if policy == "shared":
+            rates = [("scenario", year, "shared-rates") for year in steps]
+        else:
+            rates = [("scenario", year, rep, "rates")
+                     for rep in reps for year in steps]
+        trips = [("scenario", year, rep, "trip")
+                 for rep in reps for year in years]
+        assert blocks == [[_path_text(cfg.seed, p) for p in paths]
+                          for paths in (rates, trips)]
 
-    # 12 rate steps and 13 trips per replicate: 2,500 paths per-replicate
-    # and 2,612 shared per 1,024 paths of block width.
+    # 12 rate steps and 13 trips per replicate: 630 replicates a group, so
+    # two groups per-replicate and three shared, scaled with the block width
+    # from 2,500 paths per-replicate and 2,612 shared per 1,024 paths.
     @pytest.mark.parametrize("policy,iterations",
                              [("per-replicate", 100), ("shared", 200)])
     def test_chunk_edges_inside_replicates(self, policy, iterations):
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail", "air"], seed=29,
                              iterations=iterations * _CHUNK // 1024,
                              end_year=2030, evolution_policy=policy)
-        paths = list(_scenario_paths(cfg))
-        edges = range(_CHUNK, len(paths), _CHUNK)
-        assert len(edges) >= 2
-        # Each edge falls between two paths of one replicate's rates or
-        # trips.
-        assert all(len(paths[e]) == 4 and paths[e - 1][2:] == paths[e][2:]
-                   for e in edges)
-        results = run_scenario(cfg)
-        expected = oracle.run(cfg)
-        for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
-                              expected):
-            assert np.array_equal(getattr(results, name), want), name
+        assert cfg.iterations > _CHUNK // 13
+        assert_matches_oracle(cfg)
 
 
 # Three modes: a rate mean near 1 with a wide spread (rate redraws), a fixed
@@ -482,9 +507,17 @@ _WIDTH_MODES = [
      "improvement_rate_mean": 0.02}]
 
 
+def path_count(cfg):
+    """The label paths a run of ``cfg`` seeds: its rate steps and trips."""
+    years = cfg.end_year - cfg.start_year + 1
+    rates = years - 1 if cfg.evolution_policy == "shared" else (
+        cfg.iterations * (years - 1))
+    return rates + cfg.iterations * years
+
+
 class TestBlockWidth:
     # 360 replicates: 9,000 paths per-replicate; 700: 9,112 shared.  Both
-    # cross two block edges at 4,096 paths and dozens at 128.
+    # run in two or three replicate groups at 4,096 paths and dozens at 128.
     @pytest.mark.parametrize("policy,iterations",
                              [("per-replicate", 360), ("shared", 700)])
     def test_block_width_does_not_change_results(self, monkeypatch, policy,
@@ -494,8 +527,8 @@ class TestBlockWidth:
             iterations=iterations, end_year=2030, min_leg_km=1000.0,
             evolution_policy=policy)
         widths = [128, 1024, 4096]
-        assert sum(1 for _ in _scenario_paths(cfg)) > 2 * max(widths)
-        names = ("cost", "n_legs", "frac", "mode_means")
+        assert path_count(cfg) > 2 * max(widths)
+        names = ("cost", "n_legs", "frac")
         runs = []
         for width in widths:
             monkeypatch.setattr(stochastics, "_CHUNK", width)
@@ -504,3 +537,74 @@ class TestBlockWidth:
         for width, run in zip(widths[1:], runs[1:]):
             for name, want, got in zip(names, runs[0], run):
                 assert got == want, (name, width)
+
+
+class TestReplicateGroups:
+    """``run_scenario`` runs its replicates in ``ceil(reps / (_CHUNK //
+    years))`` balanced groups, one trip block each, and costs each group's
+    trips against its own trajectories."""
+
+    # Four years, so groups of at most 16 replicates at a width of 64
+    # paths: one replicate below, at and above a group's size, three groups
+    # of 11, a width below a replicate's 4 trip paths (and its 3 rate
+    # steps), and a single-year run, which has no rate paths.
+    CASES = [(64, 2021, 15, 1), (64, 2021, 16, 1), (64, 2021, 17, 2),
+             (64, 2021, 33, 3), (3, 2021, 5, 5), (64, 2018, 70, 2)]
+
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    @pytest.mark.parametrize("width,end_year,iterations,groups", CASES)
+    def test_groups_match_the_oracle(self, monkeypatch, policy, width,
+                                     end_year, iterations, groups):
+        monkeypatch.setattr(stochastics, "_CHUNK", width)
+        cfg = ScenarioConfig(
+            enabled_modes=["m0", "m1", "m2"], modes=_WIDTH_MODES, seed=43,
+            iterations=iterations, end_year=end_year, min_leg_km=1000.0,
+            evolution_policy=policy)
+        years = end_year - cfg.start_year + 1
+        sizes = []
+        real = evolution.run_replicate
+
+        def counted(config, registry, table, handling, lanes, rows):
+            sizes.append(len(lanes))
+            return real(config, registry, table, handling, lanes, rows)
+
+        monkeypatch.setattr(evolution, "run_replicate", counted)
+        assert_matches_oracle(cfg)
+        edges = [iterations * i // groups for i in range(groups + 1)]
+        assert sizes == [years * (b - a) for a, b in zip(edges, edges[1:])]
+
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    def test_any_replicates_give_their_trajectories(self, policy):
+        cfg = ScenarioConfig(
+            enabled_modes=["m0", "m1", "m2"], modes=_WIDTH_MODES, seed=43,
+            iterations=9, end_year=2021, evolution_policy=policy)
+        reg = resolve_registry(cfg)
+        want = oracle.run(cfg)[3]
+        for reps in (range(9), range(4, 9), range(3, 4), range(0)):
+            got = replicate_trajectories(cfg, reg, reps)
+            assert got.shape == (len(reps), 4, 3)
+            assert got.tobytes() == want[reps.start:reps.stop].tobytes()
+
+
+class TestPeakMemory:
+    # Scenario 1's ten modes at 2,000 per-replicate replicates: a trip table
+    # of 6.3 MB.  Its peak measured 9.7 MB (3.4 MB over the table) with one
+    # group's trajectories held at a time, and 13.8 MB (7.5 MB over) when
+    # every replicate's trajectory (5.3 MB) was held for the whole run.
+    MARGIN = 5.4e6
+
+    def test_peak_is_the_trip_table_and_one_group(self):
+        cfg = ScenarioConfig(
+            enabled_modes=["air", "ocean", "truck", "rail", "iwt",
+                           "auto_air", "auto_ocean", "auto_truck",
+                           "auto_rail", "auto_iwt"],
+            seed=2018, iterations=2000, start_year=2018, end_year=2050)
+        tracemalloc.start()
+        try:
+            results = run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = sum(getattr(results, name).nbytes
+                    for name in ("cost", "n_legs", "frac"))
+        assert peak < table + self.MARGIN, (peak, table)

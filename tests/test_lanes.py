@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from freightsim import _ziggurat
-from freightsim.config import ScenarioConfig
-from freightsim.evolution import run_scenario
+from freightsim.config import ScenarioConfig, resolve_registry
+from freightsim.evolution import replicate_trajectories, run_scenario
 from freightsim.lanes import _SLICE, Lanes, _jump, _lcg, padded
 from freightsim.stochastics import _CHUNK
 
@@ -236,8 +236,8 @@ class TestFlatNormals:
         assert_normals_match(FORCED, [3, 2, 4])
         assert_normals_match([(fi_rejection(), 1, 0, 0)], [2])
         # A scenario 1 run of 32 replicates per 1,024 paths of block width:
-        # its 32 rate steps per replicate fill whole blocks, so its trips
-        # start with one full trip block, and rate blocks of all ten modes.
+        # two replicate groups of 128, each a rate block of 4,096 steps of
+        # all ten modes and a trip block of 4,224 trips.
         cfg = ScenarioConfig(
             enabled_modes=["air", "ocean", "truck", "rail", "iwt", "auto_air",
                            "auto_ocean", "auto_truck", "auto_rail",
@@ -245,9 +245,12 @@ class TestFlatNormals:
             seed=2018, iterations=32 * _CHUNK // 1024, start_year=2018,
             end_year=2050)
         results = run_scenario(cfg)
+        means = replicate_trajectories(cfg, resolve_registry(cfg),
+                                       range(cfg.iterations))
         for name, want in zip(("cost", "n_legs", "frac", "mode_means"),
                               oracle.run(cfg)):
-            assert np.array_equal(getattr(results, name), want), name
+            got = means if name == "mode_means" else getattr(results, name)
+            assert np.array_equal(got, want), name
 
     def test_tail_rejection_draws_a_second_try(self):
         state = tail_rejection()

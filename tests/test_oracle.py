@@ -12,7 +12,8 @@ import oracle
 from conftest import CountingMath
 from freightsim import analysis, tripsim
 from freightsim.config import ScenarioConfig, resolve_registry
-from freightsim.evolution import ResultSet, _scenario_paths, run_scenario
+from freightsim.evolution import (ResultSet, replicate_trajectories,
+                                  run_scenario)
 from freightsim.stochastics import _CHUNK
 from test_io import FALLBACK_CONFIGS
 
@@ -54,10 +55,14 @@ def configs(draw):
 
 
 def assert_matches_oracle(cfg):
+    """``run_scenario``'s trip table, and the trajectories its trips were
+    costed with, bit for bit the oracle's."""
     results = run_scenario(cfg)
     names = ("cost", "n_legs", "frac", "mode_means")
+    means = replicate_trajectories(cfg, results.registry,
+                                   range(cfg.iterations))
     for name, want in zip(names, oracle.run(cfg)):
-        got = getattr(results, name)
+        got = means if name == "mode_means" else getattr(results, name)
         assert got.shape == want.shape, name
         assert got.tobytes() == want.astype(got.dtype).tobytes(), name
 
@@ -78,13 +83,14 @@ class TestRunScenarioMatchesOracle:
     def test_bit_for_bit(self, cfg):
         assert_matches_oracle(cfg)
 
-    # EDGE's 300 replicates, scaled with the block width: 7 paths a
-    # replicate per-replicate and 4 shared, so more than one block either way.
+    # EDGE's 300 replicates, scaled with the block width: 4 trip paths a
+    # replicate, so more than one replicate group either way.
     @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
     def test_runs_across_the_chunk_edge(self, policy):
         cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
                                 "iterations": 300 * _CHUNK // 1024})
-        assert sum(1 for _ in _scenario_paths(cfg)) > _CHUNK
+        years = cfg.end_year - cfg.start_year + 1
+        assert cfg.iterations * years > _CHUNK
         assert_matches_oracle(cfg)
 
     # Cost runs a few legs long, so most of their edges fall inside a trip,
@@ -203,8 +209,7 @@ def hand_built_results(draw):
                      registry=resolve_registry(cfg),
                      cost=np.array(cost).reshape(years, trips),
                      n_legs=np.ones((years, trips), dtype=np.int64),
-                     frac=np.array(frac).reshape(years, trips, modes),
-                     mode_means=np.empty((0, 0, modes)))
+                     frac=np.array(frac).reshape(years, trips, modes))
 
 
 def holds_inf_and_minus_inf(values, axis):
