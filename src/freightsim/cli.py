@@ -84,7 +84,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if len(set(resolved.values())) < len(resolved):
         raise ValueError(f"--out-csv and --out-svg name the same file "
                          f"{args.out_csv}")
+    config = Path(args.config).resolve()
     for flag, path in resolved.items():
+        if path == config:
+            raise ValueError(f"{flag} {outputs[flag]} names the --config "
+                             f"file {args.config}")
         if not path.parent.is_dir():
             raise ValueError(f"{flag} {outputs[flag]}: directory "
                              f"{path.parent} does not exist")

@@ -298,42 +298,33 @@ def _cost_table(registry: ModeRegistry, means: np.ndarray) -> CostTable:
 
 
 def run_replicate(config: ScenarioConfig,
-                  registry: ModeRegistry,
-                  table: CostTable | np.ndarray,
+                  table: CostTable,
                   handling_params: LogNormalParams,
                   lanes: Lanes,
-                  rows: np.ndarray | None = None
+                  rows: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a block of trips, trip i from lane i of ``lanes`` with the
-    mode means of row ``rows[i]`` of ``table`` (row i if ``rows`` is None),
-    and return their ``cost``, ``n_legs`` and ``frac`` columns.
+    mode means of row ``rows[i]`` of ``table``, and return their ``cost``,
+    ``n_legs`` and ``frac`` columns.
 
     A block is any run of trips: one replicate's years, with ``table`` its
-    ``(years, modes)`` trajectory, or a replicate group's trip paths.
-    ``table`` is the ``CostTable`` of the mode means, or the means it is
-    built from.  The block's legs and modes are drawn at once; its cost
-    normals are then drawn and its legs costed one run of trips at a time
-    (``TripDraws.cuts``), with the run's handling-cost parameters and,
-    where ``rows`` is None, a table of the run's own rows.
+    ``(years, modes)`` trajectory, or a replicate group's trip paths, with
+    ``table`` the group's trajectories or the one shared trajectory.  The
+    block's legs and modes are drawn at once; its cost normals are then
+    drawn and its legs costed one run of trips at a time
+    (``TripDraws.cuts``), each run with ``table`` and its own trips' rows.
     """
-    if not isinstance(table, CostTable):
-        table = _cost_table(registry, table)
-    trips = simulate_trip(config.trip_distance_km,
-                          table.drawn if rows is None else table.drawn[rows],
+    trips = simulate_trip(config.trip_distance_km, table.drawn[rows],
                           handling_params.sigma != 0.0, lanes,
                           min_leg=config.min_leg_km)
     n = len(lanes)
     cost, n_legs, frac = (np.empty(n), np.empty(n, dtype=np.intp),
-                          np.empty((n, len(registry))))
+                          np.empty((n, table.means.shape[1])))
     cuts = trips.cuts()
     for a, b in zip(cuts, cuts[1:]):
-        if rows is None:
-            part_table, part_rows = table.rows(a, b), None
-        else:
-            part_table, part_rows = table, rows[a:b]
         cost[a:b], n_legs[a:b], frac[a:b] = cost_trips(
-            trips.part(a, b), part_table, handling_params,
-            config.freight_tonnes, part_rows)
+            trips.part(a, b), table, handling_params, config.freight_tonnes,
+            rows[a:b])
     return cost, n_legs, frac
 
 
@@ -379,8 +370,7 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
     shared = config.evolution_policy == "shared"
     if shared:
         # Every replicate is costed with the same trajectory, so its
-        # parameter table is built once for the run and keeps the cells
-        # the groups have costed.
+        # parameter table is checked once for the run.
         table = _cost_table(registry, compute_shared_means(config, registry))
     groups = -(-reps // max(1, stochastics._CHUNK // years))
     for i in range(groups):
@@ -392,11 +382,11 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
         else:
             group_table = _cost_table(registry, replicate_trajectories(
                 config, registry, range(a, b)).reshape(-1, len(registry)))
-            rows = None
+            rows = np.arange(years * (b - a))
         block = _seed_paths(config, trip_years,
                             (b"%d\x1ftrip" % rep for rep in range(a, b)))
         group_cost, group_legs, group_frac = run_replicate(
-            config, registry, group_table, handling_params, block, rows)
+            config, group_table, handling_params, block, rows)
         cost[:, a:b] = group_cost.reshape(b - a, years).T
         n_legs[:, a:b] = group_legs.reshape(b - a, years).T
         frac[:, a:b] = group_frac.reshape(b - a, years, -1).swapaxes(0, 1)

@@ -100,82 +100,55 @@ def leg_cost(distance, weight, op_cost, handling):
 
 class CostTable:
     """Log-normal parameters of a table of means indexed ``[row, mode]``,
-    such as the operational costs of one cost trajectory (a row per year)
-    or the improvement rates of a run (one row).
+    such as the operational costs of one or more cost trajectories (a row
+    per year) or the improvement rates of a run (one row).
 
     Every entry is checked when the table is made, ``_LEG_SLICE`` cells
-    at a time, and ``drawn`` says where sigma is not 0.  A cell's ``mu``,
-    ``sigma`` and ``exp_mu`` (exp(mu) where sigma is 0, the value of a slot
-    that draws nothing; 0 elsewhere) are computed the first time ``at``
-    asks for them, and kept; a table that ``at`` never asks holds no room
-    for them.  The ratios v/m^2 of the log-normals are not kept either, so
-    a table holds one byte per cell until it is asked.
+    at a time, and ``drawn`` says where sigma is not 0; nothing is written
+    after that.  ``at`` computes the ``mu``, ``sigma`` and ``exp_mu``
+    (exp(mu) where sigma is 0, the value of a slot that draws nothing; 0
+    elsewhere) of the cells it is asked for, each distinct cell once per
+    call, and keeps none of them, so a table holds one byte per cell.
     """
 
-    def __init__(self, means: np.ndarray, stdev_fractions: np.ndarray,
-                 drawn: np.ndarray | None = None):
+    def __init__(self, means: np.ndarray, stdev_fractions: np.ndarray):
         """The table of ``(rows, modes)`` means whose stdev is each mode's
         fraction of its mean; raises ``lognormal_from_moments``'
-        ``ValueError`` if any entry cannot be matched.  ``drawn``, where
-        given, is that of these means, which are then not checked again."""
+        ``ValueError`` if any entry cannot be matched."""
         self.means = means
         self.stdev_fractions = stdev_fractions
-        if drawn is None:
-            drawn = np.empty(means.shape, dtype=bool)
-            step = max(1, _LEG_SLICE // max(1, means.shape[-1]))
-            for a in range(0, len(means), step):
-                rows = means[a:a + step]
-                np.not_equal(lognormal_ratios(rows, stdev_fractions * rows),
-                             0.0, out=drawn[a:a + step])
-        self.drawn = drawn
-        self._known = None
-        # mu, sigma and exp_mu of each cell, written once it is known.
-        self._slots = None
-
-    def rows(self, a: int, b: int) -> "CostTable":
-        """The table of rows a to b, with the entries this one checked and
-        a cache of its own."""
-        return CostTable(self.means[a:b], self.stdev_fractions,
-                         self.drawn[a:b])
+        self.drawn = np.empty(means.shape, dtype=bool)
+        step = max(1, _LEG_SLICE // max(1, means.shape[-1]))
+        for a in range(0, len(means), step):
+            rows = means[a:a + step]
+            np.not_equal(lognormal_ratios(rows, stdev_fractions * rows),
+                         0.0, out=self.drawn[a:a + step])
 
     def at(self, cells: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``mu``, ``sigma`` and ``exp_mu`` of the cells ``cells``, indices
-        into the table's flattened ``[row, mode]`` order."""
-        if self._slots is None:
-            self._known = np.zeros(self.means.size, dtype=bool)
-            self._slots = np.empty((3, self.means.size))
-        wanted = np.zeros_like(self._known)
+        into the table's flattened ``[row, mode]`` order.  Each distinct
+        cell is computed once, in a window from the lowest cell asked for
+        to the highest, so the work arrays are the size of that span."""
+        low = cells.min(initial=self.means.size)
+        cells = cells - low
+        wanted = np.zeros(cells.max(initial=0) + 1, dtype=bool)
         wanted[cells] = True
-        new = np.flatnonzero(wanted & ~self._known)
-        if new.size:
-            means = self.means.take(new)
-            fractions = self.stdev_fractions.take(new % self.means.shape[-1])
-            mu, sigma = lognormal_params(
-                means, lognormal_ratios(means, fractions * means))
-            exp_mu = np.zeros_like(mu)
-            fixed = sigma == 0.0
-            exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
-            self._slots[:, new] = mu, sigma, exp_mu
-            self._known[new] = True
-        return tuple(slot.take(cells) for slot in self._slots)
-
-    def _every(self, i: int) -> np.ndarray:
-        """Item i of ``at`` of every cell, in the table's shape."""
-        return self.at(np.arange(self.means.size))[i].reshape(
-            self.means.shape)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self._every(0)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self._every(1)
-
-    @property
-    def exp_mu(self) -> np.ndarray:
-        return self._every(2)
+        used = np.flatnonzero(wanted)
+        # Each cell's place among the distinct cells, in table order.
+        place = np.cumsum(wanted, dtype=np.intp)
+        place -= 1
+        cells = place.take(cells)
+        del wanted, place
+        used += low
+        means = self.means.take(used)
+        fractions = self.stdev_fractions.take(used % self.means.shape[-1])
+        mu, sigma = lognormal_params(
+            means, lognormal_ratios(means, fractions * means))
+        exp_mu = np.zeros_like(mu)
+        fixed = sigma == 0.0
+        exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
+        return mu.take(cells), sigma.take(cells), exp_mu.take(cells)
 
 
 class TripDraws(NamedTuple):
@@ -362,27 +335,29 @@ def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
 
 def cost_trips(trips: TripDraws, table: CostTable,
                handling_params: LogNormalParams, weight: float,
-               rows: np.ndarray | None = None
+               rows: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the cost normals of the trips ``simulate_trip`` drew, from their
-    lanes, and cost the trips, trip i with row ``rows[i]`` of ``table``
-    (row i if ``rows`` is None); return each trip's cost, leg count and
-    per-mode distance fractions (registry order).
+    lanes, and cost the trips, trip i with row ``rows[i]`` of ``table``;
+    return each trip's cost, leg count and per-mode distance fractions
+    (registry order).
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
     sigma * z), or exp(mu) for a cost that draws nothing, as in
     ``sample_lognormal``; handling is charged once per leg, including the
-    first.  Only the table cells the legs use are costed.  A trip's cost
-    and each mode's kilometres are summed left to right in leg order:
-    ``np.add.at`` adds one index at a time, in index order, where numpy's
-    pairwise reductions would round a trip of 8 or more legs differently.
+    first.  Only the table cells the legs use are costed, each once per
+    call (``CostTable.at``).  A trip's cost and each mode's kilometres are
+    summed left to right in leg order: ``np.add.at`` adds one index at a
+    time, in index order, where numpy's pairwise reductions would round a
+    trip of 8 or more legs differently.
     """
     n_legs, distances, modes, counts, lanes = trips
     z = lanes.normals(counts)
     n_modes = table.means.shape[1]
     trip = np.repeat(np.arange(len(n_legs)), n_legs)
-    cell = (trip if rows is None else np.repeat(rows, n_legs)) * n_modes
+    cell = rows.take(trip)
+    cell *= n_modes
     cell += modes
     drawn = table.drawn.take(cell)
     mu, sigma, op_cost = table.at(cell)

@@ -227,13 +227,20 @@ def trip_streams(cfg, replicate):
         for year in range(cfg.start_year, cfg.end_year + 1))))
 
 
+def own_table(reg, means):
+    """The cost table of one ``(years, modes)`` trajectory ``means``, and
+    the rows its trips, one a year, are costed with."""
+    return evolution._cost_table(reg, means), np.arange(len(means))
+
+
 class TestRunReplicate:
     def test_closed_form_with_zero_stdevs(self):
         cfg = ocean_only_config(end_year=2024)
         reg = resolve_registry(cfg)
         means = replicate_trajectories(cfg, reg, range(1))[0]
-        trips = run_replicate(cfg, reg, means,
-                              handling_params(cfg), trip_streams(cfg, 0))
+        table, rows = own_table(reg, means)
+        trips = run_replicate(cfg, table, handling_params(cfg),
+                              trip_streams(cfg, 0), rows)
         for t, (cost, n_legs) in enumerate(zip(*trips[:2])):
             expected_mean = 0.0196 * (1 - 0.021) ** t
             assert means[t, 0] == pytest.approx(
@@ -247,19 +254,21 @@ class TestRunReplicate:
         cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=5,
                              iterations=4, end_year=2022)
         reg = resolve_registry(cfg)
-        means = replicate_trajectories(cfg, reg, range(3, 4))[0]
-        first = run_replicate(cfg, reg, means, handling_params(cfg),
-                              trip_streams(cfg, 3))
-        second = run_replicate(cfg, reg, means, handling_params(cfg),
-                               trip_streams(cfg, 3))
+        table, rows = own_table(
+            reg, replicate_trajectories(cfg, reg, range(3, 4))[0])
+        first = run_replicate(cfg, table, handling_params(cfg),
+                              trip_streams(cfg, 3), rows)
+        second = run_replicate(cfg, table, handling_params(cfg),
+                               trip_streams(cfg, 3), rows)
         assert all(map(np.array_equal, first, second))
 
     def test_single_year_single_record(self):
         cfg = ocean_only_config(end_year=2018)
         reg = resolve_registry(cfg)
-        records = run_replicate(cfg, reg,
-                                replicate_trajectories(cfg, reg, range(1))[0],
-                                handling_params(cfg), trip_streams(cfg, 0))
+        table, rows = own_table(
+            reg, replicate_trajectories(cfg, reg, range(1))[0])
+        records = run_replicate(cfg, table, handling_params(cfg),
+                                trip_streams(cfg, 0), rows)
         assert all(len(column) == 1 for column in records)
 
 
@@ -275,21 +284,26 @@ class TestSharedTableCostsEachCellOnce:
                                      "cost_stdev_fraction": 0}])
         shim = CountingMath()
         monkeypatch.setattr(stochastics, "math", shim)
-        blocks = []
-        real = evolution.run_replicate
+        blocks, runs = [], []
+        real_block, real_run = evolution.run_replicate, evolution.cost_trips
 
-        def counted(*args):
+        def block(*args):
+            blocks.append(len(args[3]))
+            return real_block(*args)
+
+        def run(*args):
             before = shim.calls["log"]
-            out = real(*args)
-            blocks.append(shim.calls["log"] - before)
+            out = real_run(*args)
+            runs.append(shim.calls["log"] - before)
             return out
 
-        monkeypatch.setattr(evolution, "run_replicate", counted)
+        monkeypatch.setattr(evolution, "run_replicate", block)
+        monkeypatch.setattr(evolution, "cost_trips", run)
         run_scenario(cfg)
         assert len(blocks) == 2
-        assert sum(blocks) <= 13 * 3
-        # The second block meets no cell the first did not.
-        assert blocks[1] == 0
+        # A cost run costs each cell it meets once, and keeps none.
+        assert len(runs) > len(blocks)
+        assert all(0 < n <= 13 * 3 for n in runs)
 
 
 class TestRunScenario:
@@ -564,9 +578,9 @@ class TestReplicateGroups:
         sizes = []
         real = evolution.run_replicate
 
-        def counted(config, registry, table, handling, lanes, rows):
+        def counted(config, table, handling, lanes, rows):
             sizes.append(len(lanes))
-            return real(config, registry, table, handling, lanes, rows)
+            return real(config, table, handling, lanes, rows)
 
         monkeypatch.setattr(evolution, "run_replicate", counted)
         assert_matches_oracle(cfg)

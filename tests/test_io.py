@@ -587,6 +587,26 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-svg"])
+    def test_simulate_output_naming_the_config_writes_nothing(
+            self, tmp_path, capsys, flag):
+        # The run exited 0 and replaced the config with its CSV or SVG.
+        cfg = self.write_config(tmp_path)
+        before = (tmp_path / "scenario.json").read_bytes()
+        paths = {"--out-csv": str(tmp_path / "o.csv"),
+                 "--out-svg": str(tmp_path / "o.svg"),
+                 flag: str(tmp_path / "." / "scenario.json")}
+        rc = cli.main(["simulate", "--config", cfg,
+                       *[x for item in paths.items() for x in item]])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert flag in lines[0] and "--config" in lines[0]
+        assert captured.out == ""
+        assert (tmp_path / "scenario.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
     def test_simulate_missing_output_directory_writes_nothing(self, tmp_path,
                                                               capsys):
         # The run failed only when it opened the SVG, after the whole run

@@ -3,6 +3,7 @@ bit, on generated configs, and ``summarize`` against its one-year-at-a-time
 form there."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from conftest import CountingMath
-from freightsim import analysis, tripsim
+from freightsim import analysis, stochastics, tripsim
 from freightsim.config import ScenarioConfig, resolve_registry
 from freightsim.evolution import (ResultSet, replicate_trajectories,
                                   run_scenario)
@@ -38,8 +39,10 @@ def modes(draw):
 
 @st.composite
 def configs(draw):
-    """Small configs of either policy.  Most are a few replicates; some run
-    past the first seeding chunk of label paths."""
+    """Small configs of either policy: most of a few replicates, some of
+    200-260.  At the default widths even the larger ones are one replicate
+    group and one cost run; ``test_bit_for_bit`` runs them at small
+    widths (``widths``), where they cross group and cost-run edges."""
     specs = draw(modes())
     years = draw(st.integers(0, 4))
     iterations = draw(st.one_of(st.integers(1, 4), st.integers(200, 260)))
@@ -67,6 +70,17 @@ def assert_matches_oracle(cfg):
         assert got.tobytes() == want.astype(got.dtype).tobytes(), name
 
 
+@st.composite
+def widths(draw):
+    """A block width (``stochastics._CHUNK``, trip paths per replicate
+    group), a cost-run width (``tripsim._LEG_SLICE``, legs) and a leg-sum
+    width (``tripsim._SUM_TRIPS``, trips), small enough that a config of a
+    few hundred replicates crosses the edges of each, and large enough
+    that it runs in a few hundred calls."""
+    return (draw(st.integers(64, 1024)), draw(st.integers(32, 1024)),
+            draw(st.integers(4, 256)))
+
+
 EDGE = ScenarioConfig(
     enabled_modes=["m0", "m1"], seed=5, iterations=300, start_year=2018,
     end_year=2021, min_leg_km=100.0, handling_stdev_fraction=0.0,
@@ -78,10 +92,16 @@ EDGE = ScenarioConfig(
 
 class TestRunScenarioMatchesOracle:
     @settings(max_examples=40, deadline=None)
-    @given(cfg=configs())
-    @example(cfg=EDGE)
-    def test_bit_for_bit(self, cfg):
-        assert_matches_oracle(cfg)
+    @given(cfg=configs(), widths=widths())
+    @example(cfg=EDGE, widths=(stochastics._CHUNK, tripsim._LEG_SLICE,
+                               tripsim._SUM_TRIPS))
+    @example(cfg=EDGE, widths=(64, 32, 4))
+    def test_bit_for_bit(self, cfg, widths):
+        chunk, leg_slice, sum_trips = widths
+        with mock.patch.object(stochastics, "_CHUNK", chunk), \
+                mock.patch.object(tripsim, "_LEG_SLICE", leg_slice), \
+                mock.patch.object(tripsim, "_SUM_TRIPS", sum_trips):
+            assert_matches_oracle(cfg)
 
     # EDGE's 300 replicates, scaled with the block width: 4 trip paths a
     # replicate, so more than one replicate group either way.

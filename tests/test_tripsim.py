@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def simulate_and_cost(trip_distance, weight, mode_cost_means,
     trip = simulate_trip(trip_distance, table.drawn[0],
                          handling_params.sigma != 0.0, stream, min_leg=min_leg)
     cost, n_legs, fractions = cost_trips(trip, table, handling_params,
-                                         weight)
+                                         weight, np.zeros(1, dtype=np.intp))
     return float(cost[0]), int(n_legs[0]), fractions[0].tolist()
 
 
@@ -188,19 +189,21 @@ class TestSimulateTrip:
         means = np.array([[0.0196, 0.046, 0.03], [0.018, 0.045, 0.0291]])
         fractions = np.array([0.25, 0.0, 0.5])
         table = CostTable(means, fractions)
+        mu, sigma, exp_mu = (x.reshape(means.shape)
+                             for x in table.at(np.arange(means.size)))
         for t, row in enumerate(means.tolist()):
             for m, mean in enumerate(row):
                 p = lognormal_from_moments(mean, fractions[m] * mean)
-                assert (table.mu[t, m], table.sigma[t, m]) == (p.mu, p.sigma)
+                assert (mu[t, m], sigma[t, m]) == (p.mu, p.sigma)
                 assert table.drawn[t][m] == (p.sigma != 0.0)
                 if p.sigma == 0.0:
-                    assert table.exp_mu[t, m] == math.exp(p.mu)
+                    assert exp_mu[t, m] == math.exp(p.mu)
         # A table is used as it stands: exp(0) = 1 per tonne-km.
         ones = CostTable(np.ones((1, 3)), np.zeros(3))
         stream = one_lane(0, ["cache"])
         trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
         cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
-                                     50_000.0)
+                                     50_000.0, np.zeros(1, dtype=np.intp))
         assert cost[0] == pytest.approx(n_legs[0] * 50_000.0 * 4.59
                                         + 10_000.0 * 50_000.0, rel=1e-9)
 
@@ -277,7 +280,7 @@ class TestLegSumsAfterTheCorrection:
         # So the fractions' denominator is the legs' sum, not the trip's
         # distance, which would give other bits.
         _, _, frac = cost_trips(trips, table, TestSimulateTrip.HANDLING_EXACT,
-                                50_000.0)
+                                50_000.0, np.zeros(1, dtype=np.intp))
         assert frac[0].tolist() == [d / span for d in legs]
         assert frac[0].tolist() != [d / self.DISTANCE for d in legs]
 
@@ -526,7 +529,8 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
                                      for t in range(len(trip_distances))]))
     trips = simulate_trip(np.array(trip_distances), table.drawn,
                           handling.sigma != 0.0, lanes, min_leg=1.0)
-    cost, n_legs, frac = cost_trips(trips, table, handling, weight)
+    cost, n_legs, frac = cost_trips(trips, table, handling, weight,
+                                    np.arange(len(trip_distances)))
     for t, (distance, row) in enumerate(zip(trip_distances, means)):
         want = oracle.trip(distance, 1.0, weight, row, fractions,
                            (handling.mu, handling.sigma),
@@ -584,11 +588,12 @@ class TestCostTable:
         means = np.array(LOG_SENSITIVE_MEANS).reshape(2, 3)
         fractions = np.array([0.0, 0.25, 0.3])
         table = CostTable(means, fractions)
+        mu, sigma, _ = table.at(np.arange(means.size))
         for (t, m), mean in np.ndenumerate(means):
             want = LogNormalParams(*oracle.lognormal(mean,
                                                      fractions[m] * mean))
-            assert (table.mu[t, m], table.sigma[t, m]) == (want.mu,
-                                                           want.sigma)
+            cell = t * means.shape[1] + m
+            assert (mu[cell], sigma[cell]) == (want.mu, want.sigma)
             assert lognormal_from_moments(mean, fractions[m] * mean) == want
 
     def test_an_unused_entry_that_cannot_be_matched_is_rejected(self):
@@ -646,10 +651,32 @@ class TestCostTableCostsUsedCells:
         # One log per distinct cell; one log1p per distinct ratio.
         assert shim.calls["log"] == 3
         assert shim.calls["log1p"] <= 3
+        calls = shim.calls.copy()
         shim.calls.clear()
+        # A table keeps nothing: a second call costs its cells again.
         again = table.at(cells)
-        assert shim.calls["log"] == shim.calls["log1p"] == 0
+        assert shim.calls == calls
         assert all(map(np.array_equal, first, again))
+
+    # The last 50 rows of a 100,000-row table: the window starts at the
+    # lowest cell asked for, so ``at`` works in arrays of the 150 cells'
+    # span.  A window from cell 0 works in arrays of the whole table's
+    # 300,000 cells, a peak of about 5 MB.
+    PEAK_BOUND = 48 * 1024
+
+    def test_a_late_window_takes_the_memory_of_its_span(self):
+        means = np.linspace(0.01, 2.0, 300_000).reshape(100_000, 3)
+        table = CostTable(means, np.array([0.25, 0.0, 0.3]))
+        cells = np.arange(299_850, 300_000)[::-1].copy()
+        tracemalloc.start()
+        try:
+            mu, _, _ = table.at(cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BOUND
+        want = lognormal_from_moments(means[-1, 2], 0.3 * means[-1, 2])
+        assert mu[0] == want.mu
 
     # The two 1,000-entry tables differ only in their entries; the ratio
     # f**2 * m**2 / m**2 of each mode takes a handful of values.
