@@ -146,6 +146,51 @@ class TestRunScenarioMatchesOracle:
         assert_matches_oracle(cfg)
 
 
+def tiny_spread_config(kind, fraction, policy):
+    """Three modes whose every cost, rate and handling spread is wide,
+    but for one: the ``kind`` spread of m0 (or the handling spread) is
+    ``fraction``.  m0 comes first in registry order and every leg's
+    handling cost follows its operational cost, so whether that one cell
+    draws a normal moves the normals drawn after it."""
+    specs = [{"id": f"m{i}", "base_year": 2018, "base_cost_mean": mean,
+              "improvement_rate_mean": 0.02, "rate_stdev_fraction": 0.5,
+              "cost_stdev_fraction": 0.25}
+             for i, mean in enumerate([0.0196, 0.046, 0.03])]
+    if kind != "handling":
+        specs[0][f"{kind}_stdev_fraction"] = fraction
+    return ScenarioConfig(
+        enabled_modes=["m0", "m1", "m2"], modes=specs, seed=23,
+        iterations=12, start_year=2018, end_year=2021,
+        evolution_policy=policy, min_leg_km=1_000.0,
+        handling_stdev_fraction=fraction if kind == "handling" else 0.25)
+
+
+class TestTinySpreadsMatchOracle:
+    """A spread of 1e-160 of the mean squares to a subnormal ratio, so its
+    sigma is not 0 and the cell draws a normal (which leaves its value at
+    exp(mu)); one of 1e-162 squares to a ratio of 0 and draws nothing.
+    The engine must draw exactly where the oracle does."""
+
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    @pytest.mark.parametrize("fraction", [1e-160, 1e-162])
+    @pytest.mark.parametrize("kind", ["cost", "rate", "handling"])
+    def test_the_cell_draws_where_the_oracle_does(self, kind, fraction,
+                                                  policy):
+        cfg = tiny_spread_config(kind, fraction, policy)
+        spec = resolve_registry(cfg).get("m0")
+        mean, stdev = {
+            "cost": (spec.base_cost_mean,
+                     spec.cost_stdev_fraction * spec.base_cost_mean),
+            "rate": (spec.improvement_rate_mean,
+                     spec.rate_stdev_fraction * spec.improvement_rate_mean),
+            "handling": (cfg.handling_mean_usd_per_tonne,
+                         cfg.handling_stdev_fraction
+                         * cfg.handling_mean_usd_per_tonne)}[kind]
+        assert (oracle.lognormal(mean, stdev)[1] != 0.0) == (fraction
+                                                             == 1e-160)
+        assert_matches_oracle(cfg)
+
+
 def assert_same_summaries(got, want):
     """Every field of every summary equal, floats bit for bit (so a NaN
     matches a NaN and -0.0 does not match 0.0)."""
