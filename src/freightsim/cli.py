@@ -73,6 +73,15 @@ def _cmd_modes_list() -> int:
     return 0
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two resolved paths name one file: the same path, or two
+    existing hard links of one file."""
+    try:
+        return a == b or a.samefile(b)
+    except OSError:
+        return False
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(Path(args.config).read_text("utf-8"))
     focus = args.focus or cfg.enabled_modes[0]
@@ -81,12 +90,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     outputs = {"--out-csv": args.out_csv, "--out-svg": args.out_svg}
     resolved = {flag: Path(path).resolve()
                 for flag, path in outputs.items() if path}
-    if len(set(resolved.values())) < len(resolved):
+    if len(resolved) == 2 and _same_file(*resolved.values()):
         raise ValueError(f"--out-csv and --out-svg name the same file "
                          f"{args.out_csv}")
     config = Path(args.config).resolve()
     for flag, path in resolved.items():
-        if path == config:
+        if _same_file(path, config):
             raise ValueError(f"{flag} {outputs[flag]} names the --config "
                              f"file {args.config}")
         if not path.parent.is_dir():

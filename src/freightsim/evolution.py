@@ -86,7 +86,7 @@ class RateModel:
             specs, np.array([[s.improvement_rate_mean for s in specs]]),
             "improvement_rate_mean", "rate_stdev_fraction")
         mu, sigma, exp_mu = table.at(np.arange(len(specs)))
-        spread = table.drawn[0]
+        spread = sigma != 0.0
         fixed = np.zeros(len(registry))
         # A redraw of a fixed rate gives the same value, so a rate >= 1
         # ends at the clamp; exp_mu is 0 for the modes that draw.
@@ -256,9 +256,7 @@ def _trajectories(config: ScenarioConfig, registry: ModeRegistry,
         q = np.arange(len(lanes))
         out.reshape(-1, out.shape[2])[q + q // steps + 1] = (
             evolve_mode_state(1.0, rates, lanes))
-    for t in range(steps):
-        np.multiply(out[:, t], out[:, t + 1], out=out[:, t + 1])
-    return out
+    return np.multiply.accumulate(out, axis=1, out=out)
 
 
 def compute_shared_means(config: ScenarioConfig,
@@ -310,13 +308,13 @@ def run_replicate(config: ScenarioConfig,
     A block is any run of trips: one replicate's years, with ``table`` its
     ``(years, modes)`` trajectory, or a replicate group's trip paths, with
     ``table`` the group's trajectories or the one shared trajectory.  The
-    block's legs and modes are drawn at once; its cost normals are then
-    drawn and its legs costed one run of trips at a time
-    (``TripDraws.cuts``), each run with ``table`` and its own trips' rows.
+    block's legs and modes are drawn at once, from ``table``'s mode count
+    alone; its cost normals are then drawn and its legs costed one run of
+    trips at a time (``TripDraws.cuts``), each run with ``table`` and its
+    own trips' rows.
     """
-    trips = simulate_trip(config.trip_distance_km, table.drawn[rows],
-                          handling_params.sigma != 0.0, lanes,
-                          min_leg=config.min_leg_km)
+    trips = simulate_trip(config.trip_distance_km, table.means.shape[1],
+                          lanes, min_leg=config.min_leg_km)
     n = len(lanes)
     cost, n_legs, frac = (np.empty(n), np.empty(n, dtype=np.intp),
                           np.empty((n, table.means.shape[1])))

@@ -1,10 +1,10 @@
 """PCG64 streams stepped together as numpy uint64 lanes.
 
 A :class:`Lanes` holds many independent streams, each in the state numpy's
-``PCG64`` would hold, and takes the k-th draw of all of them at once with
-numpy's own arithmetic.  Normals are drawn flat: every normal a call needs,
-from the state jump-ahead gives for its output, with numpy's whole ziggurat
-on the lanes.  ``freightsim.stochastics`` seeds the lanes from label paths;
+``PCG64`` would hold, and takes the k-th draw of any set of them at once,
+each lane once, with numpy's own arithmetic.  Normals are drawn flat:
+every normal a call needs, from the state jump-ahead gives for its output,
+with numpy's whole ziggurat on the lanes.  ``freightsim.stochastics`` seeds the lanes from label paths;
 the engine draws through them alone.
 """
 
@@ -128,21 +128,6 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     x = hi ^ lo
     rot = hi >> 58
     return x >> rot | x << ((64 - rot) & 63)
-
-
-# numpy keeps freed arrays of under 1 KiB for reuse, up to seven of each
-# byte size.  Lockstep loops whose lane sets shrink one lane at a time would
-# leave arrays of every small size held, so they draw sets padded to a
-# multiple of this many lanes.
-_PAD = 128
-
-
-def padded(sel: np.ndarray) -> np.ndarray:
-    """``sel`` repeated to the next multiple of ``_PAD`` lanes.  A repeated
-    lane takes the same draws from the same state and writes the same
-    values again, so drawing a padded set draws each lane once."""
-    size = -(-sel.size // _PAD) * _PAD
-    return sel if size == sel.size else np.resize(sel, size)
 
 
 class Lanes:

@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .config import ConfigError
-from .lanes import padded
 from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
 _T = TypeVar("_T")
@@ -104,11 +103,10 @@ class CostTable:
     per year) or the improvement rates of a run (one row).
 
     Every entry is checked when the table is made, ``_LEG_SLICE`` cells
-    at a time, and ``drawn`` says where sigma is not 0; nothing is written
-    after that.  ``at`` computes the ``mu``, ``sigma`` and ``exp_mu``
-    (exp(mu) where sigma is 0, the value of a slot that draws nothing; 0
-    elsewhere) of the cells it is asked for, each distinct cell once per
-    call, and keeps none of them, so a table holds one byte per cell.
+    at a time, and nothing is written after that.  ``at`` computes the
+    ``mu``, ``sigma`` and ``exp_mu`` (exp(mu) where sigma is 0, the value
+    of a slot that draws nothing; 0 elsewhere) of the cells it is asked
+    for, each distinct cell once per call, and keeps none of them.
     """
 
     def __init__(self, means: np.ndarray, stdev_fractions: np.ndarray):
@@ -117,12 +115,10 @@ class CostTable:
         ``ValueError`` if any entry cannot be matched."""
         self.means = means
         self.stdev_fractions = stdev_fractions
-        self.drawn = np.empty(means.shape, dtype=bool)
         step = max(1, _LEG_SLICE // max(1, means.shape[-1]))
         for a in range(0, len(means), step):
             rows = means[a:a + step]
-            np.not_equal(lognormal_ratios(rows, stdev_fractions * rows),
-                         0.0, out=self.drawn[a:a + step])
+            lognormal_ratios(rows, stdev_fractions * rows)
 
     def at(self, cells: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,14 +149,13 @@ class CostTable:
 
 class TripDraws(NamedTuple):
     """A block of trips as ``simulate_trip`` draws them, as columns: each
-    trip's leg count, every leg's length and mode (trip by trip, in leg
-    order) and the number of cost normals each trip takes, with ``lanes``,
-    the trips' streams, which ``cost_trips`` draws the normals from."""
+    trip's leg count and every leg's length and mode (trip by trip, in leg
+    order), with ``lanes``, the trips' streams, which ``cost_trips`` draws
+    the cost normals from."""
 
     n_legs: np.ndarray
     distances: np.ndarray
     modes: np.ndarray
-    counts: np.ndarray
     lanes: object
 
     def cuts(self) -> list[int]:
@@ -180,8 +175,7 @@ class TripDraws(NamedTuple):
         first = int(self.n_legs[:a].sum())
         last = first + int(self.n_legs[a:b].sum())
         return TripDraws(self.n_legs[a:b], self.distances[first:last],
-                         self.modes[first:last], self.counts[a:b],
-                         self.lanes[a:b])
+                         self.modes[first:last], self.lanes[a:b])
 
 
 def group_fsums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -262,8 +256,7 @@ def _legs(distance: np.ndarray, min_leg: float,
     rounds = []
     active = np.flatnonzero(remaining >= min_leg)
     while active.size:
-        sel = padded(active)
-        d = lanes.uniforms(sel, min_leg, remaining[sel])[:active.size]
+        d = lanes.uniforms(active, min_leg, remaining[active])
         rounds.append(d)
         n_drawn[active] += 1
         remaining[active] -= d
@@ -293,44 +286,30 @@ def _legs(distance: np.ndarray, min_leg: float,
     return n_legs, distances
 
 
-def simulate_trip(trip_distance, drawn, handling_drawn: bool, lanes,
+def simulate_trip(trip_distance, n_modes: int, lanes,
                   min_leg: float = 100.0) -> TripDraws:
     """Draw a block of intermodal trips, trip i from lane i of ``lanes``:
-    its leg lengths and each leg's mode, and count the cost normals each
-    trip then takes.
+    its leg lengths and each leg's mode, one of ``n_modes``.
 
     A trip is drawn as ``generate_leg_distances`` and ``assign_modes``
     draw it, all trips at once: the k-th leg of every trip still at least
     ``min_leg`` from its end, then the k-th mode of every trip with a k-th
-    leg.  ``trip_distance`` is one float, or one per trip.  ``drawn[m]``
-    (or ``drawn[i, m]``, a row per trip) says whether mode m's operational
-    cost has a non-zero log-space spread, and ``handling_drawn`` whether
-    the handling cost has one.  A trip takes one normal per cost that
-    draws, in (operational, handling) order leg by leg; ``cost_trips``
-    draws them and costs the legs.
+    leg.  ``trip_distance`` is one float, or one per trip.  The cost
+    normals come after, from the same lanes (``cost_trips``).
     """
     n = len(lanes)
-    drawn = np.broadcast_to(np.asarray(drawn, dtype=bool),
-                            (n, np.shape(drawn)[-1]))
     n_legs, distances = _legs(
         np.broadcast_to(np.asarray(trip_distance, dtype=float), n), min_leg,
         lanes)
-    starts = np.cumsum(n_legs)
-    starts -= n_legs
-
-    n_modes = drawn.shape[1]
     modes = np.zeros(len(distances), dtype=np.min_scalar_type(n_modes - 1))
     if n_modes > 1:
+        starts = np.cumsum(n_legs)
+        starts -= n_legs
         active = np.arange(n)
         for k in range(int(n_legs.max(initial=0))):
             active = active[n_legs[active] > k]
-            modes[starts[active] + k] = lanes.indices(padded(active),
-                                                      n_modes)[:active.size]
-    counts = n_legs * np.intp(handling_drawn)
-    if n:
-        counts += np.add.reduceat(drawn[np.repeat(np.arange(n), n_legs),
-                                        modes], starts, dtype=np.intp)
-    return TripDraws(n_legs, distances, modes, counts, lanes)
+            modes[starts[active] + k] = lanes.indices(active, n_modes)
+    return TripDraws(n_legs, distances, modes, lanes)
 
 
 def cost_trips(trips: TripDraws, table: CostTable,
@@ -344,27 +323,31 @@ def cost_trips(trips: TripDraws, table: CostTable,
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
-    sigma * z), or exp(mu) for a cost that draws nothing, as in
-    ``sample_lognormal``; handling is charged once per leg, including the
-    first.  Only the table cells the legs use are costed, each once per
-    call (``CostTable.at``).  A trip's cost and each mode's kilometres are
-    summed left to right in leg order: ``np.add.at`` adds one index at a
-    time, in index order, where numpy's pairwise reductions would round a
-    trip of 8 or more legs differently.
+    sigma * z), or exp(mu) for a cost whose sigma is 0, which draws
+    nothing, as in ``sample_lognormal``; handling is charged once per leg,
+    including the first.  A trip takes one normal per cost that draws, in
+    (operational, handling) order leg by leg.  Only the table cells the
+    legs use are costed, each once per call (``CostTable.at``, which draws
+    nothing), before the normals are drawn.  A trip's cost and each mode's
+    kilometres are summed left to right in leg order: ``np.add.at`` adds
+    one index at a time, in index order, where numpy's pairwise reductions
+    would round a trip of 8 or more legs differently.
     """
-    n_legs, distances, modes, counts, lanes = trips
-    z = lanes.normals(counts)
+    n_legs, distances, modes, lanes = trips
     n_modes = table.means.shape[1]
     trip = np.repeat(np.arange(len(n_legs)), n_legs)
     cell = rows.take(trip)
     cell *= n_modes
     cell += modes
-    drawn = table.drawn.take(cell)
     mu, sigma, op_cost = table.at(cell)
     del cell
+    drawn = sigma != 0.0
     handling_drawn = handling_params.sigma != 0.0
-    # The first of each leg's normals in the trips' concatenated draws.
+    # The normals of the trips' legs up to each leg, in leg order; a trip
+    # takes those up to its last leg less those up to the trip before's.
     first = np.cumsum(drawn + np.intp(handling_drawn))
+    z = lanes.normals(np.diff(first.take(np.cumsum(n_legs) - 1), prepend=0))
+    # The first of each leg's normals in the trips' concatenated draws.
     first -= drawn
     first -= handling_drawn
 

@@ -30,8 +30,8 @@ class StubStream:
         return np.array([next(self._normals) for _ in range(size)])
 
     # The block interface of a one-lane ``Lanes``, each draw taken from the
-    # scalar calls above.  Every entry of ``sel`` is lane 0 (a padded set
-    # repeats it), so each call takes one draw.
+    # scalar calls above.  ``sel`` names lane 0 alone, so each call takes
+    # one draw.
     def __len__(self):
         return 1
 

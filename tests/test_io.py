@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -606,6 +607,39 @@ class TestCli:
         assert captured.out == ""
         assert (tmp_path / "scenario.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    def test_simulate_csv_hard_linked_to_the_config_writes_nothing(
+            self, tmp_path, capsys):
+        # Paths were compared resolved only: the run exited 0 and wrote its
+        # CSV into the config through the link.
+        cfg = self.write_config(tmp_path)
+        before = (tmp_path / "scenario.json").read_bytes()
+        os.link(cfg, tmp_path / "link.json")
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out-csv", str(tmp_path / "link.json")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--out-csv" in lines[0] and "--config" in lines[0]
+        assert captured.out == ""
+        assert (tmp_path / "scenario.json").read_bytes() == before
+
+    def test_simulate_hard_linked_outputs_write_nothing(self, tmp_path,
+                                                        capsys):
+        # The run exited 0, and the SVG replaced the CSV through the link.
+        cfg = self.write_config(tmp_path)
+        (tmp_path / "out.csv").write_text("old")
+        os.link(tmp_path / "out.csv", tmp_path / "out.svg")
+        rc = cli.main(["simulate", "--config", cfg,
+                       "--out-csv", str(tmp_path / "out.csv"),
+                       "--out-svg", str(tmp_path / "out.svg")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""
+        assert (tmp_path / "out.csv").read_text() == "old"
 
     def test_simulate_missing_output_directory_writes_nothing(self, tmp_path,
                                                               capsys):

@@ -13,7 +13,7 @@ import oracle
 from freightsim import _ziggurat
 from freightsim.config import ScenarioConfig, resolve_registry
 from freightsim.evolution import replicate_trajectories, run_scenario
-from freightsim.lanes import _SLICE, Lanes, _jump, _lcg, padded
+from freightsim.lanes import _SLICE, Lanes, _jump, _lcg
 from freightsim.stochastics import _CHUNK
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -150,9 +150,8 @@ class TestLaneUniformsAndIndicesMatchGenerator:
         lanes = lanes_of(states)
         gens = [generator_of(*s) for s in states]
         for kind, n, chosen in rounds:
-            # A padded set repeats lanes; each lane still draws once.
             lanes_drawn = np.flatnonzero(chosen[:len(states)])
-            sel = padded(lanes_drawn)
+            sel = lanes_drawn
             if kind == "uniform":
                 high = 1.0 + sel * 1e8
                 got = lanes.uniforms(sel, 0.5, high).tolist()

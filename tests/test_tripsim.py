@@ -112,8 +112,8 @@ def simulate_and_cost(trip_distance, weight, mode_cost_means,
     its cost, leg count and per-mode distance fractions."""
     table = CostTable(np.array([mode_cost_means], dtype=float),
                       np.array(cost_stdev_fractions, dtype=float))
-    trip = simulate_trip(trip_distance, table.drawn[0],
-                         handling_params.sigma != 0.0, stream, min_leg=min_leg)
+    trip = simulate_trip(trip_distance, len(mode_cost_means), stream,
+                         min_leg=min_leg)
     cost, n_legs, fractions = cost_trips(trip, table, handling_params,
                                          weight, np.zeros(1, dtype=np.intp))
     return float(cost[0]), int(n_legs[0]), fractions[0].tolist()
@@ -195,13 +195,12 @@ class TestSimulateTrip:
             for m, mean in enumerate(row):
                 p = lognormal_from_moments(mean, fractions[m] * mean)
                 assert (mu[t, m], sigma[t, m]) == (p.mu, p.sigma)
-                assert table.drawn[t][m] == (p.sigma != 0.0)
                 if p.sigma == 0.0:
                     assert exp_mu[t, m] == math.exp(p.mu)
         # A table is used as it stands: exp(0) = 1 per tonne-km.
         ones = CostTable(np.ones((1, 3)), np.zeros(3))
         stream = one_lane(0, ["cache"])
-        trip = simulate_trip(10_000.0, ones.drawn[0], False, stream)
+        trip = simulate_trip(10_000.0, 3, stream)
         cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
                                      50_000.0, np.zeros(1, dtype=np.intp))
         assert cost[0] == pytest.approx(n_legs[0] * 50_000.0 * 4.59
@@ -271,8 +270,7 @@ class TestLegSumsAfterTheCorrection:
     def test_corrected_legs_can_sum_one_ulp_below_the_trip(self):
         table = CostTable(np.array([[0.0196, 0.046, 0.03]]), np.zeros(3))
         stream = StubStream(uniforms=self.LEGS, integers=[0, 1, 2])
-        trips = simulate_trip(self.DISTANCE, table.drawn[0], False, stream,
-                              min_leg=1.0)
+        trips = simulate_trip(self.DISTANCE, 3, stream, min_leg=1.0)
         legs = trips.distances.tolist()
         assert legs == [*self.LEGS[:2], 1227.1243881562366]
         span = math.fsum(legs)
@@ -484,7 +482,7 @@ class TestLegRoundingPastTheLastLeg:
 
     def test_block_legs_raise_a_config_error(self):
         with pytest.raises(ConfigError, match="trip_distance_km.*min_leg_km"):
-            simulate_trip(1e18, [False], False, ThirtyFivePercentStream())
+            simulate_trip(1e18, 1, ThirtyFivePercentStream())
 
     def test_run_raises_a_config_error(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], iterations=50,
@@ -498,7 +496,7 @@ class TestCostRuns:
     @staticmethod
     def cuts(n_legs):
         n_legs = np.array(n_legs, dtype=np.intp)
-        return TripDraws(n_legs, None, None, None, None).cuts()
+        return TripDraws(n_legs, None, None, None).cuts()
 
     # Leg 4 is the second leg of the last trip, which starts no run.
     def test_a_run_edge_inside_the_last_trip_adds_no_run(self, monkeypatch):
@@ -527,8 +525,8 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
     table = CostTable(np.array(means), np.array(fractions))
     lanes = next(derive_lanes(seed, [["oracle", t]
                                      for t in range(len(trip_distances))]))
-    trips = simulate_trip(np.array(trip_distances), table.drawn,
-                          handling.sigma != 0.0, lanes, min_leg=1.0)
+    trips = simulate_trip(np.array(trip_distances), len(fractions), lanes,
+                          min_leg=1.0)
     cost, n_legs, frac = cost_trips(trips, table, handling, weight,
                                     np.arange(len(trip_distances)))
     for t, (distance, row) in enumerate(zip(trip_distances, means)):
@@ -639,7 +637,6 @@ class TestCostTableCostsUsedCells:
                                                          p.sigma.hex())
                 assert exp_mu[i] == (math.exp(p.mu) if p.sigma == 0.0
                                      else 0.0)
-        assert table.drawn.ravel().tolist() == [p.sigma != 0.0 for p in want]
 
     def test_a_cell_is_costed_once(self, monkeypatch):
         means = np.array([[0.0196, 0.046, 0.03], [0.018, 0.045, 0.0291]])
