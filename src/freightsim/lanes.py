@@ -4,8 +4,8 @@ A :class:`Lanes` holds many independent streams, each in the state numpy's
 ``PCG64`` would hold, and takes the k-th draw of any set of them at once,
 each lane once, with numpy's own arithmetic.  Normals are drawn flat:
 every normal a call needs, from the state jump-ahead gives for its output,
-with numpy's whole ziggurat on the lanes.  ``freightsim.stochastics`` seeds the lanes from label paths;
-the engine draws through them alone.
+with numpy's whole ziggurat on the lanes.  ``freightsim.stochastics``
+seeds the lanes from label paths; the engine draws through them alone.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Mutation checks: each mutant breaks one fragment of ``src/`` in a copy,
 and the tests named for it must then fail.
 
-Run from anywhere with ``python3 tests/mutants.py`` (``-k NAME`` runs the
-mutants whose names contain NAME).  For each mutant the runner copies
-``src/`` to a temporary directory, replaces the mutant's fragment, which
-must occur exactly once in its file, and runs the mutant's tests against
-the copy.  It prints one line per mutant and exits non-zero if a fragment
-is missing or not unique, if a test id is not found, or if a mutant
-survives: a test it names passes.  pytest does not collect this file.
+Run from anywhere with ``python3 tests/mutants.py``.  For each mutant
+the runner copies ``src/`` to a temporary directory, replaces the
+mutant's fragment, which must occur exactly once in its file, and runs
+the mutant's tests against the copy.  It prints one line per mutant and
+exits non-zero if a fragment is missing or not unique, if a test id is
+not found, or if a mutant survives: a test it names passes.  pytest does
+not collect this file.
 
 A mutant that no test kills is a line whose change the tests cannot see;
 add a test that fails on it, not a weaker mutant.
@@ -15,7 +15,6 @@ add a test that fails on it, not a weaker mutant.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -40,7 +39,8 @@ TINY = "tests/test_oracle.py::TestTinySpreadsMatchOracle::" \
        "test_the_cell_draws_where_the_oracle_does"
 COLUMNAR = "tests/test_tripsim.py::TestColumnarCostingMatchesScalarLoop::" \
            "test_cost_and_fractions_bit_for_bit"
-GOLDEN = "tests/test_golden_digest.py::test_output_bytes_match_recorded_digests"
+GOLDEN = "tests/test_golden_digest.py::" \
+         "test_output_bytes_match_recorded_digests"
 
 MUTANTS = [
     # A spread too small to move the cost still draws a normal, which moves
@@ -108,8 +108,7 @@ def run(mutant: Mutant) -> tuple[bool, str]:
             return False, f"fragment found {found} times in {mutant.file}"
         path.write_text(text.replace(mutant.fragment, mutant.replacement),
                         "utf-8")
-        env = {**os.environ, "PYTHONPATH": str(src),
-               "PYTHONDONTWRITEBYTECODE": "1"}
+        env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
              "no:cacheprovider", *mutant.tests],
@@ -125,15 +124,9 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     return True, f"killed by {len(mutant.tests)} test(s)"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="",
-                        help="run the mutants whose names contain this")
-    args = parser.parse_args(argv)
+def main() -> int:
     ok = True
     for mutant in MUTANTS:
-        if args.k not in mutant.name:
-            continue
         killed, how = run(mutant)
         ok &= killed
         print(f"{'ok  ' if killed else 'FAIL'} {mutant.name}: {how}",
