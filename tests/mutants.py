@@ -39,6 +39,9 @@ TINY = "tests/test_oracle.py::TestTinySpreadsMatchOracle::" \
        "test_the_cell_draws_where_the_oracle_does"
 COLUMNAR = "tests/test_tripsim.py::TestColumnarCostingMatchesScalarLoop::" \
            "test_cost_and_fractions_bit_for_bit"
+HANDLING_EXAMPLE = "tests/test_tripsim.py::" \
+                   "TestColumnarCostingMatchesScalarLoop::" \
+                   "test_examples_draw_handling_from_the_first_leg"
 GOLDEN = "tests/test_golden_digest.py::" \
          "test_output_bytes_match_recorded_digests"
 
@@ -63,13 +66,14 @@ MUTANTS = [
            "x = z[first[drawn]]", "x = z[first[drawn] + handling_drawn]",
            ("tests/test_tripsim.py::TestSimulateTripDrawOrder::"
             "test_normals_pair_with_operational_then_handling_per_leg",
-            f"{GOLDEN}[all-modes-per-replicate]")),
+            HANDLING_EXAMPLE, f"{GOLDEN}[all-modes-per-replicate]")),
     # Each trip takes every normal up to its last leg, its earlier trips'
     # included.
     Mutant("counts-not-differenced", "tripsim.py",
            "np.diff(first.take(np.cumsum(n_legs) - 1), prepend=0)",
            "first.take(np.cumsum(n_legs) - 1)",
-           (COLUMNAR, f"{GOLDEN}[all-modes-per-replicate]")),
+           (COLUMNAR, HANDLING_EXAMPLE,
+            f"{GOLDEN}[all-modes-per-replicate]")),
     # The product runs across trajectories instead of along the years.
     Mutant("accumulate-across-trajectories", "evolution.py",
            "np.multiply.accumulate(out, axis=1, out=out)",

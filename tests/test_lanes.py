@@ -3,6 +3,7 @@ ziggurat tables, normals on the fast path and off it, uniforms and
 Lemire indices."""
 
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,26 @@ class TestFlatNormals:
     ])
     def test_counts_across_the_slice_edge(self, counts):
         assert_normals_match(random_states(len(counts), len(counts)), counts)
+
+    # 81,920 normals in one call: each slice's work arrays hold about
+    # _SLICE outputs, a peak of about 0.8 MiB past the output.  One slice
+    # of the whole call works in arrays of every output, about 12 MiB.
+    PEAK_BOUND = 1024 * 1024
+
+    def test_a_wide_call_works_in_slices(self):
+        words = np.random.default_rng(7).integers(
+            0, 2**64, size=(8192, 4), dtype=np.uint64)
+        lanes = Lanes.from_seed_words(words)
+        counts = np.full(8192, 10)
+        lanes[:1].normals(counts[:1])  # the jump table, grown past 10 rows
+        tracemalloc.start()
+        try:
+            out = lanes.normals(counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == counts.sum()
+        assert peak - out.nbytes <= self.PEAK_BOUND
 
     def test_jump_is_k_lcg_steps(self):
         ks = [0, 1, 2, 63, 64, 65, 2049]

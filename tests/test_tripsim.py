@@ -573,6 +573,15 @@ class TestColumnarCostingMatchesScalarLoop:
             50_000.0)
         assert n_legs[0] == 1 and n_legs[1] >= 20
 
+    # Every leg draws a handling normal, the one-leg first trip's too.  Of
+    # three trips, the last reads its normals after the second's, which a
+    # second lane that drew the first trip's count as well would shift.
+    def test_examples_draw_handling_from_the_first_leg(self):
+        n_legs = check_columnar_costing(
+            3, [0.5, 0.5, 1e12], [[0.0196, 0.046]] * 3, [0.25, 0.25], 0.25,
+            50_000.0)
+        assert n_legs[0] == 1 and n_legs[-1] > 10
+
 
 # Means whose math.log differs from numpy's in the last bit, on an x86-64
 # build of numpy 2.4 with AVX-512.
