@@ -6,6 +6,7 @@ each lane once, with numpy's own arithmetic.  Normals are drawn flat:
 every normal a call needs, from the state jump-ahead gives for its output,
 with numpy's whole ziggurat on the lanes.  ``freightsim.stochastics``
 seeds the lanes from label paths; the engine draws through them alone.
+Ragged work is cut into runs of whole items by one rule, ``cuts``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,19 @@ _TO_UNIT = 1.0 / 9007199254740992.0
 # writes them.
 _TAIL_R = 3.6541528853610087963519472518
 _TAIL_INV_R = 0.27366123732975827203338247596
-# Outputs that a pass of ``Lanes.normals`` draws at once: the pass's work
-# arrays stay at tens of KiB however many normals a call takes.
+# Outputs per slice of a ``Lanes.normals`` pass, cut at whole lanes: the
+# pass's work arrays stay at tens of KiB however many normals a call takes.
 _SLICE = 2048
+
+
+def cuts(sizes: np.ndarray, width: int) -> list[int]:
+    """The first item of each run of items taken at once, then the item
+    count (``[0]`` for no items): an item whose first unit is unit u of all
+    the items' is in run u // ``width``, and a run that no item starts in
+    is left out."""
+    firsts = np.cumsum(sizes) - sizes
+    starts = firsts.searchsorted(np.arange(0, sizes.sum(), width))
+    return sorted({*starts.tolist(), len(firsts)})
 
 
 def _words(value: int) -> tuple[int, int, int, int]:
@@ -233,10 +244,10 @@ class Lanes:
         in lane order: numpy's ziggurat (Marsaglia and Tsang, J. Stat.
         Softw. 5(8), 2000), each lane on its own stream.
 
-        A pass takes every normal that lanes still need at once, from the
-        state each lane's k-th output is drawn in, found by jump-ahead
-        (``_jump``).  An output gives a layer (its low byte), a sign and a
-        52-bit ``rabs``, and the normal is ``0.0 + 1.0 * ±rabs * WI[layer]``.
+        A pass takes every normal the lanes still need, whole lanes at a
+        time, from the states jump-ahead (``_jump``) gives their outputs.
+        An output gives a layer (its low byte), a sign and a 52-bit
+        ``rabs``, and the normal is ``0.0 + 1.0 * ±rabs * WI[layer]``.
         A lane stops at its first output with ``rabs >= KI[layer]``, off
         the fast path; ``_off_path`` finishes that normal on all stopped
         lanes together, and their remaining normals go to the next pass.
@@ -249,11 +260,11 @@ class Lanes:
         first = ends[lanes] - need
         del ends
         while lanes.size:
-            stopped, k, r = self._pass(lanes, need, first, out)
-            if not k.size:
-                break
-            lanes, slot = lanes[stopped], first[stopped] + k - 1
-            z, done = self._off_path(lanes, r)
+            k, r = self._pass(lanes, need, first, out)
+            stopped = k > 0
+            lanes, k = lanes[stopped], k[stopped]
+            slot = first[stopped] + k - 1
+            z, done = self._off_path(lanes, r[stopped])
             z += 0.0
             out[slot[done]] = z[done]
             # A rejected draw starts again from a fresh output: the slot
@@ -264,34 +275,22 @@ class Lanes:
         return out
 
     def _pass(self, lanes: np.ndarray, need: np.ndarray, first: np.ndarray,
-              out: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Write ``need[i]`` fast-path normals of each lane ``lanes[i]`` to
-        ``out[first[i]:]``, ``_SLICE`` outputs at a time, and leave each
-        lane in the state of its last output, or of its first output off
-        the fast path.  Returns which lanes stopped there, after how many
-        outputs, and those outputs; the slots past a stop hold values
-        that the next pass writes again."""
-        m = lanes.size
+              out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``need[i]`` fast-path normals of lane ``lanes[i]`` to
+        ``out[first[i]:]``, the lanes of each run of ``cuts(need, _SLICE)``
+        at once, stopping each lane at its first output off the fast path;
+        return each stop's count k (0 for none) and output."""
         ends = np.cumsum(need)
-        total = int(ends[-1])
-        new_hi, new_lo = np.empty((2, m), dtype=np.uint64)
-        stopped = np.zeros(m, dtype=bool)
-        stop_k = np.empty(m, dtype=np.intp)
-        stop_r = np.empty(m, dtype=np.uint64)
-        for a in range(0, total, _SLICE):
-            b = min(a + _SLICE, total)
-            # Outputs a to b are those of lanes l0 to l1, the first and the
-            # last perhaps in part; lanes l0 to l_end end in the slice.
-            l0, l1, l_end = ends.searchsorted((a, b - 1, b), "right")
-            n = need[l0:l1 + 1].copy()
+        stop_k = np.zeros(lanes.size, dtype=np.intp)
+        stop_r = np.empty(lanes.size, dtype=np.uint64)
+        edges = cuts(need, _SLICE)
+        for l0, l1 in zip(edges, edges[1:]):
+            n = need[l0:l1]
+            starts = ends[l0:l1] - n
             # Output g of the pass is output k = g + 1 - starts of its lane,
-            # written to out[first + k - 1]; only the slice's lanes' starts
-            # are formed.
-            starts = ends[l0:l1 + 1] - n
-            n[0] -= a - starts[0]
-            n[-1] -= ends[l1] - b
-            j = np.repeat(np.arange(l0, l1 + 1), n)
-            g = np.arange(a, b)
+            # written to out[first + k - 1].
+            j = np.repeat(np.arange(l0, l1), n)
+            g = np.arange(starts[0], ends[l1 - 1])
             k = g + 1
             k -= np.repeat(starts, n)
             # Each output's lane state and increment words, gathered per
@@ -305,28 +304,22 @@ class Lanes:
             x = _signed(rabs * _WI[layer], r)
             # numpy returns 0.0 + 1.0 * x, which only turns -0.0 into 0.0.
             x += 0.0
-            g += np.repeat(first[l0:l1 + 1] - starts, n)
+            g += np.repeat(first[l0:l1] - starts, n)
             out[g] = x
-            # Lane l0 may have stopped in an earlier slice; it keeps that
-            # state.
-            spans = a and stopped[l0]
-            at = ends[l0 + spans:l_end] - (a + 1)
-            new_hi[l0 + spans:l_end], new_lo[l0 + spans:l_end] = hi[at], lo[at]
+            at = ends[l0:l1] - (starts[0] + 1)
             slow = np.flatnonzero(rabs >= _KI[layer])
             if slow.size:
                 js = j[slow]
                 head = np.ones(slow.size, dtype=bool)
                 np.not_equal(js[1:], js[:-1], out=head[1:])
-                if spans:
-                    head &= js != l0
                 slow, js = slow[head], js[head]
-                stopped[js] = True
                 stop_k[js], stop_r[js] = k[slow], r[slow]
-                new_hi[js], new_lo[js] = hi[slow], lo[slow]
+                at[js - l0] = slow
+            sel = lanes[l0:l1]
+            self.hi[sel], self.lo[sel] = hi[at], lo[at]
             # Free this slice's arrays before the next slice builds its own.
             del j, g, k, lane, hi, lo, r, layer, rabs, x
-        self.hi[lanes], self.lo[lanes] = new_hi, new_lo
-        return stopped, stop_k[stopped], stop_r[stopped]
+        return stop_k, stop_r
 
     def _off_path(self, sel: np.ndarray, r: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ time (``cost_trips``).  The last leg's rounding correction and the
 distance fractions' denominator are each trip's legs summed as
 ``math.fsum`` sums them, by one error-free split of the legs into two
 parts whose sums are exact (``_trip_sums``, by ``group_fsums``, which
-``analysis.summarize`` also uses), with no Python call per trip.
+``analysis.summarize`` also uses), with no Python call per trip.  Costs
+and sums take runs of whole trips of about ``_LEG_SLICE`` legs (``cuts``).
 ``generate_leg_distances`` and ``assign_modes`` draw one trip from any
 stream with ``uniform`` and ``integers``.
 """
@@ -23,17 +24,15 @@ from typing import NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .config import ConfigError
+from .lanes import cuts
 from .stochastics import LogNormalParams, lognormal_params, lognormal_ratios
 
 _T = TypeVar("_T")
 
-# Legs whose work arrays are alive together: a block's legs are costed, and
-# a cost table's cells checked, about this many at a time, so those arrays
-# stay the same size however wide the block.
+# Legs whose work arrays are alive together: a block's legs are costed and
+# summed, and a cost table's cells checked, about this many at a time, so
+# those arrays stay the same size however wide the block.
 _LEG_SLICE = 8192
-# Trips whose legs are summed at once, so the sums' leg-sized work arrays
-# stay those of about this many trips however wide the block.
-_SUM_TRIPS = 1024
 # The exponent field's place in a double's bits, and a one, as uint64.
 _FIELD = np.uint64(52)
 _ONE = np.uint64(1)
@@ -160,14 +159,8 @@ class TripDraws(NamedTuple):
 
     def cuts(self) -> list[int]:
         """The first trip of each run of trips that ``cost_trips`` takes at
-        once, then the trip count: a trip whose first leg is leg k of the
-        block is in run k // ``_LEG_SLICE``, and a run that no trip starts
-        in is left out."""
-        firsts = np.cumsum(self.n_legs) - self.n_legs
-        starts = np.searchsorted(firsts, np.arange(0, self.n_legs.sum(),
-                                                   _LEG_SLICE))
-        # A multiple of _LEG_SLICE inside the last trip finds no trip.
-        return sorted({*starts.tolist(), len(firsts)})
+        once, then the trip count: ``cuts`` of the legs by ``_LEG_SLICE``."""
+        return cuts(self.n_legs, _LEG_SLICE)
 
     def part(self, a: int, b: int) -> "TripDraws":
         """Trips a to b, as views: drawing from their lanes advances these
@@ -230,17 +223,15 @@ def group_fsums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _trip_sums(distances: np.ndarray, n_legs: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each trip's legs, stored trip by trip, ``n_legs[i]``
-    of them for trip i, by ``group_fsums`` ``_SUM_TRIPS`` trips at a time,
-    unless every trip is one leg, its own sum."""
+    of them for trip i, by ``group_fsums`` on each run of ``cuts(n_legs,
+    _LEG_SLICE)``, unless every trip is one leg, its own sum."""
     if len(distances) == len(n_legs):
         return distances.copy()
-    sums = np.empty(len(n_legs))
     ends = np.cumsum(n_legs)
-    for a in range(0, len(n_legs), _SUM_TRIPS):
-        n = n_legs[a:a + _SUM_TRIPS]
-        sums[a:a + n.size] = group_fsums(
-            distances[ends[a] - n[0]:ends[a + n.size - 1]], n)
-    return sums
+    edges = cuts(n_legs, _LEG_SLICE)
+    return np.concatenate([
+        group_fsums(distances[ends[a] - n_legs[a]:ends[b - 1]], n_legs[a:b])
+        for a, b in zip(edges, edges[1:])])
 
 
 def _legs(distance: np.ndarray, min_leg: float,

@@ -73,12 +73,11 @@ def assert_matches_oracle(cfg):
 @st.composite
 def widths(draw):
     """A block width (``stochastics._CHUNK``, trip paths per replicate
-    group), a cost-run width (``tripsim._LEG_SLICE``, legs) and a leg-sum
-    width (``tripsim._SUM_TRIPS``, trips), small enough that a config of a
-    few hundred replicates crosses the edges of each, and large enough
-    that it runs in a few hundred calls."""
-    return (draw(st.integers(64, 1024)), draw(st.integers(32, 1024)),
-            draw(st.integers(4, 256)))
+    group) and a width of the runs trips are costed and summed in
+    (``tripsim._LEG_SLICE``, legs), small enough that a config of a few
+    hundred replicates crosses the edges of each, and large enough that it
+    runs in a few hundred calls."""
+    return draw(st.integers(64, 1024)), draw(st.integers(32, 1024))
 
 
 EDGE = ScenarioConfig(
@@ -93,14 +92,12 @@ EDGE = ScenarioConfig(
 class TestRunScenarioMatchesOracle:
     @settings(max_examples=40, deadline=None)
     @given(cfg=configs(), widths=widths())
-    @example(cfg=EDGE, widths=(stochastics._CHUNK, tripsim._LEG_SLICE,
-                               tripsim._SUM_TRIPS))
-    @example(cfg=EDGE, widths=(64, 32, 4))
+    @example(cfg=EDGE, widths=(stochastics._CHUNK, tripsim._LEG_SLICE))
+    @example(cfg=EDGE, widths=(64, 32))
     def test_bit_for_bit(self, cfg, widths):
-        chunk, leg_slice, sum_trips = widths
+        chunk, leg_slice = widths
         with mock.patch.object(stochastics, "_CHUNK", chunk), \
-                mock.patch.object(tripsim, "_LEG_SLICE", leg_slice), \
-                mock.patch.object(tripsim, "_SUM_TRIPS", sum_trips):
+                mock.patch.object(tripsim, "_LEG_SLICE", leg_slice):
             assert_matches_oracle(cfg)
 
     # EDGE's 300 replicates, scaled with the block width: 4 trip paths a
@@ -113,13 +110,12 @@ class TestRunScenarioMatchesOracle:
         assert cfg.iterations * years > _CHUNK
         assert_matches_oracle(cfg)
 
-    # Cost runs a few legs long, so most of their edges fall inside a trip,
-    # some inside a block's last trip; leg sums over groups of a few trips.
+    # Cost and leg-sum runs a few legs long, so most of their edges fall
+    # inside a trip, some inside a block's last trip.
     @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
     @pytest.mark.parametrize("size", [1, 4, 7])
     def test_cost_runs_cut_inside_trips(self, monkeypatch, policy, size):
         monkeypatch.setattr(tripsim, "_LEG_SLICE", size)
-        monkeypatch.setattr(tripsim, "_SUM_TRIPS", size)
         cfg = ScenarioConfig(**{**vars(EDGE), "evolution_policy": policy,
                                 "iterations": 40})
         assert (run_scenario(cfg).n_legs > size).any()
