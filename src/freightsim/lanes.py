@@ -278,8 +278,9 @@ class Lanes:
               out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write ``need[i]`` fast-path normals of lane ``lanes[i]`` to
         ``out[first[i]:]``, the lanes of each run of ``cuts(need, _SLICE)``
-        at once, stopping each lane at its first output off the fast path;
-        return each stop's count k (0 for none) and output."""
+        at once.  A lane stops at its first output off the fast path and is
+        left in the state of that output, or of its last; returns each
+        lane's stop count k (0 for none) and output."""
         ends = np.cumsum(need)
         stop_k = np.zeros(lanes.size, dtype=np.intp)
         stop_r = np.empty(lanes.size, dtype=np.uint64)
@@ -306,7 +307,7 @@ class Lanes:
             x += 0.0
             g += np.repeat(first[l0:l1] - starts, n)
             out[g] = x
-            at = ends[l0:l1] - (starts[0] + 1)
+            at = ends[l0:l1] - (starts[0] + 1)  # each lane's last output
             slow = np.flatnonzero(rabs >= _KI[layer])
             if slow.size:
                 js = j[slow]

@@ -44,6 +44,9 @@ HANDLING_EXAMPLE = "tests/test_tripsim.py::" \
                    "test_examples_draw_handling_from_the_first_leg"
 GOLDEN = "tests/test_golden_digest.py::" \
          "test_output_bytes_match_recorded_digests"
+LANE_NORMALS = "tests/test_lanes.py::TestLaneNormalsMatchGenerator::" \
+               "test_values_and_final_states"
+FLAT = "tests/test_lanes.py::TestFlatNormals::"
 
 MUTANTS = [
     # A spread too small to move the cost still draws a normal, which moves
@@ -88,6 +91,39 @@ MUTANTS = [
            "            pass\n",
            ("tests/test_tripsim.py::TestCostTable::"
             "test_an_unused_entry_that_cannot_be_matched_is_rejected",)),
+    # An item that starts on a run's first unit joins the run before, so
+    # the first lane or trip is in no run.
+    Mutant("cuts-right", "lanes.py",
+           "starts = firsts.searchsorted(np.arange(0, sizes.sum(), width))",
+           "starts = firsts.searchsorted(np.arange(0, sizes.sum(), width), "
+           "\"right\")",
+           ("tests/test_tripsim.py::TestCostRuns::"
+            "test_a_run_edge_inside_the_last_trip_adds_no_run",
+            f"{FLAT}test_counts_across_the_slice_edge[counts1]")),
+    # A stopped lane is left in the state of its slice's last output, not
+    # of its stop, so the slow path draws from the wrong state.
+    Mutant("stop-state-unpointed", "lanes.py",
+           "                at[js - l0] = slow\n", "",
+           (LANE_NORMALS,
+            f"{FLAT}test_counts_across_the_slice_edge[counts0]")),
+    # The mask marks each lane's last output off the fast path, not its
+    # first, so a lane with two in one pass keeps the later one.
+    Mutant("later-stop", "lanes.py",
+           "np.not_equal(js[1:], js[:-1], out=head[1:])",
+           "np.not_equal(js[1:], js[:-1], out=head[:-1])",
+           (f"{FLAT}test_counts_across_the_slice_edge[counts0]",
+            f"{FLAT}test_wedge_rejection_redraws_into_the_tail")),
+    # Every wedge draw is kept: no rejected normal starts again.
+    Mutant("every-wedge-accepted", "lanes.py",
+           "done[wedge] = (_FI[layer - 1] - fi) * u + fi < bound",
+           "done[wedge] = True",
+           (LANE_NORMALS,
+            f"{FLAT}test_wedge_rejection_redraws_into_the_tail")),
+    # A pass takes the whole call as one slice: its work arrays grow with
+    # the call.
+    Mutant("one-slice", "lanes.py",
+           "edges = cuts(need, _SLICE)", "edges = [0, lanes.size]",
+           (f"{FLAT}test_a_wide_call_works_in_slices",)),
     # Output paths compared resolved only: hard links get through.
     Mutant("hard-links-by-resolve", "cli.py",
            "return a == b or a.samefile(b)", "return a == b",
