@@ -273,7 +273,7 @@ class TestFlatNormals:
         assert_normals_match(random_states(len(counts), len(counts)), counts)
 
     # 81,920 normals in one call: each slice's work arrays hold about
-    # _SLICE outputs, a peak of about 0.8 MiB past the output.  One slice
+    # _SLICE outputs, a peak of 0.7-0.8 MiB past the output.  One slice
     # of the whole call works in arrays of every output, about 12 MiB.
     PEAK_BOUND = 1024 * 1024
 
