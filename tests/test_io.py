@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freightsim.config import (ConfigError, ScenarioConfig, config_to_json,
-                               load_config, resolve_registry)
+from freightsim.config import (ConfigError, ScenarioConfig, config_fingerprint,
+                               config_to_json, load_config, resolve_registry)
 from freightsim.evolution import run_scenario
 from freightsim.numtext import _FAST, format_f2, format_g17
 from freightsim.report import (PlotSpec, _ramp_rgb, cost_axis_value,
@@ -347,6 +347,21 @@ class TestSvg:
         with pytest.raises(ValueError):
             render_scatter_svg(small_results(), PlotSpec(focus_mode="air"),
                                io.StringIO())
+
+    @pytest.mark.parametrize("end_year,labels", [
+        (2138, list(range(2018, 2139, 10))),
+        (2170, list(range(2018, 2159, 20))),
+    ], ids=["120-years", "152-years"])
+    def test_year_labels_step_past_120_years(self, end_year, labels):
+        buf = io.StringIO()
+        render_scatter_svg(small_results(iterations=2, end_year=end_year),
+                           PlotSpec(focus_mode="ocean"), buf)
+        root = ET.fromstring(buf.getvalue())
+        years = [int(e.text) for e in root.iter()
+                 if e.tag.endswith("text")
+                 and e.get("text-anchor") == "middle"
+                 and e.text.isdigit()]
+        assert years == labels
 
     @pytest.mark.parametrize("results,focus", [
         (small_results(), "air"),
@@ -792,6 +807,74 @@ class TestMalformedConfigValues:
                                       "min_leg_km": 50}))
         assert cfg.trip_distance_km == 5000
         assert isinstance(cfg.trip_distance_km, int)
+
+
+def _ocean(**fields):
+    """A config of ocean alone, overriding ``fields`` of it."""
+    return {"enabled_modes": ["ocean"], "modes": [{"id": "ocean", **fields}]}
+
+
+_FULL_MODE = {"base_cost_mean": 1.0, "base_year": 2018,
+              "improvement_rate_mean": 0.01}
+# The ConfigErrors that no other test reaches, as the CLI reports them: a
+# config document and the text its one error line must contain.
+UNREACHED_CONFIG_ERRORS = [
+    pytest.param({"enabled_modes": ["ocean", "ocean"]},
+                 "enabled_modes contains duplicates",
+                 id="duplicate-enabled-mode"),
+    pytest.param({"enabled_modes": ["ocean"], "modes": [5]},
+                 "modes entries must be objects with an 'id'",
+                 id="mode-entry-not-an-object"),
+    pytest.param({"enabled_modes": ["ocean"],
+                  "modes": [{"base_cost_mean": 1.0}]},
+                 "modes entries must be objects with an 'id'",
+                 id="mode-entry-without-id"),
+    pytest.param([], "config document must be a JSON object",
+                 id="document-not-an-object"),
+    pytest.param({"enabled_modes": ["hovercraft"],
+                  "modes": [{"id": "hovercraft", "base_cost_mean": 1.0}]},
+                 "modes['hovercraft']: missing fields "
+                 "['base_year', 'improvement_rate_mean']",
+                 id="new-mode-missing-fields"),
+    pytest.param(_ocean(cost_stdev_fraction=-0.5),
+                 "invalid mode registry: ocean: cost_stdev_fraction "
+                 "must be >= 0", id="negative-mode-cost-stdev"),
+    pytest.param(_ocean(rate_stdev_fraction=-1),
+                 "invalid mode registry: ocean: rate_stdev_fraction "
+                 "must be >= 0", id="negative-mode-rate-stdev"),
+    pytest.param(_ocean(base_cost_mean=-1.0),
+                 "invalid mode registry: ocean: base_cost_mean must be > 0",
+                 id="negative-mode-cost"),
+    pytest.param(_ocean(improvement_rate_mean=1.5),
+                 "invalid mode registry: ocean: improvement_rate_mean "
+                 "out of range [0, 1)", id="mode-rate-past-1"),
+    pytest.param({"enabled_modes": [""], "modes": [{"id": "", **_FULL_MODE}]},
+                 "invalid mode registry: mode with empty id",
+                 id="empty-mode-id"),
+]
+
+
+class TestUnreachedConfigErrors:
+    @pytest.mark.parametrize("doc,text", UNREACHED_CONFIG_ERRORS)
+    def test_simulate_fails_with_one_error_line_and_no_output(
+            self, tmp_path, capsys, doc, text):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert text in lines[0]
+        assert captured.out == ""
+        assert not csv_path.exists() and not svg_path.exists()
+
+    def test_result_fingerprint_is_the_config_fingerprint(self):
+        cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=6,
+                             iterations=2, end_year=2019)
+        assert run_scenario(cfg).fingerprint == config_fingerprint(cfg)
 
 
 class TestOverflowingSquares:
