@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_modes_list() -> int:
+def _cmd_modes_list(_args: argparse.Namespace) -> int:
     print(f"{'id':<12} {'$/t-km':>10} {'base yr':>8} {'rate/yr':>8} {'auto':>5}")
     for spec in builtin_modes():
         print(f"{spec.id:<12} {spec.base_cost_mean:>10.4g} "
@@ -165,25 +165,22 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "modes": _cmd_modes_list,
+    "simulate": _cmd_simulate,
+    "crossover": _cmd_crossover,
+    "sensitivity": _cmd_sensitivity,
+    "calibrate": _cmd_calibrate,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "modes":
-            return _cmd_modes_list()
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "crossover":
-            return _cmd_crossover(args)
-        if args.command == "sensitivity":
-            return _cmd_sensitivity(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def entry_point() -> None:  # pragma: no cover

@@ -140,19 +140,17 @@ def _redraw_rates(rates: RateModel, z: np.ndarray, sampled: np.ndarray,
         np.exp(rate, out=rate)
 
 
-def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
-    """Advance every mode one year on each lane of a block: cost * (1 - r),
-    with each mode's r sampled log-normally around its improvement rate.
+def evolve_mode_state(rates: RateModel, lanes: Lanes) -> np.ndarray:
+    """One year's factors 1 - r of every mode on each lane of a block, a
+    ``(lanes, modes)`` array in the order of the registry ``rates`` was
+    built from, each mode's r sampled log-normally around its improvement
+    rate.
 
-    ``costs`` broadcasts against one row of mode costs per lane, in the
-    order of the registry ``rates`` was built from; a 1-D row with a
-    one-lane block gives a 1-D row, and 1.0 gives each lane's factors
-    1 - r.  Each lane's drawing modes take one normal each, in registry
-    order, in a single draw.  Sampled rates are strictly positive, so costs
-    strictly decrease whenever the mean rate is positive.  A draw >= 1
-    (possible only for extreme user configurations) is re-drawn, then
-    clamped to 0.99 as a last resort, from that lane alone
-    (``_redraw_rates``).
+    Each lane's drawing modes take one normal each, in registry order, in a
+    single draw.  Sampled rates are strictly positive, so every factor is
+    below 1 whenever the mean rate is positive.  A draw >= 1 (possible only
+    for extreme user configurations) is re-drawn, then clamped to 0.99 as a
+    last resort, from that lane alone (``_redraw_rates``).
     """
     n = len(lanes)
     k = rates.drawn.size
@@ -169,8 +167,7 @@ def evolve_mode_state(costs, rates: RateModel, lanes: Lanes) -> np.ndarray:
     step = np.tile(1.0 - rates.fixed, (n, 1))
     if k:
         step[:, rates.drawn] = np.subtract(1.0, sampled, out=sampled)
-    step *= costs
-    return step.reshape(np.shape(costs)) if np.ndim(costs) == 1 else step
+    return step
 
 
 @dataclass(frozen=True)
@@ -193,11 +190,15 @@ class ResultSet:
     with."""
 
     config: ScenarioConfig
-    fingerprint: str
     registry: ModeRegistry
     cost: np.ndarray
     n_legs: np.ndarray
     frac: np.ndarray
+
+    @property
+    def fingerprint(self) -> str:
+        """The ``config_fingerprint`` of the config that was run."""
+        return config_fingerprint(self.config)
 
     @property
     def records(self) -> "_RecordsView":
@@ -255,7 +256,7 @@ def _trajectories(config: ScenarioConfig, registry: ModeRegistry,
                                           config.end_year), tails)
         q = np.arange(len(lanes))
         out.reshape(-1, out.shape[2])[q + q // steps + 1] = (
-            evolve_mode_state(1.0, rates, lanes))
+            evolve_mode_state(rates, lanes))
     return np.multiply.accumulate(out, axis=1, out=out)
 
 
@@ -399,5 +400,5 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ResultSet:
         raise ConfigError(
             "trip costs underflow a normal float: trip_distance_km x "
             "freight_tonnes x mode cost must be at least 2.2e-308")
-    return ResultSet(config=config, fingerprint=config_fingerprint(config),
-                     registry=registry, cost=cost, n_legs=n_legs, frac=frac)
+    return ResultSet(config=config, registry=registry, cost=cost,
+                     n_legs=n_legs, frac=frac)

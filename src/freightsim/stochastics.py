@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -218,17 +218,6 @@ def seed_lanes(texts: Iterable[bytes]) -> Lanes:
                    for t in itertools.islice(texts, 256)]:
         digests += b"".join(part)
     return Lanes.from_seed_words(_state_words(digests))
-
-
-def derive_lanes(master_seed: int,
-                 paths: Iterable[Iterable[object]]) -> Iterator[Lanes]:
-    """The lanes of the label paths ``paths``, in order, ``_CHUNK`` at a
-    time.  A chunk's paths are hashed as they are read, and no chunk is
-    held here while the next is seeded."""
-    texts = (_path_text(master_seed, p) for p in paths)
-    while lanes := seed_lanes(itertools.islice(texts, _CHUNK)):
-        yield lanes
-        del lanes
 
 
 def derive_stream(master_seed: int,

@@ -106,8 +106,7 @@ def fake_results(records, enabled=("ocean",), **cfg_kw):
     kw.update(cfg_kw)
     cfg = ScenarioConfig(**kw)
     frac = [[r.mode_distance_fraction[m] for m in enabled] for r in records]
-    return ResultSet(config=cfg, fingerprint="x",
-                     registry=resolve_registry(cfg),
+    return ResultSet(config=cfg, registry=resolve_registry(cfg),
                      cost=np.array([[r.trip_cost for r in records]]),
                      n_legs=np.array([[r.n_legs for r in records]]),
                      frac=np.array(frac).reshape(1, len(records),

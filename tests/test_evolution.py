@@ -13,8 +13,8 @@ from freightsim.evolution import (RateModel, compute_shared_means,
                                   evolve_mode_state, replicate_trajectories,
                                   run_replicate, run_scenario)
 from freightsim.modes import ModeRegistry, ModeSpec
-from freightsim.stochastics import (_CHUNK, _path_text, derive_lanes,
-                                    derive_stream, lognormal_from_moments)
+from freightsim.stochastics import (_CHUNK, _path_text, derive_stream,
+                                    lognormal_from_moments, seed_lanes)
 
 import oracle
 from conftest import StubStream
@@ -30,7 +30,7 @@ def one_mode_rates(rate, rate_stdev_fraction=0.5):
 
 
 def evolve_one(cost, rates, stream):
-    return evolve_mode_state(np.array([cost]), rates, stream)[0]
+    return cost * evolve_mode_state(rates, stream)[0, 0]
 
 
 def lane_generator(lanes, i=0):
@@ -54,11 +54,9 @@ class TestEvolveModeState:
     def test_mean_of_evolved_costs(self):
         # E[c(1-r)] = c(1-E[r]) since r is sampled around its mean
         rates = one_mode_rates(0.05, rate_stdev_fraction=0.5)
-        # One step on each of 100,000 lanes, in blocks.
-        costs = np.concatenate([
-            evolve_mode_state(1.0, rates, lanes)[:, 0]
-            for lanes in derive_lanes(21, (("evolve-mean", i)
-                                           for i in range(100_000)))])
+        # One step on each of 100,000 lanes, in one block.
+        costs = evolve_mode_state(rates, seed_lanes(
+            _path_text(21, ("evolve-mean", i)) for i in range(100_000)))[:, 0]
         assert costs.size == 100_000
         assert np.mean(costs) == pytest.approx(0.95, rel=0.01)
 
@@ -90,7 +88,7 @@ class TestVectorStepMatchesScalarReference:
         for step in range(8):
             vector_lanes = one_lane(seed, ["step", step])
             scalar_stream = derive_stream(seed, ["step", step])
-            costs = evolve_mode_state(costs, rates, vector_lanes)
+            costs = costs * evolve_mode_state(rates, vector_lanes)[0]
             expected = oracle.rate_step(expected, specs, scalar_stream)
             assert costs.tolist() == expected
             vector_stream = lane_generator(vector_lanes)
@@ -104,9 +102,8 @@ class TestVectorStepMatchesScalarReference:
                  for m in ("a", "b")]
         params = lognormal_from_moments(0.5, 0.25)
         stream = StubStream(normals=[10.0, 0.0, 1.0])
-        costs = evolve_mode_state(np.ones(2),
-                                  RateModel.from_registry(ModeRegistry(specs)),
-                                  stream)
+        costs = evolve_mode_state(
+            RateModel.from_registry(ModeRegistry(specs)), stream)[0]
         assert costs.tolist() == [1.0 - np.exp(params.mu),
                                   1.0 - np.exp(params.mu + params.sigma)]
 
@@ -138,9 +135,9 @@ class TestRedrawsOnLanes:
         monkeypatch.setattr(evolution, "_MAX_RATE_REDRAWS", max_redraws)
         monkeypatch.setattr(oracle, "MAX_RATE_REDRAWS", max_redraws)
         paths = [("redraws", i) for i in range(256)]
-        lanes = next(derive_lanes(3, paths))
+        lanes = seed_lanes(_path_text(3, p) for p in paths)
         steps = evolve_mode_state(
-            1.0, RateModel.from_registry(ModeRegistry(self.SPECS)), lanes)
+            RateModel.from_registry(ModeRegistry(self.SPECS)), lanes)
         after = lanes.normals(np.ones(len(paths), dtype=np.intp))
         draws, clamped = set(), 0
         for i, path in enumerate(paths):
@@ -222,9 +219,9 @@ def handling_params(cfg):
 
 def trip_streams(cfg, replicate):
     """The trip streams of one replicate, as one block of lanes."""
-    return next(derive_lanes(cfg.seed, (
-        ("scenario", year, replicate, "trip")
-        for year in range(cfg.start_year, cfg.end_year + 1))))
+    return seed_lanes(
+        _path_text(cfg.seed, ("scenario", year, replicate, "trip"))
+        for year in range(cfg.start_year, cfg.end_year + 1))
 
 
 def own_table(reg, means):

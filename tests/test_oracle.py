@@ -266,8 +266,7 @@ def hand_built_results(draw):
     frac = draw(st.lists(st.one_of(ODD_VALUES, st.floats(0.0, 1.0)),
                          min_size=years * trips * modes,
                          max_size=years * trips * modes))
-    return ResultSet(config=cfg, fingerprint="x",
-                     registry=resolve_registry(cfg),
+    return ResultSet(config=cfg, registry=resolve_registry(cfg),
                      cost=np.array(cost).reshape(years, trips),
                      n_legs=np.ones((years, trips), dtype=np.int64),
                      frac=np.array(frac).reshape(years, trips, modes))

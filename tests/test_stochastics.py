@@ -1,16 +1,14 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freightsim import stochastics
 from freightsim.lanes import Lanes
 from freightsim.stochastics import (LogNormalParams, _path_entropy,
-                                    _path_text, _state_words, derive_lanes,
-                                    derive_stream, lognormal_from_moments,
-                                    sample_lognormal)
+                                    _path_text, _state_words, derive_stream,
+                                    lognormal_from_moments, sample_lognormal,
+                                    seed_lanes)
 
 
 class TestMomentMatching:
@@ -202,23 +200,12 @@ class TestBatchedSeedingMatchesSeedSequence:
 
 
 class TestDeriveStreams:
-    def test_each_stream_draws_as_derive_stream(self, monkeypatch):
-        # Three chunks, the last one partial: lane i of the run of chunks
-        # draws as the generator of path i.
-        monkeypatch.setattr(stochastics, "_CHUNK", 16)
-        paths = [("scenario", 2020 + i % 7, i, "trip")
-                 for i in range(2 * stochastics._CHUNK + 5)]
-        chunks = list(derive_lanes(31, paths))
-        assert [len(lanes) for lanes in chunks] == [16, 16, 5]
-        assert [d for lanes in chunks for d in lane_first_draws(lanes)] == \
+    def test_each_stream_draws_as_derive_stream(self):
+        # Lane i of the block draws as the generator of path i.
+        paths = [("scenario", 2020 + i % 7, i, "trip") for i in range(37)]
+        lanes = seed_lanes(_path_text(31, path) for path in paths)
+        assert lane_first_draws(lanes) == \
             [first_draws(derive_stream(31, path)) for path in paths]
-
-    def test_paths_are_read_lazily(self):
-        paths = (("lazy", i) for i in itertools.count())
-        lanes = next(derive_lanes(3, paths))
-        first = lanes[:3].normals(np.ones(3, dtype=np.intp)).tolist()
-        assert first == [derive_stream(3, ("lazy", i)).normal()
-                         for i in range(3)]
 
     def test_entropy_is_the_sha256_of_the_path(self):
         stream = derive_stream(2018, ["scenario", 2030, 4, "rates"])
@@ -259,7 +246,7 @@ def stream_and_oracle(seed, labels):
     must draw as."""
     oracle = np.random.default_rng(np.random.SeedSequence(
         _path_entropy(seed, tuple(labels))))
-    return next(derive_lanes(seed, [labels])), oracle
+    return seed_lanes([_path_text(seed, labels)]), oracle
 
 
 def draw(gen, method, args):

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from freightsim import stochastics
 from freightsim.config import ConfigError, ScenarioConfig
 from freightsim.evolution import run_scenario
-from freightsim.stochastics import (LogNormalParams, derive_lanes,
+from freightsim.stochastics import (LogNormalParams, _path_text,
                                     derive_stream, lognormal_from_moments,
-                                    lognormal_ratios)
+                                    lognormal_ratios, seed_lanes)
 from freightsim import tripsim
 from freightsim.tripsim import (CostTable, TripDraws, assign_modes,
                                 cost_trips, generate_leg_distances, leg_cost,
@@ -102,7 +102,7 @@ class TestLegCost:
 
 def one_lane(seed, labels):
     """The lane of one label path: the draws of ``derive_stream``'s."""
-    return next(derive_lanes(seed, [labels]))
+    return seed_lanes([_path_text(seed, labels)])
 
 
 def simulate_and_cost(trip_distance, weight, mode_cost_means,
@@ -523,8 +523,8 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
     two agree bit for bit, and return the trips' leg counts."""
     handling = lognormal_from_moments(4.59, handling_fraction * 4.59)
     table = CostTable(np.array(means), np.array(fractions))
-    lanes = next(derive_lanes(seed, [["oracle", t]
-                                     for t in range(len(trip_distances))]))
+    lanes = seed_lanes(_path_text(seed, ["oracle", t])
+                       for t in range(len(trip_distances)))
     trips = simulate_trip(np.array(trip_distances), len(fractions), lanes,
                           min_leg=1.0)
     cost, n_legs, frac = cost_trips(trips, table, handling, weight,
