@@ -2,13 +2,13 @@
 
 Every random draw in the simulator comes from a stream fully determined by a
 master seed plus a label path.  That is what makes whole scenario runs
-reproducible byte-for-byte regardless of how replicates are scheduled.  The
-engine seeds the streams of many paths together, as the numpy uint64 lanes
-of ``freightsim.lanes``, in blocks of up to ``_CHUNK`` (8,192) paths, the
-engine's one block width; since a stream is keyed by its path, not by its
-block, the width never changes what a stream draws.  ``derive_stream`` is
-one path's stream as numpy's own ``Generator``, the reference the lanes
-draw as; ``sample_lognormal`` draws from such a generator.
+reproducible byte-for-byte regardless of how replicates are scheduled.
+``seed_lanes`` seeds the streams of many paths together, as the numpy uint64
+lanes of ``freightsim.lanes``; the engine seeds blocks of up to ``_CHUNK``
+(8,192) paths, its one block width, and since a stream is keyed by its
+path, not by its block, the width never changes what it draws.
+``derive_stream`` is one path's stream as numpy's own ``Generator``, the
+reference the lanes draw as; ``sample_lognormal`` draws from one.
 """
 
 from __future__ import annotations

@@ -47,6 +47,8 @@ GOLDEN = "tests/test_golden_digest.py::" \
 LANE_NORMALS = "tests/test_lanes.py::TestLaneNormalsMatchGenerator::" \
                "test_values_and_final_states"
 FLAT = "tests/test_lanes.py::TestFlatNormals::"
+CONFIG_ERROR = "tests/test_io.py::TestUnreachedConfigErrors::" \
+               "test_simulate_fails_with_one_error_line_and_no_output"
 
 MUTANTS = [
     # A spread too small to move the cost still draws a normal, which moves
@@ -131,6 +133,23 @@ MUTANTS = [
             "test_simulate_csv_hard_linked_to_the_config_writes_nothing",
             "tests/test_io.py::TestCli::"
             "test_simulate_hard_linked_outputs_write_nothing")),
+    # A negative mode cost spread passes the registry check and fails later
+    # as an unmatched log-normal, under another message.
+    Mutant("registry-cost-stdev-unchecked", "modes.py",
+           "        if spec.cost_stdev_fraction < 0:\n"
+           "            violations.append(f\"{spec.id}: cost_stdev_fraction "
+           "must be >= 0\")\n", "",
+           (f"{CONFIG_ERROR}[negative-mode-cost-stdev]",)),
+    # A new mode without all its fields ends in a TypeError traceback from
+    # ModeSpec, not in one error line.
+    Mutant("missing-fields-unchecked", "config.py",
+           "            if missing:\n", "            if False:\n",
+           (f"{CONFIG_ERROR}[new-mode-missing-fields]",)),
+    # A span past 120 years is labelled every 10 years, not every 20.
+    Mutant("year-ticks-capped-at-10", "report.py",
+           "    return 20\n", "    return 10\n",
+           ("tests/test_io.py::TestSvg::"
+            "test_year_labels_step_past_120_years[152-years]",)),
 ]
 
 
