@@ -85,6 +85,11 @@ class TestLoadConfig:
         again = load_config(config_to_json(cfg))
         assert again == cfg
 
+    def test_result_fingerprint_is_the_config_fingerprint(self):
+        cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=6,
+                             iterations=2, end_year=2019)
+        assert run_scenario(cfg).fingerprint == config_fingerprint(cfg)
+
     def test_config_level_fractions_apply_to_registry(self):
         cfg = load_config(json.dumps({
             "enabled_modes": ["ocean", "rail", "barge"],
@@ -781,6 +786,24 @@ MALFORMED_VALUES = [
 ]
 
 
+def simulate_error_line(tmp_path, capsys, doc):
+    """Run ``simulate`` on the config document ``doc``; assert that it
+    exits 1, prints nothing to stdout and writes no CSV or SVG, and return
+    its one stderr line, which starts with "error:"."""
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    rc = cli.main(["simulate", "--config", str(cfg),
+                   "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert captured.out == ""
+    assert not csv_path.exists() and not svg_path.exists()
+    return lines[0]
+
+
 class TestMalformedConfigValues:
     @pytest.mark.parametrize("field,value", MALFORMED_VALUES)
     def test_simulate_fails_with_one_error_line_and_no_output(
@@ -788,18 +811,8 @@ class TestMalformedConfigValues:
         doc = dict(enabled_modes=["ocean"], seed=1, iterations=2,
                    end_year=2019)
         doc.update(value if isinstance(value, dict) else {field: value})
-        cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
-        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
-        rc = cli.main(["simulate", "--config", str(cfg),
-                       "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert field in lines[0] and "must be" in lines[0]
-        assert captured.out == ""
-        assert not csv_path.exists() and not svg_path.exists()
+        line = simulate_error_line(tmp_path, capsys, doc)
+        assert field in line and "must be" in line
 
     def test_integral_float_fields_still_accept_ints(self):
         cfg = load_config(json.dumps({"enabled_modes": ["ocean"],
@@ -858,23 +871,7 @@ class TestUnreachedConfigErrors:
     @pytest.mark.parametrize("doc,text", UNREACHED_CONFIG_ERRORS)
     def test_simulate_fails_with_one_error_line_and_no_output(
             self, tmp_path, capsys, doc, text):
-        cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps(doc))
-        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
-        rc = cli.main(["simulate", "--config", str(cfg),
-                       "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert text in lines[0]
-        assert captured.out == ""
-        assert not csv_path.exists() and not svg_path.exists()
-
-    def test_result_fingerprint_is_the_config_fingerprint(self):
-        cfg = ScenarioConfig(enabled_modes=["ocean", "rail"], seed=6,
-                             iterations=2, end_year=2019)
-        assert run_scenario(cfg).fingerprint == config_fingerprint(cfg)
+        assert text in simulate_error_line(tmp_path, capsys, doc)
 
 
 class TestOverflowingSquares:
