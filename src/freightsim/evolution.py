@@ -29,7 +29,7 @@ from .lanes import Lanes
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
                           lognormal_from_moments, lognormal_ratios,
                           seed_lanes)
-from .tripsim import CostTable, cost_trips, simulate_trip
+from .tripsim import CostTable, cost_trips, normal_counts, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
 _RATE_CLAMP = 0.99
@@ -67,9 +67,9 @@ class RateModel:
     order, computed once per run.
 
     ``fixed`` holds the rate of every mode that draws nothing (rate mean 0,
-    or a zero log-space spread) and 0 for the others; ``drawn`` indexes the
-    modes that draw, with their log-normal parameters in ``mu`` and
-    ``sigma``.
+    or a zero log-space spread, as its ``CostTable.drawn`` says) and 0 for
+    the others; ``drawn`` indexes the modes that draw, with their
+    log-normal parameters in ``mu`` and ``sigma``.
     """
 
     fixed: np.ndarray
@@ -86,7 +86,7 @@ class RateModel:
             specs, np.array([[s.improvement_rate_mean for s in specs]]),
             "improvement_rate_mean", "rate_stdev_fraction")
         mu, sigma, exp_mu = table.at(np.arange(len(specs)))
-        spread = sigma != 0.0
+        spread = table.drawn[0]
         fixed = np.zeros(len(registry))
         # A redraw of a fixed rate gives the same value, so a rate >= 1
         # ends at the clamp; exp_mu is 0 for the modes that draw.
@@ -310,12 +310,18 @@ def run_replicate(config: ScenarioConfig,
     ``(years, modes)`` trajectory, or a replicate group's trip paths, with
     ``table`` the group's trajectories or the one shared trajectory.  The
     block's legs and modes are drawn at once, from ``table``'s mode count
-    alone; its cost normals are then drawn and its legs costed one run of
-    trips at a time (``TripDraws.cuts``), each run with ``table`` and its
-    own trips' rows.
+    alone.  Every trip's cost normals are then counted from the cells its
+    legs use (``normal_counts``) and drawn in one ``Lanes.normals`` call
+    for the block, and its legs are costed one run of trips at a time
+    (``TripDraws.cuts``), each run with ``table``, its own trips' rows and
+    its own trips' slice of the normals.
     """
     trips = simulate_trip(config.trip_distance_km, table.means.shape[1],
                           lanes, min_leg=config.min_leg_km)
+    counts = normal_counts(trips, table, handling_params, rows)
+    z = lanes.normals(counts)
+    # Trip i's normals end at ends[i].
+    ends = np.cumsum(counts)
     n = len(lanes)
     cost, n_legs, frac = (np.empty(n), np.empty(n, dtype=np.intp),
                           np.empty((n, table.means.shape[1])))
@@ -323,7 +329,7 @@ def run_replicate(config: ScenarioConfig,
     for a, b in zip(cuts, cuts[1:]):
         cost[a:b], n_legs[a:b], frac[a:b] = cost_trips(
             trips.part(a, b), table, handling_params, config.freight_tonnes,
-            rows[a:b])
+            rows[a:b], z[ends[a] - counts[a]:ends[b - 1]])
     return cost, n_legs, frac
 
 

@@ -31,8 +31,12 @@ _TO_UNIT = 1.0 / 9007199254740992.0
 _TAIL_R = 3.6541528853610087963519472518
 _TAIL_INV_R = 0.27366123732975827203338247596
 # Outputs per slice of a ``Lanes.normals`` pass, cut at whole lanes: the
-# pass's work arrays stay at tens of KiB however many normals a call takes.
-_SLICE = 2048
+# pass's work arrays stay at a few hundred KiB however many normals a call
+# takes.
+_SLICE = 4096
+# What ``Lanes._pass`` returns when no lane stops.
+_NO_STOPS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+             np.empty(0, dtype=np.uint64))
 
 
 def cuts(sizes: np.ndarray, width: int) -> list[int]:
@@ -260,11 +264,10 @@ class Lanes:
         first = ends[lanes] - need
         del ends
         while lanes.size:
-            k, r = self._pass(lanes, need, first, out)
-            stopped = k > 0
-            lanes, k = lanes[stopped], k[stopped]
+            stopped, k, r = self._pass(lanes, need, first, out)
+            lanes = lanes[stopped]
             slot = first[stopped] + k - 1
-            z, done = self._off_path(lanes, r[stopped])
+            z, done = self._off_path(lanes, r)
             z += 0.0
             out[slot[done]] = z[done]
             # A rejected draw starts again from a fresh output: the slot
@@ -275,23 +278,24 @@ class Lanes:
         return out
 
     def _pass(self, lanes: np.ndarray, need: np.ndarray, first: np.ndarray,
-              out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Write ``need[i]`` fast-path normals of lane ``lanes[i]`` to
         ``out[first[i]:]``, the lanes of each run of ``cuts(need, _SLICE)``
         at once.  A lane stops at its first output off the fast path and is
-        left in the state of that output, or of its last; returns each
-        lane's stop count k (0 for none) and output."""
-        ends = np.cumsum(need)
-        stop_k = np.zeros(lanes.size, dtype=np.intp)
-        stop_r = np.empty(lanes.size, dtype=np.uint64)
+        left in the state of that output, or of its last; returns the
+        positions in ``lanes`` of the lanes that stop, in order, and each
+        one's stop count k and output.  No array of every lane is made:
+        the rest of a lane's bookkeeping lives in its slice."""
+        stops = []
         edges = cuts(need, _SLICE)
         for l0, l1 in zip(edges, edges[1:]):
             n = need[l0:l1]
-            starts = ends[l0:l1] - n
-            # Output g of the pass is output k = g + 1 - starts of its lane,
-            # written to out[first + k - 1].
+            ends = np.cumsum(n)
+            starts = ends - n
+            # Output g of the slice is output k = g + 1 - starts of its
+            # lane, written to out[first + k - 1].
             j = np.repeat(np.arange(l0, l1), n)
-            g = np.arange(starts[0], ends[l1 - 1])
+            g = np.arange(ends[-1])
             k = g + 1
             k -= np.repeat(starts, n)
             # Each output's lane state and increment words, gathered per
@@ -307,20 +311,22 @@ class Lanes:
             x += 0.0
             g += np.repeat(first[l0:l1] - starts, n)
             out[g] = x
-            at = ends[l0:l1] - (starts[0] + 1)  # each lane's last output
+            at = ends - 1  # each lane's last output
             slow = np.flatnonzero(rabs >= _KI[layer])
             if slow.size:
                 js = j[slow]
                 head = np.ones(slow.size, dtype=bool)
                 np.not_equal(js[1:], js[:-1], out=head[1:])
                 slow, js = slow[head], js[head]
-                stop_k[js], stop_r[js] = k[slow], r[slow]
+                stops.append((js, k[slow], r[slow]))
                 at[js - l0] = slow
             sel = lanes[l0:l1]
             self.hi[sel], self.lo[sel] = hi[at], lo[at]
             # Free this slice's arrays before the next slice builds its own.
             del j, g, k, lane, hi, lo, r, layer, rabs, x
-        return stop_k, stop_r
+        if not stops:
+            return _NO_STOPS
+        return tuple(map(np.concatenate, zip(*stops)))
 
     def _off_path(self, sel: np.ndarray, r: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,11 @@ A trip is split into legs by repeatedly drawing a uniform leg length, each leg
 is assigned a mode uniformly at random, and each leg is costed as
 distance * weight * operational_cost + weight * handling_cost with both unit
 costs sampled from log-normal distributions.  A block of trips is drawn at
-once, one trip per stream lane (``simulate_trip``); their cost normals are
-then drawn and their legs costed together, as columns, a run of trips at a
-time (``cost_trips``).  The last leg's rounding correction and the
+once, one trip per stream lane (``simulate_trip``); every trip's cost
+normals are then counted (``normal_counts``) and drawn by the caller in one
+call for the block, and the legs are costed together, as columns, a run of
+trips at a time, each run from its own slice of the normals
+(``cost_trips``).  The last leg's rounding correction and the
 distance fractions' denominator are each trip's legs summed as
 ``math.fsum`` sums them, by one error-free split of the legs into two
 parts whose sums are exact (``_trip_sums``, by ``group_fsums``, which
@@ -102,10 +104,14 @@ class CostTable:
     per year) or the improvement rates of a run (one row).
 
     Every entry is checked when the table is made, ``_LEG_SLICE`` cells
-    at a time, and nothing is written after that.  ``at`` computes the
-    ``mu``, ``sigma`` and ``exp_mu`` (exp(mu) where sigma is 0, the value
-    of a slot that draws nothing; 0 elsewhere) of the cells it is asked
-    for, each distinct cell once per call, and keeps none of them.
+    at a time, and nothing is written after that.  The check keeps, in
+    ``drawn``, whether each cell draws a normal: whether its ratio v/m^2
+    is not 0 (1 byte a cell), the one test of which cells draw.  That is
+    whether its sigma, sqrt(log1p(ratio)), is not 0, since that is above
+    0 for every positive ratio, subnormals included.  ``at`` computes the
+    ``mu``, ``sigma`` and ``exp_mu`` (exp(mu) where the cell draws
+    nothing, its value; 0 elsewhere) of the cells it is asked for, each
+    distinct cell once per call, and keeps none of them.
     """
 
     def __init__(self, means: np.ndarray, stdev_fractions: np.ndarray):
@@ -114,10 +120,12 @@ class CostTable:
         ``ValueError`` if any entry cannot be matched."""
         self.means = means
         self.stdev_fractions = stdev_fractions
+        self.drawn = np.empty(means.shape, dtype=bool)
         step = max(1, _LEG_SLICE // max(1, means.shape[-1]))
         for a in range(0, len(means), step):
             rows = means[a:a + step]
-            lognormal_ratios(rows, stdev_fractions * rows)
+            ratios = lognormal_ratios(rows, stdev_fractions * rows)
+            self.drawn[a:a + step] = ratios != 0.0
 
     def at(self, cells: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,7 +149,7 @@ class CostTable:
         mu, sigma = lognormal_params(
             means, lognormal_ratios(means, fractions * means))
         exp_mu = np.zeros_like(mu)
-        fixed = sigma == 0.0
+        fixed = ~self.drawn.take(used)
         exp_mu[fixed] = list(map(math.exp, mu[fixed].tolist()))
         return mu.take(cells), sigma.take(cells), exp_mu.take(cells)
 
@@ -149,26 +157,25 @@ class CostTable:
 class TripDraws(NamedTuple):
     """A block of trips as ``simulate_trip`` draws them, as columns: each
     trip's leg count and every leg's length and mode (trip by trip, in leg
-    order), with ``lanes``, the trips' streams, which ``cost_trips`` draws
-    the cost normals from."""
+    order).  Their cost normals come after, from the trips' lanes, as many
+    as ``normal_counts`` gives."""
 
     n_legs: np.ndarray
     distances: np.ndarray
     modes: np.ndarray
-    lanes: object
 
     def cuts(self) -> list[int]:
-        """The first trip of each run of trips that ``cost_trips`` takes at
-        once, then the trip count: ``cuts`` of the legs by ``_LEG_SLICE``."""
+        """The first trip of each run of trips that ``normal_counts`` and
+        ``cost_trips`` take at once, then the trip count: ``cuts`` of the
+        legs by ``_LEG_SLICE``."""
         return cuts(self.n_legs, _LEG_SLICE)
 
     def part(self, a: int, b: int) -> "TripDraws":
-        """Trips a to b, as views: drawing from their lanes advances these
-        lanes."""
+        """Trips a to b, as views."""
         first = int(self.n_legs[:a].sum())
         last = first + int(self.n_legs[a:b].sum())
         return TripDraws(self.n_legs[a:b], self.distances[first:last],
-                         self.modes[first:last], self.lanes[a:b])
+                         self.modes[first:last])
 
 
 def group_fsums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -286,7 +293,7 @@ def simulate_trip(trip_distance, n_modes: int, lanes,
     draw it, all trips at once: the k-th leg of every trip still at least
     ``min_leg`` from its end, then the k-th mode of every trip with a k-th
     leg.  ``trip_distance`` is one float, or one per trip.  The cost
-    normals come after, from the same lanes (``cost_trips``).
+    normals come after, from the same lanes (``normal_counts``).
     """
     n = len(lanes)
     n_legs, distances = _legs(
@@ -300,17 +307,54 @@ def simulate_trip(trip_distance, n_modes: int, lanes,
         for k in range(int(n_legs.max(initial=0))):
             active = active[n_legs[active] > k]
             modes[starts[active] + k] = lanes.indices(active, n_modes)
-    return TripDraws(n_legs, distances, modes, lanes)
+    return TripDraws(n_legs, distances, modes)
+
+
+def _leg_draws(trips: TripDraws, table: CostTable,
+               handling_params: LogNormalParams, rows: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Each leg's trip and cell of ``table`` (its trip's row of
+    ``rows``, its own mode), whether its operational cost draws a normal,
+    and whether every leg's handling cost does."""
+    trip = np.repeat(np.arange(len(trips.n_legs)), trips.n_legs)
+    cell = rows.take(trip)
+    cell *= table.means.shape[1]
+    cell += trips.modes
+    return (trip, cell, table.drawn.take(cell),
+            handling_params.sigma != 0.0)
+
+
+def normal_counts(trips: TripDraws, table: CostTable,
+                  handling_params: LogNormalParams,
+                  rows: np.ndarray) -> np.ndarray:
+    """The number of cost normals each trip ``simulate_trip`` drew takes
+    when ``cost_trips`` costs it with row ``rows[i]`` of ``table``: one
+    per leg whose cell draws (``CostTable.drawn``), and one per leg for
+    handling if its sigma is not 0.  The legs are looked at a run of trips
+    at a time (``TripDraws.cuts``)."""
+    counts = np.empty(len(trips.n_legs), dtype=np.intp)
+    edges = trips.cuts()
+    for a, b in zip(edges, edges[1:]):
+        part = trips.part(a, b)
+        _, _, drawn, handling_drawn = _leg_draws(part, table,
+                                                 handling_params, rows[a:b])
+        # The drawn operational costs up to each leg, in leg order; a trip
+        # has those up to its last leg less those up to the trip before's.
+        upto = np.cumsum(drawn, dtype=np.intp)
+        counts[a:b] = np.diff(upto.take(np.cumsum(part.n_legs) - 1),
+                              prepend=0)
+        counts[a:b] += part.n_legs * handling_drawn
+    return counts
 
 
 def cost_trips(trips: TripDraws, table: CostTable,
                handling_params: LogNormalParams, weight: float,
-               rows: np.ndarray
+               rows: np.ndarray, z: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the cost normals of the trips ``simulate_trip`` drew, from their
-    lanes, and cost the trips, trip i with row ``rows[i]`` of ``table``;
-    return each trip's cost, leg count and per-mode distance fractions
-    (registry order).
+    """Cost the trips ``simulate_trip`` drew, trip i with row ``rows[i]``
+    of ``table``, from ``z``, their cost normals, trip by trip
+    (``normal_counts`` of them for each); return each trip's cost, leg
+    count and per-mode distance fractions (registry order).
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
@@ -318,33 +362,25 @@ def cost_trips(trips: TripDraws, table: CostTable,
     nothing, as in ``sample_lognormal``; handling is charged once per leg,
     including the first.  A trip takes one normal per cost that draws, in
     (operational, handling) order leg by leg.  Only the table cells the
-    legs use are costed, each once per call (``CostTable.at``, which draws
-    nothing), before the normals are drawn.  A trip's cost and each mode's
-    kilometres are summed left to right in leg order: ``np.add.at`` adds
-    one index at a time, in index order, where numpy's pairwise reductions
-    would round a trip of 8 or more legs differently.
+    legs use are costed, each once per call (``CostTable.at``).  A trip's
+    cost and each mode's kilometres are summed left to right in leg order:
+    ``np.add.at`` adds one index at a time, in index order, where numpy's
+    pairwise reductions would round a trip of 8 or more legs differently.
     """
-    n_legs, distances, modes, lanes = trips
+    n_legs, distances, modes = trips
     n_modes = table.means.shape[1]
-    trip = np.repeat(np.arange(len(n_legs)), n_legs)
-    cell = rows.take(trip)
-    cell *= n_modes
-    cell += modes
+    trip, cell, drawn, handling_drawn = _leg_draws(trips, table,
+                                                   handling_params, rows)
     mu, sigma, op_cost = table.at(cell)
     del cell
-    drawn = sigma != 0.0
-    handling_drawn = handling_params.sigma != 0.0
-    # The normals of the trips' legs up to each leg, in leg order; a trip
-    # takes those up to its last leg less those up to the trip before's.
+    # The first of each leg's normals in z: those of the legs before it.
     first = np.cumsum(drawn + np.intp(handling_drawn))
-    z = lanes.normals(np.diff(first.take(np.cumsum(n_legs) - 1), prepend=0))
-    # The first of each leg's normals in the trips' concatenated draws.
     first -= drawn
     first -= handling_drawn
 
     # A cost that overflows is inf, as in Python float arithmetic; the
-    # caller rejects it.  exp(mu + sigma * z) is formed in place, in the
-    # array of z.  Each leg-sized array is freed once it is used.
+    # caller rejects it.  exp(mu + sigma * z) is formed in place, in a
+    # copy of the normals.  Each leg-sized array is freed once it is used.
     with np.errstate(over="ignore"):
         if drawn.any():
             x = z[first[drawn]]
@@ -362,7 +398,7 @@ def cost_trips(trips: TripDraws, table: CostTable,
             np.exp(handling, out=handling)
         else:
             handling = math.exp(h.mu)
-        del first, z
+        del first
         cost = np.zeros(len(n_legs))
         np.add.at(cost, trip, leg_cost(distances, weight, op_cost, handling))
         del op_cost, handling

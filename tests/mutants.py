@@ -49,21 +49,23 @@ LANE_NORMALS = "tests/test_lanes.py::TestLaneNormalsMatchGenerator::" \
 FLAT = "tests/test_lanes.py::TestFlatNormals::"
 CONFIG_ERROR = "tests/test_io.py::TestUnreachedConfigErrors::" \
                "test_simulate_fails_with_one_error_line_and_no_output"
+BLOCK = "tests/test_evolution.py::TestBlockNormals::"
 
 MUTANTS = [
     # A spread too small to move the cost still draws a normal, which moves
-    # the draws after it; skipping it shifts them.
-    Mutant("cost-sigma-floor", "tripsim.py",
-           "drawn = sigma != 0.0", "drawn = sigma >= 1e-150",
+    # the draws after it; skipping it shifts them.  One test decides which
+    # cells of a cost or rate table draw: a subnormal ratio, sigma about
+    # 1e-160, must draw.
+    Mutant("drawn-ratio-floor", "tripsim.py",
+           "self.drawn[a:a + step] = ratios != 0.0",
+           "self.drawn[a:a + step] = ratios >= 1e-300",
            (f"{TINY}[cost-1e-160-per-replicate]",
-            f"{TINY}[cost-1e-160-shared]")),
-    Mutant("rate-sigma-floor", "evolution.py",
-           "spread = sigma != 0.0", "spread = sigma >= 1e-150",
-           (f"{TINY}[rate-1e-160-per-replicate]",
+            f"{TINY}[cost-1e-160-shared]",
+            f"{TINY}[rate-1e-160-per-replicate]",
             f"{TINY}[rate-1e-160-shared]")),
     Mutant("handling-sigma-floor", "tripsim.py",
-           "handling_drawn = handling_params.sigma != 0.0",
-           "handling_drawn = handling_params.sigma >= 1e-150",
+           "handling_params.sigma != 0.0",
+           "handling_params.sigma >= 1e-150",
            (f"{TINY}[handling-1e-160-per-replicate]",
             f"{TINY}[handling-1e-160-shared]")),
     # Each leg takes its handling normal before its operational one.
@@ -72,13 +74,31 @@ MUTANTS = [
            ("tests/test_tripsim.py::TestSimulateTripDrawOrder::"
             "test_normals_pair_with_operational_then_handling_per_leg",
             HANDLING_EXAMPLE, f"{GOLDEN}[all-modes-per-replicate]")),
-    # Each trip takes every normal up to its last leg, its earlier trips'
-    # included.
+    # Each trip counts every drawn cost up to its last leg, its earlier
+    # trips' included.
     Mutant("counts-not-differenced", "tripsim.py",
-           "np.diff(first.take(np.cumsum(n_legs) - 1), prepend=0)",
-           "first.take(np.cumsum(n_legs) - 1)",
+           "np.diff(upto.take(np.cumsum(part.n_legs) - 1),\n"
+           "                              prepend=0)",
+           "upto.take(np.cumsum(part.n_legs) - 1)",
            (COLUMNAR, HANDLING_EXAMPLE,
             f"{GOLDEN}[all-modes-per-replicate]")),
+    # The block's counts leave out the handling normals, which its cost
+    # runs then read past the end of the draws.  Every run that draws a
+    # handling cost fails, so the named tests are in modules that run the
+    # engine in their tests only, not while pytest collects them.
+    Mutant("block-counts-without-handling", "tripsim.py",
+           "        counts[a:b] += part.n_legs * handling_drawn\n", "",
+           (COLUMNAR, HANDLING_EXAMPLE,
+            f"{GOLDEN}[all-modes-per-replicate]")),
+    # Every cost run reads the normals from the block's start, not from its
+    # own first trip's.
+    Mutant("cost-run-reads-block-start", "evolution.py",
+           "z[ends[a] - counts[a]:ends[b - 1]]",
+           "z[:ends[b - 1] - ends[a] + counts[a]]",
+           (f"{BLOCK}test_a_block_of_many_cost_runs_matches_the_oracle"
+            "[per-replicate]",
+            f"{BLOCK}test_a_block_of_many_cost_runs_matches_the_oracle"
+            "[shared]")),
     # The product runs across trajectories instead of along the years.
     Mutant("accumulate-across-trajectories", "evolution.py",
            "np.multiply.accumulate(out, axis=1, out=out)",
@@ -89,8 +109,8 @@ MUTANTS = [
             "test_short_trips_are_one_leg")),
     # A table no longer checks the cells no leg uses.
     Mutant("table-unchecked", "tripsim.py",
-           "            lognormal_ratios(rows, stdev_fractions * rows)\n",
-           "            pass\n",
+           "ratios = lognormal_ratios(rows, stdev_fractions * rows)",
+           "ratios = stdev_fractions * rows",
            ("tests/test_tripsim.py::TestCostTable::"
             "test_an_unused_entry_that_cannot_be_matched_is_rejected",)),
     # An item that starts on a run's first unit joins the run before, so

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freightsim import evolution, stochastics
+from freightsim import evolution, stochastics, tripsim
 from freightsim.config import ConfigError, ScenarioConfig, resolve_registry
+from freightsim.lanes import Lanes
 from freightsim.evolution import (RateModel, compute_shared_means,
                                   evolve_mode_state, replicate_trajectories,
                                   run_replicate, run_scenario)
@@ -301,6 +302,91 @@ class TestSharedTableCostsEachCellOnce:
         # A cost run costs each cell it meets once, and keeps none.
         assert len(runs) > len(blocks)
         assert all(0 < n <= 13 * 3 for n in runs)
+
+
+def counted_normals(monkeypatch):
+    """Record each ``Lanes.normals`` call as its lane count and its count
+    of normals, in call order."""
+    calls = []
+    real = Lanes.normals
+
+    def normals(self, counts):
+        calls.append((len(self), int(np.sum(counts))))
+        return real(self, counts)
+    monkeypatch.setattr(Lanes, "normals", normals)
+    return calls
+
+
+def counted_cost_runs(monkeypatch):
+    """Record the trip count of each cost run ``run_replicate`` makes."""
+    runs = []
+    real = evolution.cost_trips
+
+    def cost_trips(trips, *args):
+        runs.append(len(trips.n_legs))
+        return real(trips, *args)
+    monkeypatch.setattr(evolution, "cost_trips", cost_trips)
+    return runs
+
+
+class TestBlockNormals:
+    """A trip block's cost normals are counted from the cells its legs use
+    and drawn in one ``Lanes.normals`` call; each cost run reads its own
+    trips' slice of them."""
+
+    # 48 replicates of 4 years at a block width of 64 trip paths: three
+    # groups of 16 replicates, whose rates (mean 0.021 and 0.0105, stdev
+    # half the mean) never reach 1, so no group redraws.
+    PAIR = dict(enabled_modes=["ocean", "auto_ocean"], seed=3, iterations=48,
+                end_year=2021, min_leg_km=10.0)
+
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    def test_a_group_draws_each_stage_in_one_call(self, monkeypatch, policy):
+        monkeypatch.setattr(stochastics, "_CHUNK", 64)
+        cfg = ScenarioConfig(**self.PAIR, evolution_policy=policy)
+        calls = counted_normals(monkeypatch)
+        run_scenario(cfg)
+        lanes = [n for n, _ in calls]
+        if policy == "shared":
+            # The shared trajectory's 3 steps, then one call per group.
+            assert lanes == [3, 64, 64, 64]
+        else:
+            # Per group: its 16 replicates' 48 rate steps, then its trips.
+            assert lanes == [48, 64] * 3
+
+    # 10 replicates of 4 years, about 7 legs a trip, costed in runs of
+    # about 64 legs: one block of at least three cost runs.
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    def test_a_block_of_many_cost_runs_matches_the_oracle(self, monkeypatch,
+                                                          policy):
+        monkeypatch.setattr(tripsim, "_LEG_SLICE", 64)
+        cfg = ScenarioConfig(**{**self.PAIR, "iterations": 10},
+                             evolution_policy=policy)
+        calls = counted_normals(monkeypatch)
+        runs = counted_cost_runs(monkeypatch)
+        results = assert_matches_oracle(cfg)
+        assert len(runs) >= 3 and sum(runs) == results.cost.size
+        # The run's rate steps, then the block's one call: two normals a
+        # leg, its operational and its handling cost.  The oracle check's
+        # trajectories draw after them.
+        assert calls[1] == (results.cost.size, 2 * results.n_legs.sum())
+
+    # No cost, rate or handling spread: the block's one call draws no
+    # normal, and each cost run reads an empty slice.
+    @pytest.mark.parametrize("policy", ["per-replicate", "shared"])
+    def test_a_block_that_draws_nothing_matches_the_oracle(self, monkeypatch,
+                                                           policy):
+        monkeypatch.setattr(tripsim, "_LEG_SLICE", 64)
+        cfg = ScenarioConfig(**{**self.PAIR, "iterations": 10},
+                             evolution_policy=policy, cost_stdev_fraction=0.0,
+                             rate_stdev_fraction=0.0,
+                             handling_stdev_fraction=0.0)
+        calls = counted_normals(monkeypatch)
+        runs = counted_cost_runs(monkeypatch)
+        results = assert_matches_oracle(cfg)
+        assert len(runs) >= 3
+        # No rate draws, so the block's call is the only one.
+        assert calls == [(results.cost.size, 0)]
 
 
 class TestRunScenario:

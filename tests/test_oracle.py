@@ -59,7 +59,7 @@ def configs(draw):
 
 def assert_matches_oracle(cfg):
     """``run_scenario``'s trip table, and the trajectories its trips were
-    costed with, bit for bit the oracle's."""
+    costed with, bit for bit the oracle's; returns the run's results."""
     results = run_scenario(cfg)
     names = ("cost", "n_legs", "frac", "mode_means")
     means = replicate_trajectories(cfg, results.registry,
@@ -68,6 +68,7 @@ def assert_matches_oracle(cfg):
         got = means if name == "mode_means" else getattr(results, name)
         assert got.shape == want.shape, name
         assert got.tobytes() == want.astype(got.dtype).tobytes(), name
+    return results
 
 
 @st.composite

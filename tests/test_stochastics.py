@@ -224,10 +224,14 @@ class TestDeriveStreams:
 # them whole.  ``Lanes.indices`` takes n from 2.
 STREAM_NS = [2, 10, 2**31 + 1, 2**32]
 _bounds = st.floats(-1e9, 1e9)
+# Equal bounds in order, -0.0 before 0.0: numpy refuses a uniform from 0.0
+# to -0.0 (high - low is -0.0), as TestStreamMatchesGenerator checks apart.
+_ordered = st.tuples(_bounds, _bounds).map(
+    lambda b: sorted(b, key=lambda x: (x, math.copysign(1.0, x))))
 # Bounds past 2**53 that numpy rounds to doubles before subtracting.
 _int_bounds = st.integers(-2**62, 2**62)
 STREAM_CALLS = st.one_of(
-    st.tuples(st.just("uniform"), st.tuples(_bounds, _bounds).map(sorted)),
+    st.tuples(st.just("uniform"), _ordered),
     st.tuples(st.just("uniform"),
               st.tuples(_int_bounds, _int_bounds).map(sorted)),
     st.tuples(st.just("uniform"), _bounds.map(lambda x: (x, x))),

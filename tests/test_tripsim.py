@@ -15,7 +15,7 @@ from freightsim.stochastics import (LogNormalParams, _path_text,
 from freightsim import tripsim
 from freightsim.tripsim import (CostTable, TripDraws, assign_modes,
                                 cost_trips, generate_leg_distances, leg_cost,
-                                simulate_trip)
+                                normal_counts, simulate_trip)
 
 import oracle
 from conftest import (CountingMath, FullLegStream, MidpointStream,
@@ -105,6 +105,14 @@ def one_lane(seed, labels):
     return seed_lanes([_path_text(seed, labels)])
 
 
+def draw_and_cost(trips, lanes, table, handling_params, weight, rows):
+    """Cost the trips ``simulate_trip`` drew from ``lanes`` as
+    ``run_replicate`` does: their ``normal_counts``, drawn from the lanes
+    in one call, then ``cost_trips`` of all of them."""
+    z = lanes.normals(normal_counts(trips, table, handling_params, rows))
+    return cost_trips(trips, table, handling_params, weight, rows, z)
+
+
 def simulate_and_cost(trip_distance, weight, mode_cost_means,
                       cost_stdev_fractions, handling_params, stream,
                       min_leg=100.0):
@@ -114,8 +122,9 @@ def simulate_and_cost(trip_distance, weight, mode_cost_means,
                       np.array(cost_stdev_fractions, dtype=float))
     trip = simulate_trip(trip_distance, len(mode_cost_means), stream,
                          min_leg=min_leg)
-    cost, n_legs, fractions = cost_trips(trip, table, handling_params,
-                                         weight, np.zeros(1, dtype=np.intp))
+    cost, n_legs, fractions = draw_and_cost(trip, stream, table,
+                                            handling_params, weight,
+                                            np.zeros(1, dtype=np.intp))
     return float(cost[0]), int(n_legs[0]), fractions[0].tolist()
 
 
@@ -201,8 +210,9 @@ class TestSimulateTrip:
         ones = CostTable(np.ones((1, 3)), np.zeros(3))
         stream = one_lane(0, ["cache"])
         trip = simulate_trip(10_000.0, 3, stream)
-        cost, n_legs, _ = cost_trips(trip, ones, self.HANDLING_EXACT,
-                                     50_000.0, np.zeros(1, dtype=np.intp))
+        cost, n_legs, _ = draw_and_cost(trip, stream, ones,
+                                        self.HANDLING_EXACT, 50_000.0,
+                                        np.zeros(1, dtype=np.intp))
         assert cost[0] == pytest.approx(n_legs[0] * 50_000.0 * 4.59
                                         + 10_000.0 * 50_000.0, rel=1e-9)
 
@@ -277,8 +287,9 @@ class TestLegSumsAfterTheCorrection:
         assert span == 1326.8071323732588 == np.nextafter(self.DISTANCE, 0)
         # So the fractions' denominator is the legs' sum, not the trip's
         # distance, which would give other bits.
-        _, _, frac = cost_trips(trips, table, TestSimulateTrip.HANDLING_EXACT,
-                                50_000.0, np.zeros(1, dtype=np.intp))
+        _, _, frac = draw_and_cost(trips, stream, table,
+                                   TestSimulateTrip.HANDLING_EXACT,
+                                   50_000.0, np.zeros(1, dtype=np.intp))
         assert frac[0].tolist() == [d / span for d in legs]
         assert frac[0].tolist() != [d / self.DISTANCE for d in legs]
 
@@ -496,7 +507,7 @@ class TestCostRuns:
     @staticmethod
     def cuts(n_legs):
         n_legs = np.array(n_legs, dtype=np.intp)
-        return TripDraws(n_legs, None, None, None).cuts()
+        return TripDraws(n_legs, None, None).cuts()
 
     # Leg 4 is the second leg of the last trip, which starts no run.
     def test_a_run_edge_inside_the_last_trip_adds_no_run(self, monkeypatch):
@@ -527,8 +538,8 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
                        for t in range(len(trip_distances)))
     trips = simulate_trip(np.array(trip_distances), len(fractions), lanes,
                           min_leg=1.0)
-    cost, n_legs, frac = cost_trips(trips, table, handling, weight,
-                                    np.arange(len(trip_distances)))
+    cost, n_legs, frac = draw_and_cost(trips, lanes, table, handling, weight,
+                                       np.arange(len(trip_distances)))
     for t, (distance, row) in enumerate(zip(trip_distances, means)):
         want = oracle.trip(distance, 1.0, weight, row, fractions,
                            (handling.mu, handling.sigma),
