@@ -29,7 +29,7 @@ from .lanes import Lanes
 from .stochastics import (LogNormalParams, derive_stream,  # noqa: F401
                           lognormal_from_moments, lognormal_ratios,
                           seed_lanes)
-from .tripsim import CostTable, cost_trips, normal_counts, simulate_trip
+from .tripsim import CostTable, cost_trips, simulate_trip
 
 _MAX_RATE_REDRAWS = 100
 _RATE_CLAMP = 0.99
@@ -309,16 +309,18 @@ def run_replicate(config: ScenarioConfig,
     A block is any run of trips: one replicate's years, with ``table`` its
     ``(years, modes)`` trajectory, or a replicate group's trip paths, with
     ``table`` the group's trajectories or the one shared trajectory.  The
-    block's legs and modes are drawn at once, from ``table``'s mode count
-    alone.  Every trip's cost normals are then counted from the cells its
-    legs use (``normal_counts``) and drawn in one ``Lanes.normals`` call
-    for the block, and its legs are costed one run of trips at a time
+    block's legs and modes are drawn at once, each trip's drawing
+    operational costs counted from its row of ``CostTable.drawn`` as its
+    modes are drawn.  Every trip's cost normals, those and one a leg if
+    handling draws, are then drawn in one ``Lanes.normals`` call for the
+    block, and its legs are costed one run of trips at a time
     (``TripDraws.cuts``), each run with ``table``, its own trips' rows and
     its own trips' slice of the normals.
     """
-    trips = simulate_trip(config.trip_distance_km, table.means.shape[1],
-                          lanes, min_leg=config.min_leg_km)
-    counts = normal_counts(trips, table, handling_params, rows)
+    trips = simulate_trip(config.trip_distance_km,
+                          table.drawn.take(rows, axis=0), lanes,
+                          min_leg=config.min_leg_km)
+    counts = trips.op_draws + trips.n_legs * handling_params.draws
     z = lanes.normals(counts)
     # Trip i's normals end at ends[i].
     ends = np.cumsum(counts)

@@ -159,8 +159,7 @@ class Lanes:
     any count per lane.  ``normals`` takes all of a call's normals in flat
     passes over (lane, k) positions, each state found by jump-ahead, and
     draws the rare normal off the ziggurat's fast path on the lane itself,
-    as numpy's C code does; no lane is handed to numpy.  A slice of a
-    ``Lanes`` is a view: drawing from it advances the parent's lanes.
+    as numpy's C code does; no lane is handed to numpy.
     """
 
     def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
@@ -172,11 +171,6 @@ class Lanes:
 
     def __len__(self) -> int:
         return len(self.hi)
-
-    def __getitem__(self, index: slice) -> "Lanes":
-        return Lanes(*(a[index] for a in (self.hi, self.lo, self.inc_hi,
-                                          self.inc_lo, self.has_uint32,
-                                          self.uinteger)))
 
     @classmethod
     def from_seed_words(cls, words: np.ndarray) -> "Lanes":

@@ -37,6 +37,11 @@ class LogNormalParams:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
+    @property
+    def draws(self) -> bool:
+        """Whether a sample draws a normal: sigma is not 0."""
+        return self.sigma != 0.0
+
 
 def lognormal_from_moments(mean: float, stdev: float) -> LogNormalParams:
     """Match a log-normal to a target arithmetic mean and standard deviation.
@@ -233,7 +238,7 @@ def sample_lognormal(params: LogNormalParams, stream: np.random.Generator,
 
     With sigma == 0 the draw is exactly exp(mu) and consumes no randomness.
     """
-    if params.sigma == 0.0:
+    if not params.draws:
         value = math.exp(params.mu)
         return value if size is None else np.full(size, value)
     z = stream.normal(size=size)

@@ -4,11 +4,11 @@ A trip is split into legs by repeatedly drawing a uniform leg length, each leg
 is assigned a mode uniformly at random, and each leg is costed as
 distance * weight * operational_cost + weight * handling_cost with both unit
 costs sampled from log-normal distributions.  A block of trips is drawn at
-once, one trip per stream lane (``simulate_trip``); every trip's cost
-normals are then counted (``normal_counts``) and drawn by the caller in one
-call for the block, and the legs are costed together, as columns, a run of
-trips at a time, each run from its own slice of the normals
-(``cost_trips``).  The last leg's rounding correction and the
+once, one trip per stream lane (``simulate_trip``), which counts each
+trip's drawing operational costs as it draws the modes; the caller draws
+the block's cost normals in one call, and the legs are costed together, as
+columns, a run of trips at a time, each run from its own slice of the
+normals (``cost_trips``).  The last leg's rounding correction and the
 distance fractions' denominator are each trip's legs summed as
 ``math.fsum`` sums them, by one error-free split of the legs into two
 parts whose sums are exact (``_trip_sums``, by ``group_fsums``, which
@@ -156,18 +156,19 @@ class CostTable:
 
 class TripDraws(NamedTuple):
     """A block of trips as ``simulate_trip`` draws them, as columns: each
-    trip's leg count and every leg's length and mode (trip by trip, in leg
-    order).  Their cost normals come after, from the trips' lanes, as many
-    as ``normal_counts`` gives."""
+    trip's leg count, every leg's length and mode (trip by trip, in leg
+    order), and each trip's count of legs whose operational cost draws a
+    normal.  Their cost normals come after, from the trips' lanes."""
 
     n_legs: np.ndarray
     distances: np.ndarray
     modes: np.ndarray
+    op_draws: np.ndarray
 
     def cuts(self) -> list[int]:
-        """The first trip of each run of trips that ``normal_counts`` and
-        ``cost_trips`` take at once, then the trip count: ``cuts`` of the
-        legs by ``_LEG_SLICE``."""
+        """The first trip of each run of trips that ``cost_trips`` takes at
+        once, then the trip count: ``cuts`` of the legs by
+        ``_LEG_SLICE``."""
         return cuts(self.n_legs, _LEG_SLICE)
 
     def part(self, a: int, b: int) -> "TripDraws":
@@ -175,7 +176,7 @@ class TripDraws(NamedTuple):
         first = int(self.n_legs[:a].sum())
         last = first + int(self.n_legs[a:b].sum())
         return TripDraws(self.n_legs[a:b], self.distances[first:last],
-                         self.modes[first:last])
+                         self.modes[first:last], self.op_draws[a:b])
 
 
 def group_fsums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -284,67 +285,39 @@ def _legs(distance: np.ndarray, min_leg: float,
     return n_legs, distances
 
 
-def simulate_trip(trip_distance, n_modes: int, lanes,
+def simulate_trip(trip_distance, drawn: np.ndarray, lanes,
                   min_leg: float = 100.0) -> TripDraws:
     """Draw a block of intermodal trips, trip i from lane i of ``lanes``:
-    its leg lengths and each leg's mode, one of ``n_modes``.
+    its leg lengths, each leg's mode, one of the ``drawn.shape[1]``, and
+    its count of legs whose operational cost draws, ``drawn[i, mode]``
+    (a ``(trips, modes)`` bool array).
 
     A trip is drawn as ``generate_leg_distances`` and ``assign_modes``
     draw it, all trips at once: the k-th leg of every trip still at least
     ``min_leg`` from its end, then the k-th mode of every trip with a k-th
-    leg.  ``trip_distance`` is one float, or one per trip.  The cost
-    normals come after, from the same lanes (``normal_counts``).
+    leg, which is counted as it is drawn.  ``trip_distance`` is one float,
+    or one per trip.  The flags move no draw; the cost normals come after,
+    from the same lanes.
     """
     n = len(lanes)
+    n_modes = drawn.shape[1]
     n_legs, distances = _legs(
         np.broadcast_to(np.asarray(trip_distance, dtype=float), n), min_leg,
         lanes)
     modes = np.zeros(len(distances), dtype=np.min_scalar_type(n_modes - 1))
     if n_modes > 1:
+        op_draws = np.zeros(n, dtype=np.intp)
         starts = np.cumsum(n_legs)
         starts -= n_legs
         active = np.arange(n)
         for k in range(int(n_legs.max(initial=0))):
             active = active[n_legs[active] > k]
-            modes[starts[active] + k] = lanes.indices(active, n_modes)
-    return TripDraws(n_legs, distances, modes)
-
-
-def _leg_draws(trips: TripDraws, table: CostTable,
-               handling_params: LogNormalParams, rows: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Each leg's trip and cell of ``table`` (its trip's row of
-    ``rows``, its own mode), whether its operational cost draws a normal,
-    and whether every leg's handling cost does."""
-    trip = np.repeat(np.arange(len(trips.n_legs)), trips.n_legs)
-    cell = rows.take(trip)
-    cell *= table.means.shape[1]
-    cell += trips.modes
-    return (trip, cell, table.drawn.take(cell),
-            handling_params.sigma != 0.0)
-
-
-def normal_counts(trips: TripDraws, table: CostTable,
-                  handling_params: LogNormalParams,
-                  rows: np.ndarray) -> np.ndarray:
-    """The number of cost normals each trip ``simulate_trip`` drew takes
-    when ``cost_trips`` costs it with row ``rows[i]`` of ``table``: one
-    per leg whose cell draws (``CostTable.drawn``), and one per leg for
-    handling if its sigma is not 0.  The legs are looked at a run of trips
-    at a time (``TripDraws.cuts``)."""
-    counts = np.empty(len(trips.n_legs), dtype=np.intp)
-    edges = trips.cuts()
-    for a, b in zip(edges, edges[1:]):
-        part = trips.part(a, b)
-        _, _, drawn, handling_drawn = _leg_draws(part, table,
-                                                 handling_params, rows[a:b])
-        # The drawn operational costs up to each leg, in leg order; a trip
-        # has those up to its last leg less those up to the trip before's.
-        upto = np.cumsum(drawn, dtype=np.intp)
-        counts[a:b] = np.diff(upto.take(np.cumsum(part.n_legs) - 1),
-                              prepend=0)
-        counts[a:b] += part.n_legs * handling_drawn
-    return counts
+            m = lanes.indices(active, n_modes)
+            modes[starts[active] + k] = m
+            op_draws[active] += drawn[active, m]
+    else:
+        op_draws = n_legs * drawn[:, 0]
+    return TripDraws(n_legs, distances, modes, op_draws)
 
 
 def cost_trips(trips: TripDraws, table: CostTable,
@@ -352,9 +325,9 @@ def cost_trips(trips: TripDraws, table: CostTable,
                rows: np.ndarray, z: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cost the trips ``simulate_trip`` drew, trip i with row ``rows[i]``
-    of ``table``, from ``z``, their cost normals, trip by trip
-    (``normal_counts`` of them for each); return each trip's cost, leg
-    count and per-mode distance fractions (registry order).
+    of ``table``, from ``z``, their cost normals, trip by trip (its
+    ``op_draws``, plus one a leg if handling draws); return each trip's
+    cost, leg count and per-mode distance fractions (registry order).
 
     Each leg samples its own operational cost (mean = the mode's mean that
     year, stdev = fraction * mean) and its own handling cost, exp(mu +
@@ -367,16 +340,21 @@ def cost_trips(trips: TripDraws, table: CostTable,
     ``np.add.at`` adds one index at a time, in index order, where numpy's
     pairwise reductions would round a trip of 8 or more legs differently.
     """
-    n_legs, distances, modes = trips
+    n_legs, distances, modes, _ = trips
     n_modes = table.means.shape[1]
-    trip, cell, drawn, handling_drawn = _leg_draws(trips, table,
-                                                   handling_params, rows)
+    # Each leg's trip and cell of the table: its trip's row, its own mode.
+    trip = np.repeat(np.arange(len(n_legs)), n_legs)
+    cell = rows.take(trip)
+    cell *= n_modes
+    cell += modes
+    drawn = table.drawn.take(cell)
     mu, sigma, op_cost = table.at(cell)
     del cell
+    h = handling_params
     # The first of each leg's normals in z: those of the legs before it.
-    first = np.cumsum(drawn + np.intp(handling_drawn))
+    first = np.cumsum(drawn + np.intp(h.draws))
     first -= drawn
-    first -= handling_drawn
+    first -= h.draws
 
     # A cost that overflows is inf, as in Python float arithmetic; the
     # caller rejects it.  exp(mu + sigma * z) is formed in place, in a
@@ -389,8 +367,7 @@ def cost_trips(trips: TripDraws, table: CostTable,
             op_cost[drawn] = np.exp(x, out=x)
             del x
         del mu, sigma
-        h = handling_params
-        if handling_drawn:
+        if h.draws:
             first += drawn
             handling = z[first]
             handling *= h.sigma

@@ -50,6 +50,8 @@ FLAT = "tests/test_lanes.py::TestFlatNormals::"
 CONFIG_ERROR = "tests/test_io.py::TestUnreachedConfigErrors::" \
                "test_simulate_fails_with_one_error_line_and_no_output"
 BLOCK = "tests/test_evolution.py::TestBlockNormals::"
+COUNTS = "tests/test_tripsim.py::TestModeRoundsCountDraws::" \
+         "test_each_trip_counts_the_flags_of_its_modes"
 
 MUTANTS = [
     # A spread too small to move the cost still draws a normal, which moves
@@ -63,32 +65,32 @@ MUTANTS = [
             f"{TINY}[cost-1e-160-shared]",
             f"{TINY}[rate-1e-160-per-replicate]",
             f"{TINY}[rate-1e-160-shared]")),
-    Mutant("handling-sigma-floor", "tripsim.py",
-           "handling_params.sigma != 0.0",
-           "handling_params.sigma >= 1e-150",
+    Mutant("handling-sigma-floor", "stochastics.py",
+           "return self.sigma != 0.0", "return self.sigma >= 1e-150",
            (f"{TINY}[handling-1e-160-per-replicate]",
             f"{TINY}[handling-1e-160-shared]")),
     # Each leg takes its handling normal before its operational one.
     Mutant("handling-before-operational", "tripsim.py",
-           "x = z[first[drawn]]", "x = z[first[drawn] + handling_drawn]",
+           "x = z[first[drawn]]", "x = z[first[drawn] + h.draws]",
            ("tests/test_tripsim.py::TestSimulateTripDrawOrder::"
             "test_normals_pair_with_operational_then_handling_per_leg",
             HANDLING_EXAMPLE, f"{GOLDEN}[all-modes-per-replicate]")),
-    # Each trip counts every drawn cost up to its last leg, its earlier
-    # trips' included.
-    Mutant("counts-not-differenced", "tripsim.py",
-           "np.diff(upto.take(np.cumsum(part.n_legs) - 1),\n"
-           "                              prepend=0)",
-           "upto.take(np.cumsum(part.n_legs) - 1)",
-           (COLUMNAR, HANDLING_EXAMPLE,
-            f"{GOLDEN}[all-modes-per-replicate]")),
+    # A one-mode trip counts one drawn operational cost, not one a leg.
+    Mutant("one-mode-counts-one-leg", "tripsim.py",
+           "n_legs * drawn[:, 0]", "drawn[:, 0]",
+           (COUNTS,)),
+    # Every trip of a mode round counts from the first active trip's row.
+    Mutant("count-reads-first-trip", "tripsim.py",
+           "drawn[active, m]", "drawn[active[:1], m]",
+           (COUNTS,)),
     # The block's counts leave out the handling normals, which its cost
     # runs then read past the end of the draws.  Every run that draws a
-    # handling cost fails, so the named tests are in modules that run the
-    # engine in their tests only, not while pytest collects them.
-    Mutant("block-counts-without-handling", "tripsim.py",
-           "        counts[a:b] += part.n_legs * handling_drawn\n", "",
-           (COLUMNAR, HANDLING_EXAMPLE,
+    # handling cost fails; no test module runs the engine while pytest
+    # collects it, so the named tests fail, not their modules' collection.
+    Mutant("block-counts-without-handling", "evolution.py",
+           " + trips.n_legs * handling_params.draws", "",
+           (f"{BLOCK}test_a_block_of_many_cost_runs_matches_the_oracle"
+            "[per-replicate]",
             f"{GOLDEN}[all-modes-per-replicate]")),
     # Every cost run reads the normals from the block's start, not from its
     # own first trip's.

@@ -283,7 +283,8 @@ class TestFlatNormals:
             0, 2**64, size=(8192, 4), dtype=np.uint64)
         lanes = Lanes.from_seed_words(words)
         counts = np.full(8192, 10)
-        lanes[:1].normals(counts[:1])  # the jump table, grown past 10 rows
+        # The jump table, grown past 10 rows.
+        Lanes.from_seed_words(words[:1]).normals(counts[:1])
         tracemalloc.start()
         try:
             out = lanes.normals(counts)

@@ -15,7 +15,7 @@ from freightsim.stochastics import (LogNormalParams, _path_text,
 from freightsim import tripsim
 from freightsim.tripsim import (CostTable, TripDraws, assign_modes,
                                 cost_trips, generate_leg_distances, leg_cost,
-                                normal_counts, simulate_trip)
+                                simulate_trip)
 
 import oracle
 from conftest import (CountingMath, FullLegStream, MidpointStream,
@@ -107,9 +107,9 @@ def one_lane(seed, labels):
 
 def draw_and_cost(trips, lanes, table, handling_params, weight, rows):
     """Cost the trips ``simulate_trip`` drew from ``lanes`` as
-    ``run_replicate`` does: their ``normal_counts``, drawn from the lanes
-    in one call, then ``cost_trips`` of all of them."""
-    z = lanes.normals(normal_counts(trips, table, handling_params, rows))
+    ``run_replicate`` does: their cost normals, drawn from the lanes in one
+    call, then ``cost_trips`` of all of them."""
+    z = lanes.normals(trips.op_draws + trips.n_legs * handling_params.draws)
     return cost_trips(trips, table, handling_params, weight, rows, z)
 
 
@@ -120,7 +120,7 @@ def simulate_and_cost(trip_distance, weight, mode_cost_means,
     its cost, leg count and per-mode distance fractions."""
     table = CostTable(np.array([mode_cost_means], dtype=float),
                       np.array(cost_stdev_fractions, dtype=float))
-    trip = simulate_trip(trip_distance, len(mode_cost_means), stream,
+    trip = simulate_trip(trip_distance, table.drawn, stream,
                          min_leg=min_leg)
     cost, n_legs, fractions = draw_and_cost(trip, stream, table,
                                             handling_params, weight,
@@ -209,7 +209,7 @@ class TestSimulateTrip:
         # A table is used as it stands: exp(0) = 1 per tonne-km.
         ones = CostTable(np.ones((1, 3)), np.zeros(3))
         stream = one_lane(0, ["cache"])
-        trip = simulate_trip(10_000.0, 3, stream)
+        trip = simulate_trip(10_000.0, ones.drawn, stream)
         cost, n_legs, _ = draw_and_cost(trip, stream, ones,
                                         self.HANDLING_EXACT, 50_000.0,
                                         np.zeros(1, dtype=np.intp))
@@ -271,6 +271,50 @@ class TestSimulateTripDrawOrder:
         assert stream.normal_sizes == []
 
 
+@st.composite
+def flagged_blocks(draw):
+    """A block of 1-6 trips over 1-4 modes, from 0.5 km (one leg at a 1 km
+    minimum) to 10^12 km (about 28 legs), and each trip's flags of which
+    modes' operational costs draw, not all one row where there are two
+    trips or more."""
+    n_trips = draw(st.integers(1, 6))
+    n_modes = draw(st.integers(1, 4))
+    distances = draw(st.lists(st.floats(-0.3, 12.0).map(lambda e: 10.0 ** e),
+                              min_size=n_trips, max_size=n_trips))
+    flags = draw(st.lists(st.tuples(*[st.booleans()] * n_modes),
+                          min_size=n_trips, max_size=n_trips).filter(
+        lambda rows: len(rows) == 1 or len(set(rows)) > 1))
+    return distances, np.array(flags, dtype=bool)
+
+
+class TestModeRoundsCountDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block=flagged_blocks())
+    # One mode: every leg of the 10^12 km trip draws.
+    @example(seed=3, block=([1e12], np.array([[True]])))
+    # Rows that differ: a count read from the first trip's row is wrong.
+    @example(seed=5, block=([1e12, 1e12],
+                            np.array([[True, False], [False, True]])))
+    def test_each_trip_counts_the_flags_of_its_modes(self, seed, block):
+        distances, flags = block
+
+        def draw(drawn):
+            lanes = seed_lanes(_path_text(seed, ["flags", t])
+                               for t in range(len(distances)))
+            return simulate_trip(np.array(distances), drawn, lanes,
+                                 min_leg=1.0)
+
+        trips, every = draw(flags), draw(np.ones_like(flags))
+        modes = np.split(trips.modes, np.cumsum(trips.n_legs)[:-1])
+        assert trips.op_draws.tolist() == [
+            int(flags[i, m].sum()) for i, m in enumerate(modes)]
+        # The flags move no draw.
+        assert trips.n_legs.tolist() == every.n_legs.tolist()
+        assert trips.distances.tolist() == every.distances.tolist()
+        assert trips.modes.tolist() == every.modes.tolist()
+        assert every.op_draws.tolist() == every.n_legs.tolist()
+
+
 class TestLegSumsAfterTheCorrection:
     # The last leg takes up the rounding of the legs' sum: last += D -
     # fsum(legs).  That does not make the legs sum to D.
@@ -280,7 +324,7 @@ class TestLegSumsAfterTheCorrection:
     def test_corrected_legs_can_sum_one_ulp_below_the_trip(self):
         table = CostTable(np.array([[0.0196, 0.046, 0.03]]), np.zeros(3))
         stream = StubStream(uniforms=self.LEGS, integers=[0, 1, 2])
-        trips = simulate_trip(self.DISTANCE, 3, stream, min_leg=1.0)
+        trips = simulate_trip(self.DISTANCE, table.drawn, stream, min_leg=1.0)
         legs = trips.distances.tolist()
         assert legs == [*self.LEGS[:2], 1227.1243881562366]
         span = math.fsum(legs)
@@ -493,7 +537,8 @@ class TestLegRoundingPastTheLastLeg:
 
     def test_block_legs_raise_a_config_error(self):
         with pytest.raises(ConfigError, match="trip_distance_km.*min_leg_km"):
-            simulate_trip(1e18, 1, ThirtyFivePercentStream())
+            simulate_trip(1e18, np.ones((1, 1), dtype=bool),
+                          ThirtyFivePercentStream())
 
     def test_run_raises_a_config_error(self):
         cfg = ScenarioConfig(enabled_modes=["ocean"], iterations=50,
@@ -507,7 +552,7 @@ class TestCostRuns:
     @staticmethod
     def cuts(n_legs):
         n_legs = np.array(n_legs, dtype=np.intp)
-        return TripDraws(n_legs, None, None).cuts()
+        return TripDraws(n_legs, None, None, None).cuts()
 
     # Leg 4 is the second leg of the last trip, which starts no run.
     def test_a_run_edge_inside_the_last_trip_adds_no_run(self, monkeypatch):
@@ -536,7 +581,7 @@ def check_columnar_costing(seed, trip_distances, means, fractions,
     table = CostTable(np.array(means), np.array(fractions))
     lanes = seed_lanes(_path_text(seed, ["oracle", t])
                        for t in range(len(trip_distances)))
-    trips = simulate_trip(np.array(trip_distances), len(fractions), lanes,
+    trips = simulate_trip(np.array(trip_distances), table.drawn, lanes,
                           min_leg=1.0)
     cost, n_legs, frac = draw_and_cost(trips, lanes, table, handling, weight,
                                        np.arange(len(trip_distances)))
